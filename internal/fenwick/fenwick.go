@@ -1,7 +1,8 @@
 // Package fenwick implements a Fenwick (binary indexed) tree over int64
-// counts. The extended-LRU stack-distance engine uses it to count, in
-// O(log n), how many distinct pages were referenced more recently than a
-// given page — the page's LRU stack depth.
+// counts. The streaming depth histogram (lrusim.DepthHist) keeps its
+// per-bank reference counts and byte totals in these trees, and turns a
+// whole depth profile into prefix sums in one linear pass at the period
+// boundary.
 package fenwick
 
 // Tree is a Fenwick tree over indices [0, n). The zero value is unusable;
@@ -41,44 +42,6 @@ func (t *Tree) PrefixSum(i int) int64 {
 		s += t.a[i]
 	}
 	return s
-}
-
-// RangeSum returns the sum of indices [lo, hi]. Returns 0 if lo > hi.
-func (t *Tree) RangeSum(lo, hi int) int64 {
-	if lo > hi {
-		return 0
-	}
-	if lo <= 0 {
-		return t.PrefixSum(hi)
-	}
-	return t.PrefixSum(hi) - t.PrefixSum(lo-1)
-}
-
-// Total returns the sum over all indices.
-func (t *Tree) Total() int64 { return t.PrefixSum(t.Len() - 1) }
-
-// FindKth returns the smallest index i such that PrefixSum(i) >= k, or
-// Len() if the total is < k. k must be >= 1. This supports order-statistic
-// queries over the tree in O(log n).
-func (t *Tree) FindKth(k int64) int {
-	if k <= 0 {
-		panic("fenwick: k must be >= 1")
-	}
-	pos := 0
-	// Highest power of two <= len.
-	bit := 1
-	for bit<<1 <= t.Len() {
-		bit <<= 1
-	}
-	rem := k
-	for ; bit > 0; bit >>= 1 {
-		next := pos + bit
-		if next < len(t.a) && t.a[next] < rem {
-			pos = next
-			rem -= t.a[next]
-		}
-	}
-	return pos // pos is 0-based index of the k-th element
 }
 
 // AppendPrefixSums appends all Len() prefix sums to dst and returns the

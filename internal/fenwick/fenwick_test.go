@@ -22,63 +22,14 @@ func TestBasicSums(t *testing.T) {
 			t.Errorf("PrefixSum(%d) = %d, want %d", tt.i, got, tt.want)
 		}
 	}
-	if got := tr.RangeSum(1, 3); got != 5 {
-		t.Errorf("RangeSum(1,3) = %d, want 5", got)
-	}
-	if got := tr.RangeSum(4, 6); got != 0 {
-		t.Errorf("RangeSum(4,6) = %d, want 0", got)
-	}
-	if got := tr.RangeSum(5, 2); got != 0 {
-		t.Errorf("RangeSum(5,2) = %d, want 0", got)
-	}
-	if got := tr.Total(); got != 8 {
-		t.Errorf("Total = %d, want 8", got)
-	}
 }
 
 func TestNegativeDeltas(t *testing.T) {
 	tr := New(4)
 	tr.Add(2, 3)
 	tr.Add(2, -3)
-	if got := tr.Total(); got != 0 {
-		t.Errorf("Total after cancel = %d, want 0", got)
-	}
-}
-
-func TestFindKth(t *testing.T) {
-	tr := New(10)
-	// Live positions: 1, 4, 9.
-	tr.Add(1, 1)
-	tr.Add(4, 1)
-	tr.Add(9, 1)
-	tests := []struct {
-		k    int64
-		want int
-	}{
-		{1, 1}, {2, 4}, {3, 9}, {4, 10}, // k beyond total yields Len()
-	}
-	for _, tt := range tests {
-		if got := tr.FindKth(tt.k); got != tt.want {
-			t.Errorf("FindKth(%d) = %d, want %d", tt.k, got, tt.want)
-		}
-	}
-}
-
-func TestFindKthWithWeights(t *testing.T) {
-	tr := New(6)
-	tr.Add(0, 2)
-	tr.Add(3, 3)
-	if got := tr.FindKth(1); got != 0 {
-		t.Errorf("FindKth(1) = %d, want 0", got)
-	}
-	if got := tr.FindKth(2); got != 0 {
-		t.Errorf("FindKth(2) = %d, want 0", got)
-	}
-	if got := tr.FindKth(3); got != 3 {
-		t.Errorf("FindKth(3) = %d, want 3", got)
-	}
-	if got := tr.FindKth(5); got != 3 {
-		t.Errorf("FindKth(5) = %d, want 3", got)
+	if got := tr.PrefixSum(3); got != 0 {
+		t.Errorf("PrefixSum(3) after cancel = %d, want 0", got)
 	}
 }
 
@@ -88,8 +39,8 @@ func TestReset(t *testing.T) {
 		tr.Add(i, int64(i))
 	}
 	tr.Reset()
-	if got := tr.Total(); got != 0 {
-		t.Errorf("Total after Reset = %d, want 0", got)
+	if got := tr.PrefixSum(15); got != 0 {
+		t.Errorf("PrefixSum(15) after Reset = %d, want 0", got)
 	}
 	tr.Add(5, 7)
 	if got := tr.PrefixSum(5); got != 7 {
@@ -111,9 +62,6 @@ func TestZeroSize(t *testing.T) {
 	if got := tr.PrefixSum(0); got != 0 {
 		t.Errorf("empty tree PrefixSum = %d", got)
 	}
-	if got := tr.Total(); got != 0 {
-		t.Errorf("empty tree Total = %d", got)
-	}
 }
 
 // TestQuickAgainstNaive drives the tree against a plain slice model with
@@ -125,7 +73,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 		tr := New(n)
 		model := make([]int64, n)
 		for op := 0; op < 500; op++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(2) {
 			case 0:
 				i := rng.Intn(n)
 				d := int64(rng.Intn(11) - 5)
@@ -140,55 +88,11 @@ func TestQuickAgainstNaive(t *testing.T) {
 				if got := tr.PrefixSum(i); got != want {
 					return false
 				}
-			case 2:
-				lo, hi := rng.Intn(n), rng.Intn(n)
-				var want int64
-				for j := lo; j <= hi; j++ {
-					want += model[j]
-				}
-				if got := tr.RangeSum(lo, hi); got != want {
-					return false
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickFindKth checks FindKth against a linear scan for random
-// non-negative count vectors.
-func TestQuickFindKth(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		tr := New(n)
-		model := make([]int64, n)
-		for i := range model {
-			v := int64(rng.Intn(3))
-			model[i] = v
-			tr.Add(i, v)
-		}
-		total := tr.Total()
-		for k := int64(1); k <= total+1; k++ {
-			want := n
-			var cum int64
-			for i, v := range model {
-				cum += v
-				if cum >= k {
-					want = i
-					break
-				}
-			}
-			if got := tr.FindKth(k); got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

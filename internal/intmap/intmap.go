@@ -2,9 +2,9 @@
 // int64 keys to int64 values, specialised for the simulator's hot paths
 // (page → frame in the page cache, page → stack position in the LRU
 // stack simulator). Compared with a built-in map[int64]T it avoids
-// per-bucket overflow pointers and interface boxing, keeps keys and
-// values in two flat arrays for cache locality, and supports O(1)
-// clear-with-capacity reuse.
+// per-bucket overflow pointers and interface boxing, stores each key and
+// its value side by side in one 16-byte slot so a probe reads one cache
+// line rather than two, and supports O(1) clear-with-capacity reuse.
 //
 // The table uses Fibonacci hashing with linear probing and backward-shift
 // deletion (no tombstones), the same design as core's pageSet. Load is
@@ -22,12 +22,17 @@ const emptySlot = -1
 // into well-spread slots.
 const fibMult = 0x9E3779B97F4A7C15
 
+// slot is one table entry: four share a 64-byte cache line.
+type slot struct {
+	key int64 // emptySlot when free
+	val int64
+}
+
 // Map is an open-addressed int64 → int64 hash table. The zero value is
 // not ready for use; call New.
 type Map struct {
-	keys  []int64
-	vals  []int64
-	shift uint // 64 - log2(len(keys))
+	slots []slot
+	shift uint // 64 - log2(len(slots))
 	n     int
 }
 
@@ -44,10 +49,9 @@ func New(capacity int) *Map {
 }
 
 func (m *Map) init(size int) {
-	m.keys = make([]int64, size)
-	m.vals = make([]int64, size)
-	for i := range m.keys {
-		m.keys[i] = emptySlot
+	m.slots = make([]slot, size)
+	for i := range m.slots {
+		m.slots[i].key = emptySlot
 	}
 	shift := uint(64)
 	for s := size; s > 1; s >>= 1 {
@@ -66,9 +70,9 @@ func (m *Map) home(key int64) uint64 {
 
 // slot returns the index holding key, or -1 if absent.
 func (m *Map) slot(key int64) int {
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	for i := m.home(key); ; i = (i + 1) & mask {
-		switch m.keys[i] {
+		switch m.slots[i].key {
 		case key:
 			return int(i)
 		case emptySlot:
@@ -80,32 +84,45 @@ func (m *Map) slot(key int64) int {
 // Get returns the value stored for key.
 func (m *Map) Get(key int64) (int64, bool) {
 	if i := m.slot(key); i >= 0 {
-		return m.vals[i], true
+		return m.slots[i].val, true
 	}
 	return 0, false
 }
 
 // Put inserts or replaces the value for key. key must be ≥ 0.
-func (m *Map) Put(key, val int64) {
+func (m *Map) Put(key, val int64) { m.Swap(key, val) }
+
+// Swap stores val for key and returns the value it replaced, reporting
+// whether key was present: a lookup and an update in one probe. key must
+// be ≥ 0.
+func (m *Map) Swap(key, val int64) (old int64, found bool) {
 	if key < 0 {
 		panic("intmap: negative key")
 	}
-	if 2*(m.n+1) > len(m.keys) {
+	if 2*(m.n+1) > len(m.slots) {
 		m.grow()
 	}
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	for i := m.home(key); ; i = (i + 1) & mask {
-		switch m.keys[i] {
+		s := &m.slots[i]
+		switch s.key {
 		case key:
-			m.vals[i] = val
-			return
+			old, s.val = s.val, val
+			return old, true
 		case emptySlot:
-			m.keys[i] = key
-			m.vals[i] = val
+			s.key, s.val = key, val
 			m.n++
-			return
+			return 0, false
 		}
 	}
+}
+
+// Touch loads key's home slot and returns the key stored there. It
+// exists for look-ahead: a caller about to probe several keys touches
+// them all first, folding the results into a sink so the loads are kept,
+// and their cache misses overlap instead of stalling one probe each.
+func (m *Map) Touch(key int64) int64 {
+	return m.slots[m.home(key)].key
 }
 
 // Delete removes key, reporting whether it was present. Deletion uses
@@ -117,10 +134,10 @@ func (m *Map) Delete(key int64) bool {
 		return false
 	}
 	m.n--
-	mask := uint64(len(m.keys) - 1)
+	mask := uint64(len(m.slots) - 1)
 	hole := uint64(i)
 	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
-		k := m.keys[j]
+		k := m.slots[j].key
 		if k == emptySlot {
 			break
 		}
@@ -128,37 +145,46 @@ func (m *Map) Delete(key int64) bool {
 		// cyclically at or before the hole; otherwise moving it would
 		// break its own probe chain.
 		if (j-m.home(k))&mask >= (j-hole)&mask {
-			m.keys[hole] = k
-			m.vals[hole] = m.vals[j]
+			m.slots[hole] = m.slots[j]
 			hole = j
 		}
 	}
-	m.keys[hole] = emptySlot
+	m.slots[hole].key = emptySlot
 	return true
+}
+
+// Rewrite replaces every entry's value with f(value), in table order.
+// It is one sequential pass over the table, for callers that renumber
+// all values at once.
+func (m *Map) Rewrite(f func(val int64) int64) {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.key != emptySlot {
+			s.val = f(s.val)
+		}
+	}
 }
 
 // Reset removes all entries, keeping the allocated capacity.
 func (m *Map) Reset() {
-	for i := range m.keys {
-		m.keys[i] = emptySlot
+	for i := range m.slots {
+		m.slots[i].key = emptySlot
 	}
 	m.n = 0
 }
 
 func (m *Map) grow() {
-	oldKeys, oldVals := m.keys, m.vals
-	m.init(2 * len(oldKeys))
-	mask := uint64(len(m.keys) - 1)
-	for i, k := range oldKeys {
-		if k == emptySlot {
+	old := m.slots
+	m.init(2 * len(old))
+	mask := uint64(len(m.slots) - 1)
+	for _, s := range old {
+		if s.key == emptySlot {
 			continue
 		}
-		j := m.home(k)
-		for m.keys[j] != emptySlot {
+		j := m.home(s.key)
+		for m.slots[j].key != emptySlot {
 			j = (j + 1) & mask
 		}
-		m.keys[j] = k
-		m.vals[j] = oldVals[i]
+		m.slots[j] = s
 		m.n++
 	}
 }

@@ -2,6 +2,7 @@ package lrusim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -75,5 +76,64 @@ func TestRestoreOverflowEvicts(t *testing.T) {
 	}
 	if d := r.Reference(10); d != Cold {
 		t.Fatalf("evicted page depth = %d, want Cold", d)
+	}
+}
+
+// TestSnapshotRestoreAcrossCompaction snapshots a window in the thousands
+// just before each compaction and just after it, and drives the original
+// and both restored stacks with the same tail, long enough for all of
+// them to compact again on their own schedules. Depths, counters and the
+// snapshots themselves must agree throughout.
+func TestSnapshotRestoreAcrossCompaction(t *testing.T) {
+	const tracked = 3000
+	page := func(r *rand.Rand) int64 {
+		if r.Intn(4) == 0 {
+			return r.Int63n(4 * tracked)
+		}
+		return r.Int63n(tracked / 2)
+	}
+	restore := func(s *StackSim) *StackSim {
+		t.Helper()
+		pages := s.SnapshotPages()
+		refs, colds := s.Counters()
+		r := RestoreStackSim(tracked, pages, refs, colds)
+		if r.Len() != s.Len() || r.Refs() != s.Refs() || r.Colds() != s.Colds() {
+			t.Fatalf("restored Len/Refs/Colds %d/%d/%d, want %d/%d/%d", r.Len(), r.Refs(), r.Colds(), s.Len(), s.Refs(), s.Colds())
+		}
+		if !reflect.DeepEqual(r.SnapshotPages(), pages) {
+			t.Fatal("restored snapshot differs from the original's")
+		}
+		return r
+	}
+	rng := rand.New(rand.NewSource(11))
+	s := NewStackSim(tracked)
+	for compaction := 0; compaction < 6; {
+		s.Reference(page(rng))
+		if s.nextPos != len(s.pageAt) {
+			continue // the next reference does not compact
+		}
+		restored := []*StackSim{restore(s)}
+		tail := rand.New(rand.NewSource(int64(compaction)))
+		for j := 0; j < 3*tracked; j++ {
+			p := page(tail)
+			d := s.Reference(p)
+			for k, r := range restored {
+				if dr := r.Reference(p); dr != d {
+					t.Fatalf("compaction %d tail %d page %d: depth %d from original, %d from restored copy %d", compaction, j, p, d, dr, k)
+				}
+			}
+			if j == 0 {
+				if s.nextPos > s.Len()+1 {
+					t.Fatalf("compaction %d: the reference did not compact", compaction)
+				}
+				restored = append(restored, restore(s))
+			}
+		}
+		for k, r := range restored {
+			if !reflect.DeepEqual(r.SnapshotPages(), s.SnapshotPages()) {
+				t.Fatalf("compaction %d: restored copy %d's snapshot differs after the tail", compaction, k)
+			}
+		}
+		compaction++
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,34 +136,11 @@ func (sh *Shard) Periods() int64 {
 }
 
 // Ingest feeds one request, closing any period boundaries the request's
-// timestamp crosses first. Requests must arrive in time order.
+// timestamp crosses first. Requests must arrive in time order. It is
+// IngestBatch with a one-request block.
 func (sh *Shard) Ingest(req trace.Request) error {
-	sh.mu.Lock()
-	err := func() error {
-		for req.Time >= sh.nextBoundary {
-			if err := sh.closePeriod(); err != nil {
-				return err
-			}
-			sh.fleetEpochLocked()
-		}
-		if sh.timed {
-			start := time.Now()
-			sh.serve(req)
-			sh.flushIngest()
-			sh.ingestNs += time.Since(start).Nanoseconds()
-		} else {
-			sh.serve(req)
-			sh.flushIngest()
-		}
-		return nil
-	}()
-	due, duePeriod := sh.ckptDue, sh.ckptPeriod
-	sh.ckptDue = false
-	sh.mu.Unlock()
-	if due && err == nil {
-		sh.dueCheckpoint(duePeriod)
-	}
-	return err
+	one := [1]trace.Request{req}
+	return sh.IngestBatch(one[:])
 }
 
 // IngestBatch feeds a time-ordered block of requests under ONE lock
@@ -170,17 +148,25 @@ func (sh *Shard) Ingest(req trace.Request) error {
 // closed exactly where the request timestamps cross them — each request
 // lands in the same period, and each period sees the same log, as
 // one-at-a-time Ingest would produce, so the decision stream is
-// bit-identical (see TestServeBatchedIngestMatches). Between boundaries
-// the served records accumulate in the period log and reach the
-// incremental manager through one IngestBatch per run instead of one
-// Ingest per reference.
+// bit-identical (see TestServeBatchedIngestMatches). Each run of
+// requests between boundaries is served in one pass (serve) and reaches
+// the incremental manager through one IngestBatch.
+//
+// A request whose page range leaves [0, 2^63) is rejected with an error
+// naming the disk and the request's stream index. The requests before
+// it are served as if the block ended there, and it and the rest of the
+// block have no effect: not even their timestamps close a period.
 func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	if len(reqs) == 0 {
 		return nil
 	}
+	valid := 0
+	for valid < len(reqs) && pagesValid(&reqs[valid]) {
+		valid++
+	}
 	sh.mu.Lock()
 	err := func() error {
-		for i := 0; i < len(reqs); {
+		for i := 0; i < valid; {
 			for reqs[i].Time >= sh.nextBoundary {
 				if err := sh.closePeriod(); err != nil {
 					return err
@@ -189,33 +175,34 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 			}
 			// The run of requests strictly before the next boundary.
 			j := i + 1
-			for j < len(reqs) && reqs[j].Time < sh.nextBoundary {
+			for j < valid && reqs[j].Time < sh.nextBoundary {
 				j++
 			}
-			if sh.timed {
-				start := time.Now()
-				for k := i; k < j; k++ {
-					sh.serve(reqs[k])
-				}
-				sh.flushIngest()
-				sh.ingestNs += time.Since(start).Nanoseconds()
-			} else {
-				for k := i; k < j; k++ {
-					sh.serve(reqs[k])
-				}
-				sh.flushIngest()
-			}
+			sh.serve(reqs[i:j])
 			i = j
 		}
 		return nil
 	}()
-	due, duePeriod := sh.ckptDue, sh.ckptPeriod
+	// A closePeriod error is a crash and loses the checkpoint; a rejected
+	// request does not undo the boundaries the requests before it closed.
+	due, duePeriod := sh.ckptDue && err == nil, sh.ckptPeriod
 	sh.ckptDue = false
+	if err == nil && valid < len(reqs) {
+		bad := &reqs[valid]
+		err = fmt.Errorf("serve: disk %s: request %d: %d pages from page %d leave the page ids [0, 2^63)",
+			sh.name, sh.consumed, bad.Pages, bad.FirstPage)
+	}
 	sh.mu.Unlock()
-	if due && err == nil {
+	if due {
 		sh.dueCheckpoint(duePeriod)
 	}
 	return err
+}
+
+// pagesValid reports whether every page id the request touches lies in
+// [0, 2^63), the range the stack and the histogram can key on.
+func pagesValid(req *trace.Request) bool {
+	return req.FirstPage >= 0 && (req.Pages <= 0 || req.FirstPage <= math.MaxInt64-int64(req.Pages-1))
 }
 
 // flushIngest hands the period log's unflushed suffix to the incremental
@@ -272,46 +259,72 @@ func (sh *Shard) dueCheckpoint(period int64) {
 	sh.rec.AmendCheckpoint(sh.name, period, ns)
 }
 
-// serve references each page of the request, logging depths and
-// predicting the disk traffic the request causes at the currently
-// applied memory size: a page hits iff its stack depth is within the
-// chosen resident capacity (Mattson's inclusion property), and
-// consecutive missing pages coalesce into one disk request, mirroring
-// the simulator's run coalescing.
-func (sh *Shard) serve(req trace.Request) {
-	var runStart, runLen int64 = -1, 0
-	flush := func() {
-		if runLen > 0 {
-			sh.reqRuns++
-			runStart, runLen = -1, 0
+// serve runs one pass over a run of requests that all precede the next
+// period boundary, and hands the new records to the incremental manager
+// (flushIngest). It logs every page reference of the run, references the
+// logged pages through the stack in one ReferenceBatch call, and then
+// predicts the disk traffic each request causes at the currently applied
+// memory size: a page hits iff its stack depth is within the chosen
+// resident capacity (Mattson's inclusion property), and consecutive
+// missing pages of a request coalesce into one disk request, mirroring
+// the simulator's run coalescing. The log is kept even in incremental
+// mode: it is the snapshot's replayable form of the partial period (see
+// restore).
+func (sh *Shard) serve(run []trace.Request) {
+	var start time.Time
+	if sh.timed {
+		start = time.Now()
+	}
+	refs := 0
+	for k := range run {
+		refs += max(int(run[k].Pages), 0)
+	}
+	// Grow the log by doubling: append's 1.25× steps for large slices
+	// would reallocate a half-million-record period log some thirty
+	// times in its first period, and that garbage paces the collector.
+	base := len(sh.periodLog)
+	if need := base + refs; need > cap(sh.periodLog) {
+		grown := make([]lrusim.DepthRecord, base, max(need, 2*cap(sh.periodLog)))
+		copy(grown, sh.periodLog)
+		sh.periodLog = grown
+	}
+	sh.periodLog = sh.periodLog[:base+refs]
+	log := sh.periodLog[base:]
+	i := 0
+	for k := range run {
+		req := &run[k]
+		for p := int64(0); p < int64(req.Pages); p++ {
+			log[i] = lrusim.DepthRecord{Time: req.Time, Page: req.FirstPage + p, Bytes: sh.pageSize}
+			i++
 		}
 	}
-	for k := int32(0); k < req.Pages; k++ {
-		page := req.FirstPage + int64(k)
-		sh.cacheAcc++
-		depth := sh.stack.Reference(page)
-		rec := lrusim.DepthRecord{Time: req.Time, Page: page, Depth: depth, Bytes: sh.pageSize}
-		// The log is kept even in incremental mode: it is the snapshot's
-		// replayable form of the partial period (see restore). In
-		// incremental mode the manager sees it in blocks — the caller
-		// flushes the unfed suffix through flushIngest after each run.
-		sh.periodLog = append(sh.periodLog, rec)
-		hit := depth != lrusim.Cold && int64(depth) <= sh.curPages
-		if hit {
-			flush()
-			continue
+	sh.stack.ReferenceBatch(log)
+	curPages := sh.curPages
+	misses, reqRuns := sh.misses, sh.reqRuns
+	for k := range run {
+		n := max(int(run[k].Pages), 0)
+		inRun := false // the previous page of this request missed
+		for _, r := range log[:n] {
+			if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
+				inRun = false
+				continue
+			}
+			misses++
+			if !inRun {
+				reqRuns++
+				inRun = true
+			}
 		}
-		sh.misses++
-		if runLen > 0 && page == runStart+runLen {
-			runLen++
-		} else {
-			flush()
-			runStart, runLen = page, 1
-		}
+		log = log[n:]
+		sh.refsTotal += int64(run[k].Pages)
 	}
-	flush()
-	sh.consumed++
-	sh.refsTotal += int64(req.Pages)
+	sh.misses, sh.reqRuns = misses, reqRuns
+	sh.cacheAcc += int64(refs)
+	sh.consumed += int64(len(run))
+	sh.flushIngest()
+	if sh.timed {
+		sh.ingestNs += time.Since(start).Nanoseconds()
+	}
 }
 
 // closePeriod ends the current period: during warmup the manager's held

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/trace"
 )
 
@@ -112,6 +113,104 @@ func TestServeBatchedIngestMatches(t *testing.T) {
 		tiny := StreamOptions{Ring: 8, Block: 3}
 		if got := runServeStream(t, data, cfg, tiny); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mode %v: ServeStream(tiny ring) decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
+		}
+	}
+}
+
+// TestServeRunPassMatchesPerRequest checks the run pass's accounting
+// against an independent per-page model of the daemon's hit prediction —
+// a naive LRU list and the per-request run coalescing the simulator
+// uses. After every random-size block, the shard fed one request at a
+// time (Ingest), the shard fed the block whole (IngestBatch) and the
+// model must agree on the period's predicted misses, coalesced disk
+// requests, cache accesses and depth log.
+func TestServeRunPassMatchesPerRequest(t *testing.T) {
+	_, tr := encodeTrace(t, testTrace(t, 55))
+	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
+		cfg := testConfig(&decisionLog{})
+		cfg.Decide = mode
+		shards := make([]*Shard, 2)
+		for i := range shards {
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards[i], err = srv.Shard("d0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one, bat := shards[0], shards[1]
+
+		var (
+			naive                 = lrusim.NewNaiveStack(int(one.srv.installedPages))
+			boundary              = cfg.Period
+			log                   []lrusim.DepthRecord
+			misses, reqRuns, refs int64
+			runStart, runLen      int64 = -1, 0
+			// Totals over closed periods.
+			allMisses, allRuns, allRefs int64
+		)
+		flush := func() {
+			if runLen > 0 {
+				reqRuns++
+				runStart, runLen = -1, 0
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(mode) + 9))
+		for i := 0; i < len(tr.Requests); {
+			j := min(i+1+rng.Intn(97), len(tr.Requests))
+			for _, req := range tr.Requests[i:j] {
+				if err := one.Ingest(req); err != nil {
+					t.Fatal(err)
+				}
+				for req.Time >= boundary {
+					allMisses, allRuns, allRefs = allMisses+misses, allRuns+reqRuns, allRefs+refs
+					log, misses, reqRuns, refs = log[:0], 0, 0, 0
+					boundary += cfg.Period
+				}
+				for k := int64(0); k < int64(req.Pages); k++ {
+					page := req.FirstPage + k
+					refs++
+					depth := naive.Reference(page)
+					log = append(log, lrusim.DepthRecord{Time: req.Time, Page: page, Depth: depth, Bytes: cfg.PageSize})
+					if depth != lrusim.Cold && int64(depth) <= one.curPages {
+						flush()
+						continue
+					}
+					misses++
+					if runLen > 0 && page == runStart+runLen {
+						runLen++
+					} else {
+						flush()
+						runStart, runLen = page, 1
+					}
+				}
+				flush()
+			}
+			if err := bat.IngestBatch(tr.Requests[i:j]); err != nil {
+				t.Fatal(err)
+			}
+			i = j
+			for name, sh := range map[string]*Shard{"Ingest": one, "IngestBatch": bat} {
+				if sh.misses != misses || sh.reqRuns != reqRuns || sh.cacheAcc != refs {
+					t.Fatalf("mode %v after %d requests: %s misses/reqRuns/cacheAcc %d/%d/%d, model %d/%d/%d",
+						mode, i, name, sh.misses, sh.reqRuns, sh.cacheAcc, misses, reqRuns, refs)
+				}
+				if !reflect.DeepEqual(append([]lrusim.DepthRecord{}, sh.periodLog...), append([]lrusim.DepthRecord{}, log...)) {
+					t.Fatalf("mode %v after %d requests: %s period log differs from the model's", mode, i, name)
+				}
+				if sh.consumed != int64(i) {
+					t.Fatalf("mode %v: %s consumed %d of %d requests", mode, name, sh.consumed, i)
+				}
+			}
+		}
+		if one.periodIdx < 10 || one.periodIdx != bat.periodIdx {
+			t.Fatalf("mode %v: %d and %d periods closed", mode, one.periodIdx, bat.periodIdx)
+		}
+		// Hits, misses and multi-page disk requests must all occur for the
+		// comparison to cover the coalescing.
+		if !(allRefs > allMisses && allMisses > allRuns && allRuns > 0) {
+			t.Fatalf("mode %v: %d refs, %d misses, %d disk requests: the stream does not exercise coalescing", mode, allRefs, allMisses, allRuns)
 		}
 	}
 }
