@@ -218,6 +218,10 @@ func (r *Recorder) Depth() int {
 	if r == nil {
 		return 0
 	}
+	// Record rewrites the ring's slice header on every append, so even
+	// its capacity is read under the lock.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return cap(r.ring)
 }
 

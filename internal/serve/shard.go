@@ -279,17 +279,7 @@ func (sh *Shard) serve(run []trace.Request) {
 	for k := range run {
 		refs += max(int(run[k].Pages), 0)
 	}
-	// Grow the log by doubling: append's 1.25× steps for large slices
-	// would reallocate a half-million-record period log some thirty
-	// times in its first period, and that garbage paces the collector.
-	base := len(sh.periodLog)
-	if need := base + refs; need > cap(sh.periodLog) {
-		grown := make([]lrusim.DepthRecord, base, max(need, 2*cap(sh.periodLog)))
-		copy(grown, sh.periodLog)
-		sh.periodLog = grown
-	}
-	sh.periodLog = sh.periodLog[:base+refs]
-	log := sh.periodLog[base:]
+	log := sh.extendLog(refs)
 	i := 0
 	for k := range run {
 		req := &run[k]
@@ -325,6 +315,45 @@ func (sh *Shard) serve(run []trace.Request) {
 	if sh.timed {
 		sh.ingestNs += time.Since(start).Nanoseconds()
 	}
+}
+
+// Steps of the period log's capacity ladder, in records: it doubles from
+// logMinCap up to logSmoothCap and grows by a quarter per step above it.
+const (
+	logMinCap    = 1 << 10
+	logSmoothCap = 1 << 16
+)
+
+// logCap returns the period log's capacity for n records: the first
+// ladder step at or above n.
+func logCap(n int) int {
+	c := logMinCap
+	for c < n {
+		if c < logSmoothCap {
+			c *= 2
+		} else {
+			c += c / 4
+		}
+	}
+	return c
+}
+
+// extendLog lengthens the period log by n records and returns them. A
+// full log moves to the ladder step that holds it (logCap), so its
+// capacity depends only on the longest the log has been, never on how
+// the ring happened to split the stream into runs: every delivery of a
+// stream leaves the same footprint. Above logSmoothCap the steps are a
+// quarter, not a doubling, which keeps the footprint within a quarter of
+// the longest period.
+func (sh *Shard) extendLog(n int) []lrusim.DepthRecord {
+	base := len(sh.periodLog)
+	if need := base + n; need > cap(sh.periodLog) {
+		grown := make([]lrusim.DepthRecord, base, logCap(need))
+		copy(grown, sh.periodLog)
+		sh.periodLog = grown
+	}
+	sh.periodLog = sh.periodLog[:base+n]
+	return sh.periodLog[base:]
 }
 
 // closePeriod ends the current period: during warmup the manager's held
@@ -548,13 +577,14 @@ func (sh *Shard) restore(st shardState) error {
 	sh.misses = st.Misses
 	sh.reqRuns = st.ReqRuns
 	sh.periodLog = sh.periodLog[:0]
-	for _, r := range st.Log {
-		sh.periodLog = append(sh.periodLog, lrusim.DepthRecord{
+	log := sh.extendLog(len(st.Log))
+	for i, r := range st.Log {
+		log[i] = lrusim.DepthRecord{
 			Time:  simtime.Seconds(r.Time),
 			Page:  r.Page,
 			Depth: int(r.Depth),
 			Bytes: simtime.Bytes(r.Bytes),
-		})
+		}
 	}
 	if sh.srv.cfg.Decide == core.ModeIncremental {
 		// Rebuild the streaming observation state by replaying the

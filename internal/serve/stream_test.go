@@ -10,6 +10,7 @@ import (
 
 	"jointpm/internal/core"
 	"jointpm/internal/lrusim"
+	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
 )
 
@@ -212,6 +213,60 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 		if !(allRefs > allMisses && allMisses > allRuns && allRuns > 0) {
 			t.Fatalf("mode %v: %d refs, %d misses, %d disk requests: the stream does not exercise coalescing", mode, allRefs, allMisses, allRuns)
 		}
+	}
+}
+
+// TestPeriodLogCapacityFollowsLength checks that the period log's
+// footprint depends on the periods' lengths alone: shards fed the same
+// periods one request at a time, in random-size blocks and in one block
+// end with the same capacity, the ladder step of the longest period,
+// within a quarter of its length.
+func TestPeriodLogCapacityFollowsLength(t *testing.T) {
+	cfg := testConfig(&decisionLog{})
+	cfg.Decide = core.ModeIncremental
+	var reqs []trace.Request
+	longest := 0
+	for p, n := range []int{90_000, 210_000, 120_000} {
+		for i := 0; i < n/32; i++ {
+			reqs = append(reqs, trace.Request{
+				Time:      cfg.Period * (simtime.Seconds(p) + simtime.Seconds(i)/simtime.Seconds(n)),
+				FirstPage: int64(i*32) % 4096,
+				Pages:     32,
+			})
+		}
+		longest = max(longest, n/32*32)
+	}
+	rng := rand.New(rand.NewSource(3))
+	splits := map[string]func(i int) int{
+		"per request":  func(i int) int { return i + 1 },
+		"random block": func(i int) int { return i + 1 + rng.Intn(5000) },
+		"one block":    func(int) int { return len(reqs) },
+	}
+	for name, next := range splits {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := srv.Shard("d0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(reqs); {
+			j := min(next(i), len(reqs))
+			if err := sh.IngestBatch(reqs[i:j]); err != nil {
+				t.Fatal(err)
+			}
+			i = j
+		}
+		if sh.periodIdx != 2 {
+			t.Fatalf("%s: %d periods closed, want 2", name, sh.periodIdx)
+		}
+		if got, want := cap(sh.periodLog), logCap(longest); got != want {
+			t.Fatalf("%s: period log capacity %d, want %d for a longest period of %d records", name, got, want, longest)
+		}
+	}
+	if c := logCap(longest); longest <= logSmoothCap || 4*c > 5*longest {
+		t.Fatalf("a longest period of %d records takes capacity %d: not above %d records, or more than a quarter of slack", longest, c, logSmoothCap)
 	}
 }
 
