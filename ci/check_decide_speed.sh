@@ -10,8 +10,8 @@ out="$(go test -run '^$' -bench '^BenchmarkDecide$|^BenchmarkDecideIncremental$'
     -benchtime 100x ./internal/core/)"
 printf '%s\n' "$out"
 
-batch="$(printf '%s\n' "$out" | awk '/^BenchmarkDecide /{print $3}')"
-incr="$(printf '%s\n' "$out" | awk '/^BenchmarkDecideIncremental /{print $3}')"
+batch="$(printf '%s\n' "$out" | awk '/^BenchmarkDecide(-[0-9]+)? /{print $3}')"
+incr="$(printf '%s\n' "$out" | awk '/^BenchmarkDecideIncremental(-[0-9]+)? /{print $3}')"
 
 if [ -z "$batch" ] || [ -z "$incr" ]; then
     echo "FAIL: benchmarks did not both run"

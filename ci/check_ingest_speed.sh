@@ -11,8 +11,8 @@ out="$(go test -run '^$' -bench '^BenchmarkIngest$|^BenchmarkIngestBatch$' \
     -benchtime 100x ./internal/core/)"
 printf '%s\n' "$out"
 
-perref="$(printf '%s\n' "$out" | awk '/^BenchmarkIngest /{print $3}')"
-batch="$(printf '%s\n' "$out" | awk '/^BenchmarkIngestBatch /{print $3}')"
+perref="$(printf '%s\n' "$out" | awk '/^BenchmarkIngest(-[0-9]+)? /{print $3}')"
+batch="$(printf '%s\n' "$out" | awk '/^BenchmarkIngestBatch(-[0-9]+)? /{print $3}')"
 
 if [ -z "$perref" ] || [ -z "$batch" ]; then
     echo "FAIL: benchmarks did not both run"

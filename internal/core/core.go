@@ -199,6 +199,9 @@ func (p Params) Validate() error {
 // Observation is what the manager sees at a period boundary: the period's
 // depth-annotated access log plus measured calibration inputs.
 type Observation struct {
+	// Log must be the complete depth stream of one lrusim.StackSim over
+	// the period, in reference order: the manager reads each page's first
+	// touch in the period off the depths (see lrusim.DepthHist).
 	Log           []lrusim.DepthRecord
 	CacheAccesses int64 // N: all accesses to the disk cache in the period
 	// CoalesceFactor is pages-per-disk-request measured last period (≥ 1);
@@ -396,6 +399,10 @@ func (m *Manager) decideBatch(obs Observation) Decision {
 //     reference in the period carries its true resident depth; later
 //     references are shallow re-touches that would hit after the
 //     refill).
+//
+// First accesses are told from the depths alone, by lrusim.DepthHist's
+// rule, so the log must be the complete depth stream of one StackSim over
+// the period, in reference order.
 type depthProfile struct {
 	bankPages    int64
 	cold         simtime.Bytes
@@ -449,24 +456,25 @@ func (p *depthProfile) finish() {
 func buildDepthProfile(log []lrusim.DepthRecord, bankPages int64, maxBanks int) *depthProfile {
 	p := &depthProfile{}
 	p.reset(bankPages, maxBanks)
-	var seen pageSet
-	seen.init(len(log))
+	touched := int64(0) // first touches so far (lrusim.DepthHist's rule)
 	for i := range log {
 		r := &log[i]
 		if r.Depth == lrusim.Cold {
 			p.cold += r.Bytes
 			p.coldCount++
-			seen.add(r.Page)
+			touched++
 			continue
 		}
-		b := (int64(r.Depth)-1)/bankPages + 1 // depth within the first b banks
+		d := int64(r.Depth)
+		b := (d-1)/bankPages + 1 // depth within the first b banks
 		cb := b
 		if cb > int64(maxBanks) {
 			cb = int64(maxBanks)
 		}
 		p.cumTotal[cb] += r.Bytes
 		p.total += r.Bytes
-		if seen.add(r.Page) {
+		if d > touched {
+			touched++
 			p.cumFirst[cb] += r.Bytes
 		}
 		if b > int64(maxBanks)+1 {
@@ -477,53 +485,6 @@ func buildDepthProfile(log []lrusim.DepthRecord, bankPages int64, maxBanks int) 
 	}
 	p.finish()
 	return p
-}
-
-// pageSet is an open-addressing set of page numbers, replacing the
-// first-access-detection map in buildDepthProfile: at paper scale that
-// map holds hundreds of thousands of pages per period, and its overflow
-// buckets alone account for most of a decision's allocations. Page
-// numbers are non-negative (the lrusim convention), so -1 marks an empty
-// slot. The manager keeps one in its persistent scratch, re-initialised
-// (capacity reused) per decision; init sizes for a ≤50% load factor.
-type pageSet struct {
-	slots []int64
-	shift uint
-}
-
-func (s *pageSet) init(n int) {
-	b := uint(4)
-	for 1<<b < 2*n {
-		b++
-	}
-	size := 1 << b
-	if cap(s.slots) >= size {
-		s.slots = s.slots[:size]
-	} else {
-		s.slots = make([]int64, size)
-	}
-	for i := range s.slots {
-		s.slots[i] = -1
-	}
-	s.shift = 64 - b
-}
-
-// add inserts page and reports whether it was absent.
-func (s *pageSet) add(page int64) bool {
-	// Fibonacci hashing spreads sequential page numbers across the table.
-	i := (uint64(page) * 0x9E3779B97F4A7C15) >> s.shift
-	mask := uint64(len(s.slots) - 1)
-	for {
-		v := s.slots[i]
-		if v == page {
-			return false
-		}
-		if v == -1 {
-			s.slots[i] = page
-			return true
-		}
-		i = (i + 1) & mask
-	}
 }
 
 // missBytes returns the predicted bytes missed at a capacity of banks.

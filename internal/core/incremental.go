@@ -83,7 +83,6 @@ type decideInput struct {
 // the Decision hands to the caller.
 type decideScratch struct {
 	prof   depthProfile
-	pages  pageSet
 	events []lrusim.SweepEvent
 	gs     lrusim.GapStream // batch-mode gap-log materialisation
 	sweep  lrusim.EventSweeper
@@ -306,19 +305,19 @@ func (m *Manager) buildInput(o *Observation) *decideInput {
 	maxBanks := m.p.TotalBanks
 	prof := &s.prof
 	prof.reset(bankPages, maxBanks)
-	s.pages.init(len(o.Log))
 	s.events = s.events[:0]
 	dedup := m.p.Window > 0
 	minKeep := int64(m.p.MinBanks)
 	coldBank := int32(maxBanks) + 1
 	maxDepth := int64(0)
+	touched := int64(0) // first touches so far (lrusim.DepthHist's rule)
 	for i := range o.Log {
 		r := &o.Log[i]
 		evBank := int32(0)
 		if r.Depth == lrusim.Cold {
 			prof.cold += r.Bytes
 			prof.coldCount++
-			s.pages.add(r.Page)
+			touched++
 			evBank = coldBank
 		} else {
 			d := int64(r.Depth)
@@ -332,7 +331,8 @@ func (m *Manager) buildInput(o *Observation) *decideInput {
 			}
 			prof.cumTotal[cb] += r.Bytes
 			prof.total += r.Bytes
-			if s.pages.add(r.Page) {
+			if d > touched {
+				touched++
 				prof.cumFirst[cb] += r.Bytes
 			}
 			kb := b

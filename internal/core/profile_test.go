@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"jointpm/internal/disk"
@@ -10,56 +11,93 @@ import (
 )
 
 func TestDepthProfileBuckets(t *testing.T) {
-	// bankPages = 4; maxBanks = 3. Records: cold, depth 1 (bank 1),
-	// depth 4 (bank 1), depth 5 (bank 2), depth 9 (bank 3), repeat of
-	// page at depth 5.
-	log := []lrusim.DepthRecord{
-		{Page: 100, Depth: lrusim.Cold, Bytes: 10},
-		{Page: 1, Depth: 1, Bytes: 10},
-		{Page: 2, Depth: 4, Bytes: 10},
-		{Page: 3, Depth: 5, Bytes: 10},
-		{Page: 4, Depth: 9, Bytes: 10},
-		{Page: 3, Depth: 5, Bytes: 10}, // second access of page 3: total, not first
-	}
-	p := buildDepthProfile(log, 4, 3)
+	// bankPages = 4; maxBanks = 3: 1 bank covers depths ≤ 4, 2 banks ≤ 8,
+	// 3 banks ≤ 12, and deeper references fall in the last bank's bucket.
+	// Every log comes from a StackSim, as the profile's first-touch rule
+	// requires. The stack is warmed with a random prefix and gets a random
+	// window, so pages touched in the period are evicted in some trials.
+	// The expected values replay the log naively, with a set of the pages
+	// touched so far deciding first access.
+	const bankPages, maxBanks = 4, 3
+	rng := rand.New(rand.NewSource(7))
+	var repeats, grownRefills int
+	for trial := 0; trial < 300; trial++ {
+		universe := 1 + rng.Intn(6*bankPages)
+		s := lrusim.NewStackSim(1 + rng.Intn(5*bankPages))
+		for i, warm := 0, rng.Intn(2*universe); i < warm; i++ {
+			s.Reference(int64(rng.Intn(universe)))
+		}
+		log := make([]lrusim.DepthRecord, 1+rng.Intn(60))
+		for i := range log {
+			pg := int64(rng.Intn(universe))
+			log[i] = lrusim.DepthRecord{Page: pg, Depth: s.Reference(pg), Bytes: simtime.Bytes(1 + rng.Intn(10))}
+		}
+		p := buildDepthProfile(log, bankPages, maxBanks)
 
-	if p.cold != 10 {
-		t.Errorf("cold = %d", p.cold)
-	}
-	// missBytes: capacity 0 banks → everything non-hit... capacity in
-	// banks: 1 bank covers depths ≤ 4, 2 banks ≤ 8, 3 banks ≤ 12.
-	tests := []struct {
-		banks int
-		want  simtime.Bytes
-	}{
-		{0, 60},      // cold + all 5 non-cold records
-		{1, 10 + 30}, // cold + depths 5,5,9
-		{2, 10 + 10}, // cold + depth 9
-		{3, 10},      // cold only
-		{99, 10},     // clamped
-	}
-	for _, tt := range tests {
-		if got := p.missBytes(tt.banks); got != tt.want {
-			t.Errorf("missBytes(%d) = %d, want %d", tt.banks, got, tt.want)
+		var cold simtime.Bytes
+		var bytesAt, firstAt [maxBanks + 1]simtime.Bytes // non-cold and first-access bytes per bank
+		seen := make(map[int64]bool)
+		for _, r := range log {
+			if r.Depth == lrusim.Cold {
+				cold += r.Bytes
+				seen[r.Page] = true
+				continue
+			}
+			bank := min((r.Depth-1)/bankPages+1, maxBanks)
+			bytesAt[bank] += r.Bytes
+			if seen[r.Page] {
+				repeats++ // a later access of the page: total, not first
+			} else {
+				seen[r.Page] = true
+				firstAt[bank] += r.Bytes
+			}
+		}
+		if p.cold != cold {
+			t.Fatalf("trial %d: cold = %d, want %d", trial, p.cold, cold)
+		}
+		// missBytes: cold plus the non-cold bytes beyond the capacity.
+		missAt := func(banks int) simtime.Bytes {
+			m := cold
+			for b := banks + 1; b <= maxBanks; b++ {
+				m += bytesAt[b]
+			}
+			return m
+		}
+		for _, banks := range []int{0, 1, 2, 3, 99} {
+			if got, want := p.missBytes(banks), missAt(min(banks, maxBanks)); got != want {
+				t.Fatalf("trial %d: missBytes(%d) = %d, want %d", trial, banks, got, want)
+			}
+		}
+		// refillBytes: the first-access bytes of the banks gained.
+		firstIn := func(current, banks int) simtime.Bytes {
+			var f simtime.Bytes
+			for b := current + 1; b <= banks; b++ {
+				f += firstAt[b]
+			}
+			return f
+		}
+		refills := []struct {
+			current, banks int
+			want           simtime.Bytes
+		}{
+			{0, 3, 0}, // refill accounting disabled
+			{1, 1, 0}, // no growth
+			{2, 1, 0}, // shrink
+			{1, 2, firstIn(1, 2)},
+			{1, 3, firstIn(1, 3)},
+			{2, 3, firstIn(2, 3)},
+		}
+		for _, tt := range refills {
+			if got := p.refillBytes(tt.current, tt.banks); got != tt.want {
+				t.Fatalf("trial %d: refillBytes(%d→%d) = %d, want %d", trial, tt.current, tt.banks, got, tt.want)
+			}
+		}
+		if refills[4].want > 0 {
+			grownRefills++
 		}
 	}
-	// refillBytes: first-access bytes per bank: bank1: pages 1,2 (20);
-	// bank2: page 3 once (10); bank3: page 4 (10).
-	refills := []struct {
-		current, banks int
-		want           simtime.Bytes
-	}{
-		{0, 3, 0},  // refill accounting disabled
-		{1, 1, 0},  // no growth
-		{2, 1, 0},  // shrink
-		{1, 2, 10}, // gain bank 2 firsts
-		{1, 3, 20}, // gain banks 2+3
-		{2, 3, 10},
-	}
-	for _, tt := range refills {
-		if got := p.refillBytes(tt.current, tt.banks); got != tt.want {
-			t.Errorf("refillBytes(%d→%d) = %d, want %d", tt.current, tt.banks, got, tt.want)
-		}
+	if repeats == 0 || grownRefills == 0 {
+		t.Fatalf("trials never repeated a page (%d) or refilled a grown bank (%d)", repeats, grownRefills)
 	}
 }
 

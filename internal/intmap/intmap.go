@@ -7,9 +7,8 @@
 // line rather than two, and supports O(1) clear-with-capacity reuse.
 //
 // The table uses Fibonacci hashing with linear probing and backward-shift
-// deletion (no tombstones), the same design as core's pageSet. Load is
-// kept at or below 1/2, so probe sequences stay short even under
-// adversarial key sets.
+// deletion (no tombstones). Load is kept at or below 1/2, so probe
+// sequences stay short even under adversarial key sets.
 //
 // Keys must be ≥ 0; the table reserves -1 internally as the empty slot
 // marker.

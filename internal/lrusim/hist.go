@@ -2,6 +2,7 @@ package lrusim
 
 import (
 	"math"
+	"math/bits"
 
 	"jointpm/internal/fenwick"
 	"jointpm/internal/simtime"
@@ -14,7 +15,8 @@ import (
 // feeding every DepthRecord of a period into a DepthHist and then sweeping
 // its event stream must reproduce, bit for bit, what the batch path
 // computes from the full []DepthRecord log (see the differential tests in
-// hist_test.go and internal/core).
+// hist_test.go and internal/core). Both paths tell a page's first touch in
+// the period from its depth alone, by the rule stated on DepthHist.
 
 // SweepEvent is one compressed entry of a period's miss-relevant event
 // stream: the reference time and the bank-granular stack depth
@@ -36,6 +38,25 @@ type SweepEvent struct {
 //     counts come from prefix sums;
 //   - the maximum observed stack depth, which bounds the candidate search;
 //   - the compressed SweepEvent stream that reconstructs idle intervals.
+//
+// The records must be the complete depth stream of one StackSim over the
+// period, in reference order, because first-access bytes are read off the
+// depths: a non-cold reference is the page's first touch in the period iff
+// its depth exceeds D, the number of cold and first-touch references the
+// period has seen so far. The rule is exact, evictions and the tracked
+// window included (Mattson's inclusion property applied at the period
+// start):
+//
+//   - each page touched in the period went to the top of the stack when it
+//     was touched, so while none of them has been evicted they are exactly
+//     the top D entries: their depths are at most D, and a tracked page
+//     last touched before the period lies below them, at depth D+1 or more;
+//   - eviction takes the least recently used page, so the stack loses a
+//     page touched in the period (past the window, by DropDeepest, or by a
+//     restore into a smaller window) only once no older page is left. From
+//     then on every tracked page was touched in the period, every non-cold
+//     depth is at most Len ≤ D, and the rule answers "not first", which is
+//     the truth.
 //
 // Two stream reductions keep the event stream small without changing any
 // downstream result:
@@ -70,9 +91,9 @@ type DepthHist struct {
 	nonCold   simtime.Bytes // bytes of all non-cold references
 	maxDepth  int64         // deepest non-cold reference, in pages
 
-	pages  pageSet
-	events []SweepEvent
-	gaps   GapStream // bank-space idle-gap sweep, fed one finalized event behind events
+	touched int64 // D: the period's cold and first-touch references so far
+	events  []SweepEvent
+	gaps    GapStream // bank-space idle-gap sweep, fed one finalized event behind events
 
 	// Batch-ingest scratch (ObserveBatch): dense per-bucket Fenwick
 	// deltas, allocated lazily on the first batch and reused forever
@@ -85,7 +106,6 @@ type DepthHist struct {
 	dTotal []int64
 	dFirst []int64
 	dirty  bool
-	pfSink int64 // sink for the probe-lookahead loads (never read)
 }
 
 // NewDepthHist returns an empty histogram for a geometry of bankPages
@@ -121,7 +141,7 @@ func (h *DepthHist) Observe(r DepthRecord) {
 	if r.Depth == Cold {
 		h.coldCount++
 		h.coldBytes += r.Bytes
-		h.pages.add(r.Page) // a cold miss is the page's first touch
+		h.touched++ // a cold miss is the page's first touch
 		h.push(r.Time, int32(h.maxBanks)+1)
 		return
 	}
@@ -136,7 +156,8 @@ func (h *DepthHist) Observe(r DepthRecord) {
 	}
 	h.totalBytes.Add(int(cb)-1, int64(r.Bytes))
 	h.nonCold += r.Bytes
-	if h.pages.add(r.Page) {
+	if d > h.touched {
+		h.touched++
 		h.firstBytes.Add(int(cb)-1, int64(r.Bytes))
 	}
 	kb := bank
@@ -169,15 +190,12 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 	h.dirty = true
 	// Hoist every hot field into locals: the loop below runs once per
 	// reference at fleet ingest rates, and keeping the accumulators and
-	// slice headers in registers is a measurable share of the win. Two
-	// per-record costs the one-at-a-time path cannot avoid are hoisted to
-	// once per block: the page table is pre-grown for the block's worst
-	// case so the first-touch probe runs without a load-factor check, and
-	// the bank division becomes a shift for power-of-two bank geometries.
+	// slice headers in registers is a measurable share of the win. The
+	// bank division becomes a shift for power-of-two bank geometries.
 	bankPages := h.bankPages
 	bankShift := -1
 	if bankPages&(bankPages-1) == 0 {
-		bankShift = len64(uint64(bankPages)) - 1
+		bankShift = bits.Len64(uint64(bankPages)) - 1
 	}
 	maxBanks := int64(h.maxBanks)
 	minKeep := int64(h.minKeep)
@@ -186,47 +204,15 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 	events := h.events
 	dCount, dTotal, dFirst := h.dCount, h.dTotal, h.dFirst
 	coldCount, coldBytes := h.coldCount, h.coldBytes
-	nonCold, maxDepth := h.nonCold, h.maxDepth
-	h.pages.reserve(len(recs))
-	slots := h.pages.slots
-	pshift := h.pages.shift
-	pmask := uint64(len(slots) - 1)
-	padded := 0
+	nonCold, maxDepth, touched := h.nonCold, h.maxDepth, h.touched
 	h.refs += int64(len(recs))
-	// The first-touch probe is a random access into a table far larger
-	// than cache, and its miss latency is the block's tallest pole. Load
-	// the home slot of the record pfDist iterations ahead each trip so
-	// the memory system overlaps many misses; the one-at-a-time path has
-	// no lookahead to do this with. pfSink keeps the early loads live.
-	const pfDist = 12
-	var pfSink int64
 	for i := range recs {
-		if i+pfDist < len(recs) {
-			pj := (uint64(recs[i+pfDist].Page) * 0x9E3779B97F4A7C15) >> pshift
-			pfSink |= slots[pj]
-		}
 		r := &recs[i]
-		// First-touch probe, inlined (same Fibonacci hash as pageSet.add;
-		// reserve guaranteed a free slot for every record).
-		first := false
-		si := (uint64(r.Page) * 0x9E3779B97F4A7C15) >> pshift
-		for {
-			v := slots[si]
-			if v == r.Page {
-				break
-			}
-			if v == -1 {
-				slots[si] = r.Page
-				padded++
-				first = true
-				break
-			}
-			si = (si + 1) & pmask
-		}
 		var pushBank int32
 		if r.Depth == Cold {
 			coldCount++
 			coldBytes += r.Bytes
+			touched++
 			pushBank = int32(maxBanks) + 1
 		} else {
 			d := int64(r.Depth)
@@ -250,7 +236,8 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 			dCount[ki]++
 			dTotal[bi] += int64(r.Bytes)
 			nonCold += r.Bytes
-			if first {
+			if d > touched {
+				touched++
 				dFirst[bi] += int64(r.Bytes)
 			}
 			if kb <= minKeep {
@@ -269,11 +256,9 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 		}
 		events = append(events, SweepEvent{T: r.Time, Bank: pushBank})
 	}
-	h.pages.n += padded
-	h.pfSink = pfSink // defeat dead-load elimination of the early loads
 	h.events = events
 	h.coldCount, h.coldBytes = coldCount, coldBytes
-	h.nonCold, h.maxDepth = nonCold, maxDepth
+	h.nonCold, h.maxDepth, h.touched = nonCold, maxDepth, touched
 	// The accumulated deltas stay pending: nothing reads the Fenwick
 	// trees mid-period, so back-to-back blocks keep adding to the dense
 	// accumulators and the prefix-sum accessors land everything with one
@@ -435,105 +420,9 @@ func (h *DepthHist) Reset() {
 	h.coldBytes = 0
 	h.nonCold = 0
 	h.maxDepth = 0
-	h.pages.reset(0)
+	h.touched = 0
 	h.events = h.events[:0]
 	h.gaps.Reset(h.window, h.maxBanks)
-}
-
-// pageSet is a growing open-addressing set of page numbers for
-// first-access-per-period detection. Page numbers are non-negative (the
-// lrusim convention), so -1 marks an empty slot; Fibonacci hashing spreads
-// sequential pages across the table. The table doubles at 50% load.
-type pageSet struct {
-	slots []int64
-	shift uint
-	n     int
-}
-
-// reset empties the set, sized for about capHint insertions (0 keeps the
-// current table).
-func (s *pageSet) reset(capHint int) {
-	b := uint(4)
-	for 1<<b < 2*capHint {
-		b++
-	}
-	size := 1 << b
-	if cap(s.slots) >= size {
-		size = cap(s.slots) // reuse the largest table we ever grew to
-		b = uint(len64(uint64(size)) - 1)
-		s.slots = s.slots[:size]
-	} else {
-		s.slots = make([]int64, size)
-	}
-	for i := range s.slots {
-		s.slots[i] = -1
-	}
-	s.shift = 64 - b
-	s.n = 0
-}
-
-func len64(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
-// reserve grows the table until n further insertions cannot push it past
-// the 50% load factor, so a block of adds can probe with no per-record
-// grow check (ObserveBatch inlines that probe).
-func (s *pageSet) reserve(n int) {
-	for len(s.slots) == 0 || 2*(s.n+n) > len(s.slots) {
-		s.grow()
-	}
-}
-
-// add inserts page and reports whether it was absent.
-func (s *pageSet) add(page int64) bool {
-	if len(s.slots) == 0 || 2*(s.n+1) > len(s.slots) {
-		s.grow()
-	}
-	i := (uint64(page) * 0x9E3779B97F4A7C15) >> s.shift
-	mask := uint64(len(s.slots) - 1)
-	for {
-		v := s.slots[i]
-		if v == page {
-			return false
-		}
-		if v == -1 {
-			s.slots[i] = page
-			s.n++
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// grow doubles the table and rehashes the live entries.
-func (s *pageSet) grow() {
-	old := s.slots
-	size := 32
-	if len(old) > 0 {
-		size = 2 * len(old)
-	}
-	s.slots = make([]int64, size)
-	for i := range s.slots {
-		s.slots[i] = -1
-	}
-	s.shift = 64 - uint(len64(uint64(size))-1)
-	mask := uint64(size - 1)
-	for _, p := range old {
-		if p == -1 {
-			continue
-		}
-		i := (uint64(p) * 0x9E3779B97F4A7C15) >> s.shift
-		for s.slots[i] != -1 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = p
-	}
 }
 
 // Emission is one idle gap the event sweep closed, shared by the

@@ -74,8 +74,18 @@ func naiveReplay(log []DepthRecord, bankPages int64, maxBanks int) naiveAggregat
 // randPeriodLog generates one period's depth-annotated stream: time-ordered
 // records over a small page universe with a mix of cold references, depths
 // straddling the bank clamp, and repeated same-timestamp bursts (the case
-// event compression must collapse exactly like the batch builder).
+// event compression must collapse exactly like the batch builder). The
+// depths come from a StackSim, as DepthHist's first-touch rule requires:
+// the stack is warmed with a random prefix, so the period opens on pages
+// touched before it, and gets a random window, so pages touched in the
+// period are evicted in some trials.
 func randPeriodLog(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRecord {
+	clamp := int(bankPages) * (maxBanks + 2)
+	universe := 1 + rng.Intn(clamp+clamp/2)
+	s := NewStackSim(1 + rng.Intn(clamp))
+	for i, warm := 0, rng.Intn(2*universe); i < warm; i++ {
+		s.Reference(int64(rng.Intn(universe)))
+	}
 	n := 1 + rng.Intn(400)
 	log := make([]DepthRecord, 0, n)
 	t := simtime.Seconds(0)
@@ -84,15 +94,11 @@ func randPeriodLog(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRecord 
 			// Same-time bursts arise from multi-page requests.
 			t += simtime.Seconds(rng.Float64())
 		}
-		depth := Cold
-		if rng.Intn(5) > 0 {
-			// Bias depths around the clamp boundary maxBanks*bankPages.
-			depth = 1 + rng.Intn(int(bankPages)*(maxBanks+2))
-		}
+		page := int64(rng.Intn(universe))
 		log = append(log, DepthRecord{
 			Time:  t,
-			Page:  int64(rng.Intn(64)),
-			Depth: depth,
+			Page:  page,
+			Depth: s.Reference(page),
 			Bytes: simtime.Bytes(1 + rng.Intn(3)),
 		})
 	}
@@ -160,6 +166,121 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 		}
 		if err := quick.Check(trial, &quick.Config{MaxCount: 60}); err != nil {
 			t.Errorf("geometry %+v: %v", g, err)
+		}
+	}
+}
+
+// TestDepthHistFirstTouchMatchesSetOracle checks DepthHist's first-touch
+// rule, which reads a page's first touch in the period off its depth,
+// against a set of the pages the period has touched. One StackSim's depth
+// stream runs through consecutive periods, with Reset between them, fed in
+// random blocks through Observe or ObserveBatch; after every block the
+// first-access prefix sums must match the set's. Each period touches every
+// page of a range that slides by a quarter per period, so it opens on pages
+// tracked from earlier periods and on new ones. The cases put the tracked
+// window below, at and above the period's distinct pages, and evict pages
+// touched in the period by DropDeepest or by a restore into a smaller
+// window in the middle of a period.
+func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
+	const (
+		bankPages  = 2
+		maxBanks   = 24 // the deep clamp (48 pages) lies below the widest window
+		distinct   = 40 // pages each period touches
+		periodRefs = 4 * distinct
+		periods    = 16
+	)
+	type mutation func(rng *rand.Rand, s *StackSim) *StackSim
+	cases := []struct {
+		name   string
+		window int
+		mid    mutation // applied once per period, between two blocks
+	}{
+		{"window-below", distinct / 2, nil},
+		{"window-at", distinct, nil},
+		{"window-above", 2 * distinct, nil},
+		{"drop-deepest", 2 * distinct, func(rng *rand.Rand, s *StackSim) *StackSim {
+			s.DropDeepest(rng.Intn(s.Len() + 1))
+			return s
+		}},
+		{"restore-smaller", 2 * distinct, func(rng *rand.Rand, s *StackSim) *StackSim {
+			refs, colds := s.Counters()
+			return RestoreStackSim(1+rng.Intn(max(s.Len()-1, 1)), s.SnapshotPages(), refs, colds)
+		}},
+	}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(len(tc.name))))
+		s := NewStackSim(tc.window)
+		h := NewDepthHist(bankPages, maxBanks, 1, 0.5)
+		var got, want []int64
+		tm := simtime.Seconds(0)
+		nonColdFirsts, retouched := 0, 0
+		for p := 0; p < periods; p++ {
+			if tc.mid != nil {
+				// Back to the case's window: a restore grows the window
+				// without evicting anything.
+				refs, colds := s.Counters()
+				s = RestoreStackSim(tc.window, s.SnapshotPages(), refs, colds)
+			}
+			h.Reset()
+			base := int64(p * distinct / 4)
+			pages := make([]int64, periodRefs)
+			for i := range pages {
+				pages[i] = base + int64(i%distinct) // every page at least once
+				if i >= distinct {
+					pages[i] = base + int64(rng.Intn(distinct))
+				}
+			}
+			rng.Shuffle(len(pages), func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
+			seen := make(map[int64]bool)
+			first := make([]int64, maxBanks)
+			midAt := rng.Intn(periodRefs)
+			for off := 0; off < periodRefs; {
+				if tc.mid != nil && off >= midAt {
+					s = tc.mid(rng, s)
+					midAt = periodRefs
+				}
+				block := make([]DepthRecord, 1+rng.Intn(min(32, periodRefs-off)))
+				for i := range block {
+					pg := pages[off+i]
+					tm += simtime.Seconds(rng.Float64())
+					r := DepthRecord{Time: tm, Page: pg, Depth: s.Reference(pg), Bytes: simtime.Bytes(1 + rng.Intn(3))}
+					block[i] = r
+					switch {
+					case r.Depth == Cold:
+						if seen[pg] {
+							retouched++ // evicted after its first touch this period
+						}
+					case !seen[pg]:
+						nonColdFirsts++
+						first[min((r.Depth-1)/bankPages, maxBanks-1)] += int64(r.Bytes)
+					}
+					seen[pg] = true
+				}
+				if rng.Intn(2) == 0 {
+					h.ObserveBatch(block)
+				} else {
+					for _, r := range block {
+						h.Observe(r)
+					}
+				}
+				off += len(block)
+				want = want[:0]
+				var sum int64
+				for _, b := range first {
+					sum += b
+					want = append(want, sum)
+				}
+				got = h.AppendFirstPrefix(got[:0])
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: period %d after %d refs: first-access prefix\n got %v\nwant %v", tc.name, p, off, got, want)
+				}
+			}
+		}
+		if nonColdFirsts == 0 {
+			t.Errorf("%s: no period re-touched a page tracked from before it", tc.name)
+		}
+		if evicts := tc.window < distinct || tc.mid != nil; evicts && retouched == 0 {
+			t.Errorf("%s: no page touched in a period was evicted within it", tc.name)
 		}
 	}
 }

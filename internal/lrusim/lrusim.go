@@ -138,9 +138,9 @@ func (s *StackSim) Reference(page int64) int {
 // every record in the group and then referencing them: the loads are
 // independent, so their cache misses overlap instead of each stalling
 // its own reference. (A load issued a fixed distance ahead inside the
-// loop, as DepthHist.ObserveBatch does, still retires in order and
-// stalls the loop where it is issued; on the shard benchmark the group
-// form served a block about a fifth faster.)
+// loop still retires in order and stalls the loop where it is issued; on
+// the shard benchmark the group form served a block about a fifth
+// faster.)
 func (s *StackSim) ReferenceBatch(recs []DepthRecord) {
 	sink := s.sink
 	for len(recs) > 0 {

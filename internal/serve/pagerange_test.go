@@ -16,8 +16,10 @@ import (
 
 // badPageRanges are requests the stack cannot take: a negative first
 // page (what the text codec parses from "-7", and what a binary
-// first-page uvarint of 2^63 or more decodes to), and a range whose last
-// page overflows int64.
+// first-page uvarint of 2^63 or more decodes to), a range whose last
+// page overflows int64, and a negative page count (what the text codec
+// parses from "-5", and what a binary page-count uvarint of 2^31 or more
+// decodes to).
 var badPageRanges = []struct {
 	name  string
 	first int64
@@ -26,6 +28,7 @@ var badPageRanges = []struct {
 	{"negative", -7, 1},
 	{"uvarint-2^63", math.MinInt64, 1},
 	{"overflow", math.MaxInt64 - 2, 5},
+	{"negative-count", 7, -5},
 }
 
 // withRequest returns a copy of tr with request k's page range replaced.

@@ -152,10 +152,11 @@ func (sh *Shard) Ingest(req trace.Request) error {
 // requests between boundaries is served in one pass (serve) and reaches
 // the incremental manager through one IngestBatch.
 //
-// A request whose page range leaves [0, 2^63) is rejected with an error
-// naming the disk and the request's stream index. The requests before
-// it are served as if the block ended there, and it and the rest of the
-// block have no effect: not even their timestamps close a period.
+// A request with a negative page count, or whose page range leaves
+// [0, 2^63), is rejected with an error naming the disk and the request's
+// stream index. The requests before it are served as if the block ended
+// there, and it and the rest of the block have no effect: not even their
+// timestamps close a period.
 func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	if len(reqs) == 0 {
 		return nil
@@ -189,8 +190,13 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	sh.ckptDue = false
 	if err == nil && valid < len(reqs) {
 		bad := &reqs[valid]
-		err = fmt.Errorf("serve: disk %s: request %d: %d pages from page %d leave the page ids [0, 2^63)",
-			sh.name, sh.consumed, bad.Pages, bad.FirstPage)
+		if bad.Pages < 0 {
+			err = fmt.Errorf("serve: disk %s: request %d: negative page count %d",
+				sh.name, sh.consumed, bad.Pages)
+		} else {
+			err = fmt.Errorf("serve: disk %s: request %d: %d pages from page %d leave the page ids [0, 2^63)",
+				sh.name, sh.consumed, bad.Pages, bad.FirstPage)
+		}
 	}
 	sh.mu.Unlock()
 	if due {
@@ -199,10 +205,11 @@ func (sh *Shard) IngestBatch(reqs []trace.Request) error {
 	return err
 }
 
-// pagesValid reports whether every page id the request touches lies in
-// [0, 2^63), the range the stack and the histogram can key on.
+// pagesValid reports whether the request's page count is not negative
+// and every page id it touches lies in [0, 2^63), the range the stack and
+// the histogram can key on.
 func pagesValid(req *trace.Request) bool {
-	return req.FirstPage >= 0 && (req.Pages <= 0 || req.FirstPage <= math.MaxInt64-int64(req.Pages-1))
+	return req.Pages >= 0 && req.FirstPage >= 0 && (req.Pages == 0 || req.FirstPage <= math.MaxInt64-int64(req.Pages-1))
 }
 
 // flushIngest hands the period log's unflushed suffix to the incremental
@@ -277,7 +284,7 @@ func (sh *Shard) serve(run []trace.Request) {
 	}
 	refs := 0
 	for k := range run {
-		refs += max(int(run[k].Pages), 0)
+		refs += int(run[k].Pages)
 	}
 	log := sh.extendLog(refs)
 	i := 0
@@ -292,7 +299,7 @@ func (sh *Shard) serve(run []trace.Request) {
 	curPages := sh.curPages
 	misses, reqRuns := sh.misses, sh.reqRuns
 	for k := range run {
-		n := max(int(run[k].Pages), 0)
+		n := int(run[k].Pages)
 		inRun := false // the previous page of this request missed
 		for _, r := range log[:n] {
 			if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
