@@ -64,14 +64,13 @@ func ParseDecideMode(s string) (DecideMode, error) {
 }
 
 // decideInput is the mode-independent form of one period's observation:
-// the scalar inputs, the integer depth profile, and the compressed event
-// stream. rawLog (obs.Log) is only consulted by the SequentialReplay
+// the scalar inputs, the integer depth profile, and the bank-space gap
+// log. The raw log (obs.Log) is only consulted by the SequentialReplay
 // ablation; the kernel never touches it.
 type decideInput struct {
 	obs      Observation
-	logLen   int   // references observed (len(obs.Log) ≡ hist.Refs())
-	maxDepth int64 // deepest non-cold reference, in pages
-	events   []lrusim.SweepEvent
+	logLen   int               // references observed (len(obs.Log) ≡ hist.Refs())
+	maxDepth int64             // deepest non-cold reference, in pages
 	gaps     []lrusim.Emission // bank-space gap log (see lrusim.GapStream)
 	prof     *depthProfile
 }
@@ -122,24 +121,25 @@ func (m *Manager) Ingest(rec lrusim.DepthRecord) {
 	m.ingestNs += time.Since(start).Nanoseconds()
 }
 
-// IngestBatch streams a time-ordered block of depth-annotated references
-// into the incremental observation state: Ingest with the per-call nil
-// check, hook check, and Fenwick node walks hoisted out of the loop (see
-// lrusim.DepthHist.ObserveBatch). The resulting state is bit-identical
-// to ingesting the records one at a time.
-func (m *Manager) IngestBatch(recs []lrusim.DepthRecord) {
-	if len(recs) == 0 {
+// IngestBatch streams a time-ordered block of depth runs, each page of
+// which moved PageSize bytes, into the incremental observation state:
+// Ingest with the per-call nil check, hook check, and Fenwick node walks
+// hoisted out of the loop, and the per-page work done once per run (see
+// lrusim.DepthHist.ObserveRuns). The resulting state is bit-identical to
+// ingesting the runs' pages one record at a time.
+func (m *Manager) IngestBatch(runs []lrusim.DepthRun) {
+	if len(runs) == 0 {
 		return
 	}
 	if m.hist == nil {
 		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
 	}
 	if m.p.SpanHook == nil {
-		m.hist.ObserveBatch(recs)
+		m.hist.ObserveRuns(runs, m.p.PageSize)
 		return
 	}
 	start := time.Now()
-	m.hist.ObserveBatch(recs)
+	m.hist.ObserveRuns(runs, m.p.PageSize)
 	m.ingestNs += time.Since(start).Nanoseconds()
 }
 
@@ -362,7 +362,7 @@ func (m *Manager) buildInput(o *Observation) *decideInput {
 	start, end := m.bounds(*o)
 	gaps := lrusim.BuildGapLog(&s.gs, s.events, maxBanks, m.p.Window, start, end)
 	in := &s.in
-	*in = decideInput{obs: *o, logLen: len(o.Log), maxDepth: maxDepth, events: s.events, gaps: gaps, prof: prof}
+	*in = decideInput{obs: *o, logLen: len(o.Log), maxDepth: maxDepth, gaps: gaps, prof: prof}
 	return in
 }
 
@@ -394,7 +394,7 @@ func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	start, end := m.bounds(*o)
 	in := &s.in
 	*in = decideInput{obs: *o, logLen: int(h.Refs()), maxDepth: h.MaxDepth(),
-		events: h.Events(), gaps: h.FinishGaps(start, end), prof: prof}
+		gaps: h.FinishGaps(start, end), prof: prof}
 	return in
 }
 

@@ -6,14 +6,26 @@ import (
 	"reflect"
 	"testing"
 
+	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 )
 
-// feedIncrementalBatch streams one period's log through IngestBatch in
-// random chunk sizes, interleaved with single-record Ingest calls, and
-// strips the log like feedIncremental: the two entry points must be
-// interchangeable mid-period.
+// pageRuns returns the records of log as one-page depth runs; every
+// record must carry the page size.
+func pageRuns(log []lrusim.DepthRecord) []lrusim.DepthRun {
+	runs := make([]lrusim.DepthRun, len(log))
+	for i, r := range log {
+		runs[i] = lrusim.DepthRun{Time: r.Time, Page: r.Page, Pages: 1, Depth: int32(r.Depth)}
+	}
+	return runs
+}
+
+// feedIncrementalBatch streams one period's log through IngestBatch, as
+// one-page runs in random chunk sizes, interleaved with single-record
+// Ingest calls, and strips the log like feedIncremental: the two entry
+// points must be interchangeable mid-period.
 func feedIncrementalBatch(m *Manager, o Observation, rng *rand.Rand) Observation {
+	runs := pageRuns(o.Log)
 	for off := 0; off < len(o.Log); {
 		n := 1 + rng.Intn(len(o.Log)-off)
 		if rng.Intn(4) == 0 {
@@ -21,7 +33,7 @@ func feedIncrementalBatch(m *Manager, o Observation, rng *rand.Rand) Observation
 			off++
 			continue
 		}
-		m.IngestBatch(o.Log[off : off+n])
+		m.IngestBatch(runs[off : off+n])
 		off += n
 	}
 	o.Log = nil
@@ -75,7 +87,7 @@ func TestIngestBatchDiscardPeriod(t *testing.T) {
 	dirty, _ := NewManager(p)
 
 	warm := zipfObservation(p, 2000, 1<<14, 5)
-	dirty.IngestBatch(warm.Log)
+	dirty.IngestBatch(pageRuns(warm.Log))
 	dirty.DiscardPeriod()
 
 	o := zipfObservation(p, 2500, 1<<14, 9)

@@ -1,7 +1,7 @@
 // Package intmap provides an open-addressed hash table from non-negative
 // int64 keys to int64 values, specialised for the simulator's hot paths
-// (page → frame in the page cache, page → stack position in the LRU
-// stack simulator). Compared with a built-in map[int64]T it avoids
+// (page → frame in the page cache, page → extent in the LRU stack
+// simulator). Compared with a built-in map[int64]T it avoids
 // per-bucket overflow pointers and interface boxing, stores each key and
 // its value side by side in one 16-byte slot so a probe reads one cache
 // line rather than two, and supports O(1) clear-with-capacity reuse.
@@ -112,6 +112,23 @@ func (m *Map) Swap(key, val int64) (old int64, found bool) {
 			s.key, s.val = key, val
 			m.n++
 			return 0, false
+		}
+	}
+}
+
+// Ref returns a pointer to the value stored for key, or nil if key is
+// absent: a lookup whose result the caller can read and update in place,
+// in one probe. Unlike Swap it never grows the table. The pointer is
+// valid until the next insertion or deletion; Rewrite keeps it valid.
+func (m *Map) Ref(key int64) *int64 {
+	mask := uint64(len(m.slots) - 1)
+	for i := m.home(key); ; i = (i + 1) & mask {
+		s := &m.slots[i]
+		switch s.key {
+		case key:
+			return &s.val
+		case emptySlot:
+			return nil
 		}
 	}
 }

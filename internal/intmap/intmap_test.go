@@ -84,9 +84,10 @@ func TestNegativeKeyPanics(t *testing.T) {
 	New(4).Put(-1, 0)
 }
 
-// TestSwapDifferential drives Swap, Delete and Rewrite against a built-in
-// map from an empty New(0) table, so every Swap both reports the value it
-// replaced and crosses the table's growth steps.
+// TestSwapDifferential drives Swap, Ref, Delete and Rewrite against a
+// built-in map from an empty New(0) table, so every Swap both reports the
+// value it replaced and crosses the table's growth steps, and Ref's
+// in-place updates land where Get reads them.
 func TestSwapDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := New(0)
@@ -101,6 +102,16 @@ func TestSwapDifferential(t *testing.T) {
 				t.Fatalf("op %d: Delete(%d) = %v, want %v", op, key, got, want)
 			}
 			delete(ref, key)
+		case 2:
+			v := m.Ref(key)
+			want, found := ref[key]
+			if (v != nil) != found || (found && *v != want) {
+				t.Fatalf("op %d: Ref(%d) disagrees with the map (%d present: %v)", op, key, want, found)
+			}
+			if v != nil {
+				*v = want + 1
+				ref[key] = want + 1
+			}
 		case 1:
 			if op%97 == 0 {
 				m.Rewrite(func(v int64) int64 { return v ^ 0x5a5a })

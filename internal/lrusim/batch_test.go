@@ -38,11 +38,36 @@ func captureHist(h *DepthHist, start, end simtime.Seconds) histState {
 	}
 }
 
-// TestObserveBatchMatchesObserve: feeding a period log through
-// ObserveBatch in arbitrary chunk sizes — interleaved with single-record
-// Observe calls — must leave the histogram, event stream, and gap log in
-// exactly the state record-at-a-time feeding produces.
-func TestObserveBatchMatchesObserve(t *testing.T) {
+// randPeriodRuns generates one period's depth runs the way a shard's run
+// pass does: requests drawn by rangeTraffic, over a universe straddling
+// the bank clamp, referenced through one StackSim warmed with a random
+// prefix and given a random window, with same-time bursts of requests.
+func randPeriodRuns(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRun {
+	clamp := int(bankPages) * (maxBanks + 2)
+	g := newRangeTraffic(rng, 1+rng.Intn(clamp/3+1))
+	s := NewStackSim(1 + rng.Intn(clamp))
+	var runs []DepthRun
+	for i, warm := 0, rng.Intn(2*len(g.starts)); i < warm; i++ {
+		first, n := g.next()
+		runs = s.ReferenceRange(runs[:0], 0, first, n)
+	}
+	runs = runs[:0]
+	t := simtime.Seconds(0)
+	for i, reqs := 0, 1+rng.Intn(150); i < reqs; i++ {
+		if rng.Intn(3) > 0 {
+			t += simtime.Seconds(rng.Float64())
+		}
+		first, n := g.next()
+		runs = s.ReferenceRange(runs, t, first, n)
+	}
+	return runs
+}
+
+// TestObserveRunsMatchesObserve: feeding a period's depth runs through
+// ObserveRuns in arbitrary block sizes — interleaved with runs fed page
+// by page through Observe — must leave the histogram, event stream, and
+// gap log in exactly the state page-at-a-time feeding produces.
+func TestObserveRunsMatchesObserve(t *testing.T) {
 	geometries := []struct {
 		bankPages int64
 		maxBanks  int
@@ -57,9 +82,13 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	for _, g := range geometries {
 		ref := NewDepthHist(g.bankPages, g.maxBanks, g.minKeep, g.window)
 		bat := NewDepthHist(g.bankPages, g.maxBanks, g.minKeep, g.window)
+		multi := 0
 		trial := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			log := randPeriodLog(rng, g.bankPages, g.maxBanks)
+			runs := randPeriodRuns(rng, g.bankPages, g.maxBanks)
+			pageBytes := simtime.Bytes(1 + rng.Intn(3))
+			log := AppendRecords(nil, runs, pageBytes)
+			multi += len(log) - len(runs)
 			start, end := simtime.Seconds(-1), simtime.Seconds(-1)
 			if rng.Intn(2) == 0 {
 				start, end = 0, log[len(log)-1].Time+1
@@ -69,14 +98,16 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				ref.Observe(r)
 			}
 			bat.Reset()
-			for off := 0; off < len(log); {
-				n := 1 + rng.Intn(len(log)-off)
+			for off := 0; off < len(runs); {
+				n := 1 + rng.Intn(len(runs)-off)
 				if rng.Intn(4) == 0 {
-					bat.Observe(log[off])
+					for _, r := range AppendRecords(nil, runs[off:off+1], pageBytes) {
+						bat.Observe(r)
+					}
 					off++
 					continue
 				}
-				bat.ObserveBatch(log[off : off+n])
+				bat.ObserveRuns(runs[off:off+n], pageBytes)
 				off += n
 			}
 			want := captureHist(ref, start, end)
@@ -89,6 +120,9 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		}
 		if err := quick.Check(trial, &quick.Config{MaxCount: 80}); err != nil {
 			t.Errorf("geometry %+v: %v", g, err)
+		}
+		if multi == 0 {
+			t.Errorf("geometry %+v: no run spans more than one page", g)
 		}
 	}
 }

@@ -12,11 +12,12 @@ import (
 // Fenwick-backed depth histogram maintained reference-by-reference, plus
 // the compressed event stream and the slate sweeper that run the joint
 // manager's incremental Decide path. The invariant the whole file serves:
-// feeding every DepthRecord of a period into a DepthHist and then sweeping
-// its event stream must reproduce, bit for bit, what the batch path
-// computes from the full []DepthRecord log (see the differential tests in
-// hist_test.go and internal/core). Both paths tell a page's first touch in
-// the period from its depth alone, by the rule stated on DepthHist.
+// feeding every reference of a period into a DepthHist, as records or as
+// depth runs, and then sweeping its event stream must reproduce, bit for
+// bit, what the batch path computes from the full []DepthRecord log (see
+// the differential tests in hist_test.go and internal/core). Both paths
+// tell a page's first touch in the period from its depth alone, by the
+// rule stated on DepthHist.
 
 // SweepEvent is one compressed entry of a period's miss-relevant event
 // stream: the reference time and the bank-granular stack depth
@@ -39,13 +40,14 @@ type SweepEvent struct {
 //   - the maximum observed stack depth, which bounds the candidate search;
 //   - the compressed SweepEvent stream that reconstructs idle intervals.
 //
-// The records must be the complete depth stream of one StackSim over the
-// period, in reference order, because first-access bytes are read off the
-// depths: a non-cold reference is the page's first touch in the period iff
-// its depth exceeds D, the number of cold and first-touch references the
-// period has seen so far. The rule is exact, evictions and the tracked
-// window included (Mattson's inclusion property applied at the period
-// start):
+// The references — records through Observe, or runs through ObserveRuns,
+// read page by page — must be the complete depth stream of one StackSim
+// over the period, in reference order, because first-access bytes are
+// read off the depths: a non-cold reference is the page's first touch in
+// the period iff its depth exceeds D, the number of cold and first-touch
+// references the period has seen so far. The rule is exact, evictions and
+// the tracked window included (Mattson's inclusion property applied at
+// the period start):
 //
 //   - each page touched in the period went to the top of the stack when it
 //     was touched, so while none of them has been evicted they are exactly
@@ -95,7 +97,7 @@ type DepthHist struct {
 	events  []SweepEvent
 	gaps    GapStream // bank-space idle-gap sweep, fed one finalized event behind events
 
-	// Batch-ingest scratch (ObserveBatch): dense per-bucket Fenwick
+	// Batch-ingest scratch (ObserveRuns): dense per-bucket Fenwick
 	// deltas, allocated lazily on the first batch and reused forever
 	// after. dCount is indexed by the counts-tree bucket (0..maxBanks),
 	// dTotal/dFirst by the bytes-tree bucket (0..maxBanks-1). dirty marks
@@ -170,16 +172,22 @@ func (h *DepthHist) Observe(r DepthRecord) {
 	}
 }
 
-// ObserveBatch folds a time-ordered block of depth-annotated references
-// into the histogram, equivalent to calling Observe once per record but
-// with the per-reference Fenwick walks amortised: each record adds its
-// deltas to a dense per-bucket accumulator, and one tree update per
-// touched bucket lands the whole block at the end. Integer tree updates
-// commute, and nothing reads the trees mid-period, so the resulting
-// state — trees, counters, event stream, gap log — is bit-identical to
-// the record-at-a-time path (see TestObserveBatchMatchesObserve).
-func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
-	if len(recs) == 0 {
+// ObserveRuns folds a time-ordered block of depth runs, each page of
+// which moved pageBytes, into the histogram: the same state as one
+// Observe call per page of each run, with the per-reference work done
+// once per run. A run of n pages at depth d adds n to d's count bucket,
+// n*pageBytes to its byte buckets, and min(n, max(0, d-D)) first touches
+// (DepthHist's rule applied to each page in turn: the run's pages are
+// first touches while D < d, and each raises D by one). It pushes one
+// event, or n with dedup off, where n same-time events stay distinct.
+// Each run adds its deltas to a dense per-bucket accumulator, and one
+// tree update per touched bucket lands the lot when a reader arrives.
+// Integer tree updates commute, and nothing reads the trees mid-period,
+// so the resulting state — trees, counters, event stream, gap log — is
+// bit-identical to the page-at-a-time path (see
+// TestObserveRunsMatchesObserve).
+func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
+	if len(runs) == 0 {
 		return
 	}
 	if h.dCount == nil {
@@ -189,30 +197,32 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 	}
 	h.dirty = true
 	// Hoist every hot field into locals: the loop below runs once per
-	// reference at fleet ingest rates, and keeping the accumulators and
-	// slice headers in registers is a measurable share of the win. The
-	// bank division becomes a shift for power-of-two bank geometries.
+	// run at fleet ingest rates, and keeping the accumulators and slice
+	// headers in registers is a measurable share of the win. The bank
+	// division becomes a shift for power-of-two bank geometries.
 	bankPages := h.bankPages
 	bankShift := -1
 	if bankPages&(bankPages-1) == 0 {
 		bankShift = bits.Len64(uint64(bankPages)) - 1
 	}
+	pb := int64(pageBytes)
 	maxBanks := int64(h.maxBanks)
 	minKeep := int64(h.minKeep)
 	dedup := h.dedup
 	evBase := len(h.events)
 	events := h.events
 	dCount, dTotal, dFirst := h.dCount, h.dTotal, h.dFirst
-	coldCount, coldBytes := h.coldCount, h.coldBytes
-	nonCold, maxDepth, touched := h.nonCold, h.maxDepth, h.touched
-	h.refs += int64(len(recs))
-	for i := range recs {
-		r := &recs[i]
+	refs, coldCount, coldBytes := h.refs, h.coldCount, int64(h.coldBytes)
+	nonCold, maxDepth, touched := int64(h.nonCold), h.maxDepth, h.touched
+	for i := range runs {
+		r := &runs[i]
+		n := int64(r.Pages)
+		refs += n
 		var pushBank int32
 		if r.Depth == Cold {
-			coldCount++
-			coldBytes += r.Bytes
-			touched++
+			coldCount += n
+			coldBytes += n * pb
+			touched += n
 			pushBank = int32(maxBanks) + 1
 		} else {
 			d := int64(r.Depth)
@@ -233,32 +243,35 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 			if bi >= int(maxBanks) {
 				bi = int(maxBanks) - 1
 			}
-			dCount[ki]++
-			dTotal[bi] += int64(r.Bytes)
-			nonCold += r.Bytes
-			if d > touched {
-				touched++
-				dFirst[bi] += int64(r.Bytes)
+			dCount[ki] += n
+			dTotal[bi] += n * pb
+			nonCold += n * pb
+			if f := min(d-touched, n); f > 0 {
+				touched += f
+				dFirst[bi] += f * pb
 			}
 			if kb <= minKeep {
 				continue
 			}
 			pushBank = int32(kb)
 		}
-		// pushDeferred, inlined against the local slice header.
-		if dedup {
-			if n := len(events); n > 0 && events[n-1].T == r.Time {
-				if pushBank > events[n-1].Bank {
-					events[n-1].Bank = pushBank
-				}
-				continue
+		if !dedup {
+			for k := int64(0); k < n; k++ {
+				events = append(events, SweepEvent{T: r.Time, Bank: pushBank})
 			}
+			continue
+		}
+		if k := len(events); k > 0 && events[k-1].T == r.Time {
+			if pushBank > events[k-1].Bank {
+				events[k-1].Bank = pushBank
+			}
+			continue
 		}
 		events = append(events, SweepEvent{T: r.Time, Bank: pushBank})
 	}
 	h.events = events
-	h.coldCount, h.coldBytes = coldCount, coldBytes
-	h.nonCold, h.maxDepth, h.touched = nonCold, maxDepth, touched
+	h.refs, h.coldCount, h.coldBytes = refs, coldCount, simtime.Bytes(coldBytes)
+	h.nonCold, h.maxDepth, h.touched = simtime.Bytes(nonCold), maxDepth, touched
 	// The accumulated deltas stay pending: nothing reads the Fenwick
 	// trees mid-period, so back-to-back blocks keep adding to the dense
 	// accumulators and the prefix-sum accessors land everything with one
@@ -274,20 +287,6 @@ func (h *DepthHist) ObserveBatch(recs []DepthRecord) {
 		}
 		h.gaps.FeedBatch(h.events[from : n-1])
 	}
-}
-
-// pushDeferred is push without the behind-by-one gap feed: ObserveBatch
-// feeds the finalized span in one FeedBatch call after the block.
-func (h *DepthHist) pushDeferred(t simtime.Seconds, bank int32) {
-	if h.dedup {
-		if n := len(h.events); n > 0 && h.events[n-1].T == t {
-			if bank > h.events[n-1].Bank {
-				h.events[n-1].Bank = bank
-			}
-			return
-		}
-	}
-	h.events = append(h.events, SweepEvent{T: t, Bank: bank})
 }
 
 func (h *DepthHist) push(t simtime.Seconds, bank int32) {
@@ -328,12 +327,12 @@ func (h *DepthHist) NonCold() (count int64, bytes simtime.Bytes) {
 	return h.refs - h.coldCount, h.nonCold
 }
 
-// flushDeltas lands the per-bucket deltas accumulated by ObserveBatch
+// flushDeltas lands the per-bucket deltas accumulated by ObserveRuns
 // into the Fenwick trees: a dense scan with one tree walk per non-zero
 // bucket, run once when a prefix-sum reader arrives (at most once per
 // period in steady state). Integer tree updates commute with the
 // record-at-a-time path's direct Adds, so interleaving Observe and
-// ObserveBatch before the flush still yields identical prefix sums.
+// ObserveRuns before the flush still yields identical prefix sums.
 func (h *DepthHist) flushDeltas() {
 	if !h.dirty {
 		return

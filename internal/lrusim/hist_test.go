@@ -174,7 +174,7 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 // rule, which reads a page's first touch in the period off its depth,
 // against a set of the pages the period has touched. One StackSim's depth
 // stream runs through consecutive periods, with Reset between them, fed in
-// random blocks through Observe or ObserveBatch; after every block the
+// random blocks through Observe or ObserveRuns; after every block the
 // first-access prefix sums must match the set's. Each period touches every
 // page of a range that slides by a quarter per period, so it opens on pages
 // tracked from earlier periods and on new ones. The cases put the tracked
@@ -240,11 +240,14 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 					midAt = periodRefs
 				}
 				block := make([]DepthRecord, 1+rng.Intn(min(32, periodRefs-off)))
+				runs := make([]DepthRun, len(block))
+				bytes := simtime.Bytes(1 + rng.Intn(3))
 				for i := range block {
 					pg := pages[off+i]
 					tm += simtime.Seconds(rng.Float64())
-					r := DepthRecord{Time: tm, Page: pg, Depth: s.Reference(pg), Bytes: simtime.Bytes(1 + rng.Intn(3))}
+					r := DepthRecord{Time: tm, Page: pg, Depth: s.Reference(pg), Bytes: bytes}
 					block[i] = r
+					runs[i] = DepthRun{Time: tm, Page: pg, Pages: 1, Depth: int32(r.Depth)}
 					switch {
 					case r.Depth == Cold:
 						if seen[pg] {
@@ -257,7 +260,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 					seen[pg] = true
 				}
 				if rng.Intn(2) == 0 {
-					h.ObserveBatch(block)
+					h.ObserveRuns(runs, bytes)
 				} else {
 					for _, r := range block {
 						h.Observe(r)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"jointpm/internal/simtime"
+	"jointpm/internal/trace"
 	"jointpm/internal/workload"
 )
 
@@ -200,34 +201,42 @@ func TestDepthAtBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestReferenceBatchMatchesReference: ReferenceBatch over blocks of any
-// size, including empty ones, fills in the depths and leaves Len, Refs
-// and Colds exactly where one Reference call per record does.
-func TestReferenceBatchMatchesReference(t *testing.T) {
+// TestReferenceRangeMatchesReference: ReferenceRange over random ranges,
+// including empty and one-page ones, returns maximal equal-depth runs
+// that expand to exactly the depths one Reference call per page returns,
+// and leaves Len, Refs and Colds where those calls do.
+func TestReferenceRangeMatchesReference(t *testing.T) {
 	cases := []struct{ window, universe int }{{64, 200}, {3000, 1200}, {3000, 9000}}
 	for _, c := range cases {
 		one := NewStackSim(c.window)
-		bat := NewStackSim(c.window)
-		rng := rand.New(rand.NewSource(int64(c.universe)))
-		var recs []DepthRecord
-		for block := 0; block < 400; block++ {
-			recs = recs[:0]
-			for i, size := 0, rng.Intn(200); i < size; i++ {
-				p := rng.Int63n(int64(c.universe))
-				if rng.Intn(2) == 0 {
-					p = rng.Int63n(int64(c.universe/8 + 1))
-				}
-				recs = append(recs, DepthRecord{Page: p, Depth: 12345})
+		rng := NewStackSim(c.window)
+		r := rand.New(rand.NewSource(int64(c.universe)))
+		var runs []DepthRun
+		for req := 0; req < 20000; req++ {
+			first := r.Int63n(int64(c.universe))
+			if r.Intn(2) == 0 {
+				first = r.Int63n(int64(c.universe/8+1)) * 4 // aligned, so ranges repeat
 			}
-			bat.ReferenceBatch(recs)
-			for i, r := range recs {
-				if want := one.Reference(r.Page); r.Depth != want {
-					t.Fatalf("window %d block %d record %d page %d: batch depth %d, Reference %d", c.window, block, i, r.Page, r.Depth, want)
+			n := r.Intn(9)
+			runs = rng.ReferenceRange(runs[:0], simtime.Seconds(req), first, n)
+			p := first
+			for i, run := range runs {
+				if run.Page != p || run.Pages < 1 || run.Time != simtime.Seconds(req) || (i > 0 && run.Depth == runs[i-1].Depth) {
+					t.Fatalf("window %d request %d [%d, +%d): run %d %+v is not the next maximal run", c.window, req, first, n, i, run)
+				}
+				for k := int32(0); k < run.Pages; k++ {
+					if want := one.Reference(p); int(run.Depth) != want {
+						t.Fatalf("window %d request %d page %d: range depth %d, Reference %d", c.window, req, p, run.Depth, want)
+					}
+					p++
 				}
 			}
-			if bat.Len() != one.Len() || bat.Refs() != one.Refs() || bat.Colds() != one.Colds() {
-				t.Fatalf("window %d block %d: batch Len/Refs/Colds %d/%d/%d, Reference %d/%d/%d",
-					c.window, block, bat.Len(), bat.Refs(), bat.Colds(), one.Len(), one.Refs(), one.Colds())
+			if p != first+int64(n) {
+				t.Fatalf("window %d request %d: runs cover %d of %d pages", c.window, req, p-first, n)
+			}
+			if rng.Len() != one.Len() || rng.Refs() != one.Refs() || rng.Colds() != one.Colds() {
+				t.Fatalf("window %d request %d: range Len/Refs/Colds %d/%d/%d, Reference %d/%d/%d",
+					c.window, req, rng.Len(), rng.Refs(), rng.Colds(), one.Len(), one.Refs(), one.Colds())
 			}
 		}
 	}
@@ -259,13 +268,9 @@ func BenchmarkStackSimFenwick(b *testing.B) {
 	}
 }
 
-// BenchmarkStackSimSparse is the daemon's shape: a window of 2M pages
-// (128 GB of 64 KB pages) over a stream from a 2^18-page data set
-// (16 GB), referenced in ReferenceBatch blocks of 4096 as a shard's run
-// pass does. The stack is warmed with one pass over the stream first, so
-// the timed loop runs at its steady table and position-space sizes and
-// should not allocate.
-func BenchmarkStackSimSparse(b *testing.B) {
+// sparseRequests is the daemon's shape: a stream from a 2^18-page data
+// set (16 GB of 64 KB pages), for a window of 2M pages (128 GB).
+func sparseRequests(b *testing.B) []trace.Request {
 	tr, err := workload.Generate(workload.Config{
 		DataSetBytes: 16 * simtime.GB,
 		PageSize:     64 * simtime.KB,
@@ -278,23 +283,67 @@ func BenchmarkStackSimSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var recs []DepthRecord
-	for _, r := range tr.Requests {
+	return tr.Requests
+}
+
+// BenchmarkStackSimSparse references the sparse stream one page per
+// Reference call, prefetching LookAhead pages ahead, at the daemon's
+// window: the single-page guard, for streams whose requests are one page
+// each. One op is one page. The stack is warmed with one pass over the
+// stream first, so the timed loop runs at its steady table and
+// position-space sizes and should not allocate.
+func BenchmarkStackSimSparse(b *testing.B) {
+	var pages []int64
+	for _, r := range sparseRequests(b) {
 		for k := int64(0); k < int64(r.Pages); k++ {
-			recs = append(recs, DepthRecord{Page: r.FirstPage + k})
+			pages = append(pages, r.FirstPage+k)
 		}
 	}
 	s := NewStackSim(1 << 21)
-	s.ReferenceBatch(recs)
-	const block = 4096
+	for _, p := range pages {
+		s.Reference(p)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i, at := 0, 0; i < b.N; i += block {
-		if at+block > len(recs) {
+	for i, at := 0, 0; i < b.N; i += LookAhead {
+		if at+LookAhead > len(pages) {
 			at = 0
 		}
-		s.ReferenceBatch(recs[at : at+min(block, b.N-i)])
-		at += block
+		g := pages[at : at+min(LookAhead, b.N-i)]
+		for _, p := range g {
+			s.Prefetch(p)
+		}
+		for _, p := range g {
+			s.Reference(p)
+		}
+		at += LookAhead
+	}
+}
+
+// BenchmarkStackSimRanges is BenchmarkStackSimSparse's stream referenced
+// the way a shard's run pass does: one ReferenceRange per request,
+// prefetching LookAhead requests ahead. One op is one request.
+func BenchmarkStackSimRanges(b *testing.B) {
+	reqs := sparseRequests(b)
+	s := NewStackSim(1 << 21)
+	var runs []DepthRun
+	for _, r := range reqs {
+		runs = s.ReferenceRange(runs[:0], r.Time, r.FirstPage, int(r.Pages))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, at := 0, 0; i < b.N; i += LookAhead {
+		if at+LookAhead > len(reqs) {
+			at = 0
+		}
+		g := reqs[at : at+min(LookAhead, b.N-i)]
+		for k := range g {
+			s.Prefetch(g[k].FirstPage)
+		}
+		for k := range g {
+			runs = s.ReferenceRange(runs[:0], g[k].Time, g[k].FirstPage, int(g[k].Pages))
+		}
+		at += LookAhead
 	}
 }
 

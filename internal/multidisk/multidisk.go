@@ -332,6 +332,7 @@ func Run(c Config) (*Result, error) {
 		disk int
 	}
 	var periodLog []record
+	var runs []lrusim.DepthRun // the current request's depth runs
 	if cfg.Method == Joint || cfg.Method == Partitioned {
 		p := core.DefaultParams(pageSize, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
 		p.Period = cfg.Period
@@ -339,6 +340,9 @@ func Run(c Config) (*Result, error) {
 		p = core.MergeParams(p, cfg.Joint)
 		if mgr, err = core.NewManager(p); err != nil {
 			return nil, err
+		}
+		if frames > lrusim.MaxWindow {
+			return nil, fmt.Errorf("multidisk: installed memory of %d pages exceeds the stack's limit of %d", frames, lrusim.MaxWindow)
 		}
 		if cfg.Method == Joint {
 			stacks = []*lrusim.StackSim{lrusim.NewStackSim(int(frames))}
@@ -461,21 +465,25 @@ func Run(c Config) (*Result, error) {
 			}
 			runLen = 0
 		}
+		if stacks != nil {
+			st := stacks[0]
+			if len(stacks) > 1 {
+				st = stacks[target]
+			}
+			runs = st.ReferenceRange(runs[:0], req.Time, req.FirstPage, int(req.Pages))
+			for _, r := range runs {
+				for k := int64(0); k < int64(r.Pages); k++ {
+					periodLog = append(periodLog, record{
+						rec:  lrusim.DepthRecord{Time: req.Time, Page: r.Page + k, Depth: int(r.Depth), Bytes: pageSize},
+						disk: target,
+					})
+				}
+			}
+		}
 		for k := int32(0); k < req.Pages; k++ {
 			page := req.FirstPage + int64(k)
 			res.CacheAccesses++
 			periodAccesses++
-			if stacks != nil {
-				st := stacks[0]
-				if len(stacks) > 1 {
-					st = stacks[target]
-				}
-				d := st.Reference(page)
-				periodLog = append(periodLog, record{
-					rec:  lrusim.DepthRecord{Time: req.Time, Page: page, Depth: d, Bytes: pageSize},
-					disk: target,
-				})
-			}
 			pc := cacheOf(target)
 			if frame, hit := pc.Lookup(page); hit {
 				flush()

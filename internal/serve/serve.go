@@ -27,6 +27,7 @@ import (
 	"jointpm/internal/drpm"
 	"jointpm/internal/fault"
 	"jointpm/internal/fleet"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
 	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
@@ -222,6 +223,9 @@ func New(cfg Config) (*Server, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	if pages := cfg.InstalledMem / cfg.PageSize; pages > lrusim.MaxWindow {
+		return nil, fmt.Errorf("serve: installed memory of %d pages exceeds the stack's limit of %d", pages, lrusim.MaxWindow)
+	}
 	s := &Server{
 		cfg:            cfg,
 		params:         p,
@@ -378,7 +382,7 @@ func (s *Server) snapshotState() []shardState {
 		sh.mu.Lock()
 		st, log := sh.state()
 		sh.mu.Unlock()
-		st.Log = convertLog(log)
+		st.Log = convertLog(log, sh.pageSize)
 		out = append(out, st)
 	}
 	return out

@@ -3,9 +3,11 @@ package serve
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,6 +32,35 @@ func testTrace(t testing.TB, seed int64) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// splitRangeTrace derives from tr, with a fixed seed, a trace whose page
+// ranges no longer repeat whole: some requests are cut in two at the same
+// time, some are merged with the start of the range after them, which
+// nests or overlaps its extent, and some lose their first pages.
+func splitRangeTrace(tr *trace.Trace, seed int64) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	out := *tr
+	out.Requests = make([]trace.Request, 0, len(tr.Requests)*9/8)
+	for _, req := range tr.Requests {
+		switch k := rng.Intn(8); {
+		case k == 0 && req.Pages > 1:
+			head, tail := req, req
+			head.Pages = 1 + rng.Int31n(req.Pages-1)
+			tail.FirstPage += int64(head.Pages)
+			tail.Pages -= head.Pages
+			out.Requests = append(out.Requests, head, tail)
+			continue
+		case k == 1:
+			req.Pages += 1 + rng.Int31n(8)
+		case k == 2 && req.Pages > 1:
+			drop := 1 + rng.Int31n(req.Pages-1)
+			req.FirstPage += int64(drop)
+			req.Pages -= drop
+		}
+		out.Requests = append(out.Requests, req)
+	}
+	return &out
 }
 
 type decisionLog struct {
@@ -91,9 +122,16 @@ func runUninterrupted(t testing.TB, tr *trace.Trace, cfg Config) []Decision {
 // stop the daemon gracefully at an arbitrary request (mid-period
 // included), restart from its shutdown checkpoint, replay the rest of
 // the stream, and the combined decision sequence must be DeepEqual to
-// the uninterrupted run's.
+// the uninterrupted run's. It runs on the generated trace and on a
+// split-range version of it, whose checkpointed period logs hold runs
+// of split and merged ranges.
 func TestWarmRestartDecisionParity(t *testing.T) {
 	tr := testTrace(t, 11)
+	t.Run("whole-ranges", func(t *testing.T) { testWarmRestartDecisionParity(t, tr) })
+	t.Run("split-ranges", func(t *testing.T) { testWarmRestartDecisionParity(t, splitRangeTrace(tr, 1)) })
+}
+
+func testWarmRestartDecisionParity(t *testing.T, tr *trace.Trace) {
 	want := runUninterrupted(t, tr, testConfig(nil))
 	if len(want) < 10 {
 		t.Fatalf("reference run closed only %d periods", len(want))
@@ -165,6 +203,23 @@ func TestWarmRestartDecisionParity(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %d: restarted decision stream diverges from uninterrupted run (got %d, want %d decisions)", cut, len(got), len(want))
 		}
+	}
+}
+
+// TestNewRejectsWindowAboveStackLimit: installed memory of more pages
+// than the extended-LRU stack can track is a configuration error, not a
+// panic when the first shard starts.
+func TestNewRejectsWindowAboveStackLimit(t *testing.T) {
+	cfg := testConfig(&decisionLog{})
+	cfg.PageSize = simtime.KB
+	cfg.BankSize = simtime.GB
+	cfg.InstalledMem = 2048 * simtime.GB
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "stack's limit") {
+		t.Fatalf("New with %d pages installed = %v, want the stack-limit error", cfg.InstalledMem/cfg.PageSize, err)
+	}
+	cfg.InstalledMem = 1024 * simtime.GB
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New with %d pages installed: %v", cfg.InstalledMem/cfg.PageSize, err)
 	}
 }
 
@@ -315,6 +370,86 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	names, err := srv.Restore()
 	if err != nil || len(names) != 0 {
 		t.Fatalf("cold start Restore = (%v, %v), want no shards, nil", names, err)
+	}
+}
+
+// TestRestoreRejectsOutOfRangeState: a CRC-valid snapshot whose state
+// the shard cannot hold — a log depth that is neither Cold nor at least
+// 1, a negative stack or log page, log bytes other than the page size —
+// makes Restore return an error naming the shard, without panicking and
+// without changing the shard. The snapshot is a real mid-period
+// checkpoint, edited and rewritten through writeSnapshotFile.
+func TestRestoreRejectsOutOfRangeState(t *testing.T) {
+	tr := testTrace(t, 11)
+	dir := t.TempDir()
+	cfg := testConfig(&decisionLog{})
+	cfg.Decide = core.ModeIncremental
+	cfg.SnapshotPath = filepath.Join(dir, "good.snap")
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := srv.Shard("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range tr.Requests[:len(tr.Requests)/3] {
+		if err := sh.Ingest(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := readSnapshotFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good) != 1 || len(good[0].Log) < 2 || len(good[0].StackPages) < 2 {
+		t.Fatalf("checkpoint holds %d shards; want one with a partial period and a stack", len(good))
+	}
+	mutations := []struct {
+		name string
+		edit func(st *shardState)
+	}{
+		{"log-depth-0", func(st *shardState) { st.Log[1].Depth = 0 }},
+		{"log-depth-negative", func(st *shardState) { st.Log[1].Depth = -7 }},
+		{"stack-page-negative", func(st *shardState) { st.StackPages[1] = -3 }},
+		{"log-bytes", func(st *shardState) { st.Log[1].Bytes = int64(cfg.PageSize) / 2 }},
+		{"log-page-negative", func(st *shardState) { st.Log[1].Page = -1 }},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			st := good[0]
+			st.Log = append([]logRecord(nil), st.Log...)
+			st.StackPages = append([]int64(nil), st.StackPages...)
+			m.edit(&st)
+			cfg2 := cfg
+			cfg2.SnapshotPath = filepath.Join(t.TempDir(), "bad.snap")
+			if _, err := writeSnapshotFile(cfg2.SnapshotPath, []shardState{st}); err != nil {
+				t.Fatal(err)
+			}
+			srv2, err := New(cfg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Restore panicked: %v", r)
+				}
+			}()
+			_, err = srv2.Restore()
+			if err == nil || !strings.Contains(err.Error(), "shard d0") {
+				t.Fatalf("Restore = %v, want an error naming shard d0", err)
+			}
+			sh2, err := srv2.Shard("d0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh2.Consumed() != 0 || sh2.Periods() != 0 || sh2.stack.Len() != 0 {
+				t.Fatalf("a rejected restore changed the shard: consumed %d, periods %d, stack %d", sh2.Consumed(), sh2.Periods(), sh2.stack.Len())
+			}
+		})
 	}
 }
 

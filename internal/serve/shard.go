@@ -29,7 +29,7 @@ type Decision struct {
 }
 
 // Shard is the online controller for one disk: the extended-LRU stack,
-// the current period's depth log, and the manager deciding (m, t_o) at
+// the current period's depth runs, and the manager deciding (m, t_o) at
 // each period boundary. One goroutine ingests; the server's checkpoint
 // path locks the shard between requests, so a snapshot always lands on
 // a request boundary (never mid-request).
@@ -48,12 +48,16 @@ type Shard struct {
 	periodIdx    int64 // periods closed so far
 	consumed     int64 // requests ingested since stream start
 	nextBoundary simtime.Seconds
-	periodLog    []lrusim.DepthRecord
+	periodLog    []lrusim.DepthRun
 	flushed      int   // periodLog prefix already fed to mgr (incremental mode)
 	cacheAcc     int64 // page references this period
 	misses       int64 // predicted misses this period
 	reqRuns      int64 // coalesced disk requests this period
 	refsTotal    int64 // lifetime page references served (not snapshotted)
+
+	// records is the period log page by page, expanded at the boundary
+	// for batch Decide and reused across periods.
+	records []lrusim.DepthRecord
 
 	curBanks int
 	curPages int64
@@ -267,56 +271,57 @@ func (sh *Shard) dueCheckpoint(period int64) {
 }
 
 // serve runs one pass over a run of requests that all precede the next
-// period boundary, and hands the new records to the incremental manager
-// (flushIngest). It logs every page reference of the run, references the
-// logged pages through the stack in one ReferenceBatch call, and then
-// predicts the disk traffic each request causes at the currently applied
-// memory size: a page hits iff its stack depth is within the chosen
-// resident capacity (Mattson's inclusion property), and consecutive
-// missing pages of a request coalesce into one disk request, mirroring
-// the simulator's run coalescing. The log is kept even in incremental
-// mode: it is the snapshot's replayable form of the partial period (see
-// restore).
+// period boundary, and hands the new runs to the incremental manager
+// (flushIngest). It references each request's pages through the stack
+// with one ReferenceRange call, prefetching the page-table slots of the
+// next lrusim.LookAhead requests first, and logs the depth runs it
+// returns. Then it predicts the disk traffic each request causes at the
+// currently applied memory size: a page hits iff its stack depth is
+// within the chosen resident capacity (Mattson's inclusion property),
+// and consecutive missing pages of a request coalesce into one disk
+// request, mirroring the simulator's run coalescing. The log is kept
+// even in incremental mode: it is the snapshot's replayable form of the
+// partial period (see restore).
 func (sh *Shard) serve(run []trace.Request) {
 	var start time.Time
 	if sh.timed {
 		start = time.Now()
 	}
-	refs := 0
-	for k := range run {
-		refs += int(run[k].Pages)
-	}
-	log := sh.extendLog(refs)
-	i := 0
-	for k := range run {
-		req := &run[k]
-		for p := int64(0); p < int64(req.Pages); p++ {
-			log[i] = lrusim.DepthRecord{Time: req.Time, Page: req.FirstPage + p, Bytes: sh.pageSize}
-			i++
-		}
-	}
-	sh.stack.ReferenceBatch(log)
+	stack, log := sh.stack, sh.periodLog
 	curPages := sh.curPages
-	misses, reqRuns := sh.misses, sh.reqRuns
-	for k := range run {
-		n := int(run[k].Pages)
-		inRun := false // the previous page of this request missed
-		for _, r := range log[:n] {
-			if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
-				inRun = false
-				continue
-			}
-			misses++
-			if !inRun {
-				reqRuns++
-				inRun = true
-			}
+	misses, reqRuns, refs := sh.misses, sh.reqRuns, int64(0)
+	for g := run; len(g) > 0; g = g[min(lrusim.LookAhead, len(g)):] {
+		group := g[:min(lrusim.LookAhead, len(g))]
+		for k := range group {
+			stack.Prefetch(group[k].FirstPage)
 		}
-		log = log[n:]
-		sh.refsTotal += int64(run[k].Pages)
+		for k := range group {
+			req := &group[k]
+			n := int(req.Pages)
+			if len(log)+n > cap(log) {
+				log = growLog(log, len(log)+n)
+			}
+			from := len(log)
+			log = stack.ReferenceRange(log, req.Time, req.FirstPage, n)
+			inRun := false // the previous run of this request missed
+			for _, r := range log[from:] {
+				if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
+					inRun = false
+					continue
+				}
+				misses += int64(r.Pages)
+				if !inRun {
+					reqRuns++
+					inRun = true
+				}
+			}
+			refs += int64(n)
+		}
 	}
+	sh.periodLog = log
 	sh.misses, sh.reqRuns = misses, reqRuns
-	sh.cacheAcc += int64(refs)
+	sh.refsTotal += refs
+	sh.cacheAcc += refs
 	sh.consumed += int64(len(run))
 	sh.flushIngest()
 	if sh.timed {
@@ -324,15 +329,15 @@ func (sh *Shard) serve(run []trace.Request) {
 	}
 }
 
-// Steps of the period log's capacity ladder, in records: it doubles from
+// Steps of the period log's capacity ladder, in runs: it doubles from
 // logMinCap up to logSmoothCap and grows by a quarter per step above it.
 const (
 	logMinCap    = 1 << 10
 	logSmoothCap = 1 << 16
 )
 
-// logCap returns the period log's capacity for n records: the first
-// ladder step at or above n.
+// logCap returns the period log's capacity for n runs: the first ladder
+// step at or above n.
 func logCap(n int) int {
 	c := logMinCap
 	for c < n {
@@ -345,22 +350,17 @@ func logCap(n int) int {
 	return c
 }
 
-// extendLog lengthens the period log by n records and returns them. A
-// full log moves to the ladder step that holds it (logCap), so its
-// capacity depends only on the longest the log has been, never on how
-// the ring happened to split the stream into runs: every delivery of a
-// stream leaves the same footprint. Above logSmoothCap the steps are a
-// quarter, not a doubling, which keeps the footprint within a quarter of
-// the longest period.
-func (sh *Shard) extendLog(n int) []lrusim.DepthRecord {
-	base := len(sh.periodLog)
-	if need := base + n; need > cap(sh.periodLog) {
-		grown := make([]lrusim.DepthRecord, base, logCap(need))
-		copy(grown, sh.periodLog)
-		sh.periodLog = grown
-	}
-	sh.periodLog = sh.periodLog[:base+n]
-	return sh.periodLog[base:]
+// growLog moves the period log to the ladder step that holds need runs
+// (logCap). serve asks for room for one run per page before each request,
+// so the capacity depends only on the run stream, never on how the ring
+// happened to split it into blocks: every delivery of a stream leaves the
+// same footprint. Above logSmoothCap the steps are a quarter, not a
+// doubling, which keeps the footprint within a quarter of the longest
+// period plus one request.
+func growLog(log []lrusim.DepthRun, need int) []lrusim.DepthRun {
+	grown := make([]lrusim.DepthRun, len(log), logCap(need))
+	copy(grown, log)
+	return grown
 }
 
 // closePeriod ends the current period: during warmup the manager's held
@@ -412,7 +412,8 @@ func (sh *Shard) closePeriod() error {
 		if incremental {
 			dec = sh.mgr.DecideIncremental(obs)
 		} else {
-			obs.Log = sh.periodLog
+			sh.records = lrusim.AppendRecords(sh.records[:0], sh.periodLog, sh.pageSize)
+			obs.Log = sh.records
 			dec = sh.mgr.Decide(obs)
 		}
 		if sh.timed {
@@ -497,11 +498,12 @@ func (sh *Shard) closePeriod() error {
 }
 
 // state captures the shard's snapshot payload. Called with sh.mu held.
-// The period log leaves the critical section as one raw copy; the
-// caller converts it to the snapshot's record form outside the lock
-// (convertLog), so an ingesting connection is stalled for a memcpy, not
-// an element-wise conversion, while a checkpoint marks the shard.
-func (sh *Shard) state() (shardState, []lrusim.DepthRecord) {
+// The period log leaves the critical section as one raw copy of its
+// runs; the caller expands it page by page into the snapshot's record
+// form outside the lock (convertLog), so an ingesting connection is
+// stalled for a memcpy, not an element-wise conversion, while a
+// checkpoint marks the shard.
+func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
 	refs, colds := sh.stack.Counters()
 	st := shardState{
 		Name:         sh.name,
@@ -526,34 +528,88 @@ func (sh *Shard) state() (shardState, []lrusim.DepthRecord) {
 			st.IngestedRefs = h.Refs()
 		}
 	}
-	return st, append([]lrusim.DepthRecord(nil), sh.periodLog...)
+	return st, append([]lrusim.DepthRun(nil), sh.periodLog...)
 }
 
-// convertLog is the outside-the-lock half of state: the element-wise
-// conversion of the copied period log into the snapshot's record form.
-func convertLog(log []lrusim.DepthRecord) []logRecord {
-	out := make([]logRecord, len(log))
-	for i, r := range log {
-		out[i] = logRecord{
-			Time:  float64(r.Time),
-			Page:  r.Page,
-			Depth: int64(r.Depth),
-			Bytes: int64(r.Bytes),
+// convertLog is the outside-the-lock half of state: the copied period
+// log, expanded into the snapshot's per-page record form, each record
+// carrying the page size.
+func convertLog(runs []lrusim.DepthRun, pageSize simtime.Bytes) []logRecord {
+	n := 0
+	for _, r := range runs {
+		n += int(r.Pages)
+	}
+	out := make([]logRecord, 0, n)
+	for _, r := range runs {
+		for k := int64(0); k < int64(r.Pages); k++ {
+			out = append(out, logRecord{
+				Time:  float64(r.Time),
+				Page:  r.Page + k,
+				Depth: int64(r.Depth),
+				Bytes: int64(pageSize),
+			})
 		}
 	}
 	return out
 }
 
-// restore rehydrates the shard from a snapshot payload. Called before
-// the shard starts ingesting.
-func (sh *Shard) restore(st shardState) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// appendRuns rebuilds depth runs from per-page log records, merging each
+// record into the previous run when it continues it: the same time bits,
+// the next page and the same depth. The runs may merge requests the live
+// shard kept apart, which changes no page's record.
+func appendRuns(dst []lrusim.DepthRun, log []logRecord) []lrusim.DepthRun {
+	for _, r := range log {
+		if k := len(dst); k > 0 {
+			last := &dst[k-1]
+			if math.Float64bits(float64(last.Time)) == math.Float64bits(r.Time) && int64(last.Depth) == r.Depth &&
+				r.Page-last.Page == int64(last.Pages) && last.Pages < math.MaxInt32 {
+				last.Pages++
+				continue
+			}
+		}
+		dst = append(dst, lrusim.DepthRun{Time: simtime.Seconds(r.Time), Page: r.Page, Pages: 1, Depth: int32(r.Depth)})
+	}
+	return dst
+}
+
+// validate checks a snapshot payload for values the shard cannot hold,
+// before restore changes anything: negative counters, a non-positive
+// boundary, negative page ids, depths that are neither Cold nor in
+// [1, 2^31), and log records whose bytes are not the page size (the run
+// log stores none of its own).
+func (sh *Shard) validate(st *shardState) error {
 	if st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 {
 		return fmt.Errorf("serve: shard %s: negative counters in snapshot", st.Name)
 	}
 	if !(simtime.Seconds(st.NextBoundary) > 0) {
 		return fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
+	}
+	for i, p := range st.StackPages {
+		if p < 0 {
+			return fmt.Errorf("serve: shard %s: stack page %d: negative page id %d", st.Name, i, p)
+		}
+	}
+	for i, r := range st.Log {
+		switch {
+		case r.Page < 0:
+			return fmt.Errorf("serve: shard %s: log record %d: negative page id %d", st.Name, i, r.Page)
+		case r.Depth != lrusim.Cold && (r.Depth < 1 || r.Depth > math.MaxInt32):
+			return fmt.Errorf("serve: shard %s: log record %d: depth %d out of range", st.Name, i, r.Depth)
+		case r.Bytes != int64(sh.pageSize):
+			return fmt.Errorf("serve: shard %s: log record %d: %d bytes, want the page size %d", st.Name, i, r.Bytes, sh.pageSize)
+		}
+	}
+	return nil
+}
+
+// restore rehydrates the shard from a snapshot payload. Called before
+// the shard starts ingesting. A payload that fails validate leaves the
+// shard unchanged.
+func (sh *Shard) restore(st shardState) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.validate(&st); err != nil {
+		return err
 	}
 	if err := sh.mgr.Restore(st.Core); err != nil {
 		return fmt.Errorf("serve: shard %s: %w", st.Name, err)
@@ -583,16 +639,7 @@ func (sh *Shard) restore(st shardState) error {
 	sh.cacheAcc = st.CacheAcc
 	sh.misses = st.Misses
 	sh.reqRuns = st.ReqRuns
-	sh.periodLog = sh.periodLog[:0]
-	log := sh.extendLog(len(st.Log))
-	for i, r := range st.Log {
-		log[i] = lrusim.DepthRecord{
-			Time:  simtime.Seconds(r.Time),
-			Page:  r.Page,
-			Depth: int(r.Depth),
-			Bytes: simtime.Bytes(r.Bytes),
-		}
-	}
+	sh.periodLog = appendRuns(sh.periodLog[:0], st.Log)
 	if sh.srv.cfg.Decide == core.ModeIncremental {
 		// Rebuild the streaming observation state by replaying the
 		// partial period — ingest is deterministic (and the block entry

@@ -124,9 +124,15 @@ func TestServeBatchedIngestMatches(t *testing.T) {
 // uses. After every random-size block, the shard fed one request at a
 // time (Ingest), the shard fed the block whole (IngestBatch) and the
 // model must agree on the period's predicted misses, coalesced disk
-// requests, cache accesses and depth log.
+// requests, cache accesses and depth log, read page by page. It runs on
+// the generated trace and on a split-range version of it.
 func TestServeRunPassMatchesPerRequest(t *testing.T) {
 	_, tr := encodeTrace(t, testTrace(t, 55))
+	t.Run("whole-ranges", func(t *testing.T) { testServeRunPass(t, tr) })
+	t.Run("split-ranges", func(t *testing.T) { testServeRunPass(t, splitRangeTrace(tr, 2)) })
+}
+
+func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
 		cfg := testConfig(&decisionLog{})
 		cfg.Decide = mode
@@ -197,7 +203,7 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 					t.Fatalf("mode %v after %d requests: %s misses/reqRuns/cacheAcc %d/%d/%d, model %d/%d/%d",
 						mode, i, name, sh.misses, sh.reqRuns, sh.cacheAcc, misses, reqRuns, refs)
 				}
-				if !reflect.DeepEqual(append([]lrusim.DepthRecord{}, sh.periodLog...), append([]lrusim.DepthRecord{}, log...)) {
+				if !reflect.DeepEqual(lrusim.AppendRecords([]lrusim.DepthRecord{}, sh.periodLog, cfg.PageSize), append([]lrusim.DepthRecord{}, log...)) {
 					t.Fatalf("mode %v after %d requests: %s period log differs from the model's", mode, i, name)
 				}
 				if sh.consumed != int64(i) {
@@ -217,25 +223,31 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 }
 
 // TestPeriodLogCapacityFollowsLength checks that the period log's
-// footprint depends on the periods' lengths alone: shards fed the same
-// periods one request at a time, in random-size blocks and in one block
-// end with the same capacity, the ladder step of the longest period,
+// footprint depends on the periods' run streams alone: shards fed the
+// same periods one request at a time, in random-size blocks and in one
+// block end with the same capacity. Every request of the stream repeats
+// a two-page range whole (or is its cold first reference), so it logs
+// one run; serve makes room for a run per page before each request, so
+// the capacity is the ladder step of the longest period's runs plus one,
 // within a quarter of its length.
 func TestPeriodLogCapacityFollowsLength(t *testing.T) {
+	const pages = 2
 	cfg := testConfig(&decisionLog{})
 	cfg.Decide = core.ModeIncremental
 	var reqs []trace.Request
 	longest := 0
-	for p, n := range []int{90_000, 210_000, 120_000} {
-		for i := 0; i < n/32; i++ {
+	lengths := []int{90_000, 210_000, 120_000}
+	for p, n := range lengths {
+		for i := 0; i < n; i++ {
 			reqs = append(reqs, trace.Request{
 				Time:      cfg.Period * (simtime.Seconds(p) + simtime.Seconds(i)/simtime.Seconds(n)),
-				FirstPage: int64(i*32) % 4096,
-				Pages:     32,
+				FirstPage: int64(i*pages) % 4096,
+				Pages:     pages,
 			})
 		}
-		longest = max(longest, n/32*32)
+		longest = max(longest, n)
 	}
+	want := logCap(longest + pages - 1)
 	rng := rand.New(rand.NewSource(3))
 	splits := map[string]func(i int) int{
 		"per request":  func(i int) int { return i + 1 },
@@ -261,12 +273,15 @@ func TestPeriodLogCapacityFollowsLength(t *testing.T) {
 		if sh.periodIdx != 2 {
 			t.Fatalf("%s: %d periods closed, want 2", name, sh.periodIdx)
 		}
-		if got, want := cap(sh.periodLog), logCap(longest); got != want {
-			t.Fatalf("%s: period log capacity %d, want %d for a longest period of %d records", name, got, want, longest)
+		if got := len(sh.periodLog); got != lengths[2] {
+			t.Fatalf("%s: the open period logged %d runs for %d requests", name, got, lengths[2])
+		}
+		if got := cap(sh.periodLog); got != want {
+			t.Fatalf("%s: period log capacity %d, want %d for a longest period of %d runs", name, got, want, longest)
 		}
 	}
-	if c := logCap(longest); longest <= logSmoothCap || 4*c > 5*longest {
-		t.Fatalf("a longest period of %d records takes capacity %d: not above %d records, or more than a quarter of slack", longest, c, logSmoothCap)
+	if longest <= logSmoothCap || 4*want > 5*longest {
+		t.Fatalf("a longest period of %d runs takes capacity %d: not above %d runs, or more than a quarter of slack", longest, want, logSmoothCap)
 	}
 }
 
@@ -435,7 +450,7 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	sh.mu.Lock()
 	old, log := sh.state()
 	sh.mu.Unlock()
-	old.Log = convertLog(log)
+	old.Log = convertLog(log, sh.pageSize)
 	old.RefitDrift = -1
 
 	cfg2 := testConfig(&decisionLog{})

@@ -259,6 +259,7 @@ type engine struct {
 	lbaScale float64
 
 	stack     *lrusim.StackSim
+	runs      []lrusim.DepthRun // the current request's depth runs
 	periodLog []lrusim.DepthRecord
 	logBuf    *[]lrusim.DepthRecord // pooled backing array for periodLog
 
@@ -400,6 +401,9 @@ func newEngine(cfg Config) (*engine, error) {
 		e.manager = mgr
 		e.incremental = cfg.Decide == core.ModeIncremental
 		e.curBanks = totalBanks
+		if installedFrames > lrusim.MaxWindow {
+			return nil, fmt.Errorf("sim: installed memory of %d pages exceeds the stack's limit of %d", installedFrames, lrusim.MaxWindow)
+		}
 		e.stack = lrusim.NewStackSim(int(installedFrames))
 		if !e.incremental {
 			e.logBuf = depthLogs.Get().(*[]lrusim.DepthRecord)
@@ -484,20 +488,24 @@ func (e *engine) serve(req *trace.Request) {
 		runStart, runLen = -1, 0
 	}
 
+	if e.stack != nil {
+		// The stack and the manager see the request before the cache
+		// does; neither reads the cache, so the order is free.
+		e.runs = e.stack.ReferenceRange(e.runs[:0], t, req.FirstPage, int(req.Pages))
+		if e.incremental {
+			for _, r := range e.runs {
+				for k := int64(0); k < int64(r.Pages); k++ {
+					e.manager.Ingest(lrusim.DepthRecord{Time: t, Page: r.Page + k, Depth: int(r.Depth), Bytes: e.pageSize})
+				}
+			}
+		} else {
+			e.periodLog = lrusim.AppendRecords(e.periodLog, e.runs, e.pageSize)
+		}
+	}
 	for k := int32(0); k < req.Pages; k++ {
 		page := req.FirstPage + int64(k)
 		e.res.CacheAccesses++
 		e.periodCacheAcc++
-
-		if e.stack != nil {
-			depth := e.stack.Reference(page)
-			rec := lrusim.DepthRecord{Time: t, Page: page, Depth: depth, Bytes: e.pageSize}
-			if e.incremental {
-				e.manager.Ingest(rec)
-			} else {
-				e.periodLog = append(e.periodLog, rec)
-			}
-		}
 
 		hit := e.lookup(page, t)
 		if hit {
