@@ -40,7 +40,7 @@ type Params struct {
 	BankSize   simtime.Bytes
 	TotalBanks int
 	EnumUnit   simtime.Bytes // memory-size enumeration granularity (bank multiple)
-	MinBanks   int           // smallest cache the manager will choose
+	MinBanks   int           // smallest cache the manager will choose, in [0, TotalBanks]
 
 	DiskSpec disk.Spec
 	MemSpec  mem.Spec
@@ -58,9 +58,9 @@ type Params struct {
 	// premium for the coming period (see priceLevel).
 	SpeedTransitionPerRPM simtime.Seconds
 
-	// MaxCandidatesPerPass bounds one enumeration pass; the search uses
-	// coarse-to-fine refinement to reach EnumUnit granularity without
-	// replaying the log for thousands of sizes.
+	// MaxCandidatesPerPass bounds one enumeration pass (at least 2); the
+	// search uses coarse-to-fine refinement to reach EnumUnit granularity
+	// without replaying the log for thousands of sizes.
 	MaxCandidatesPerPass int
 
 	// EvalWorkers is retained for configuration compatibility. The slate
@@ -178,6 +178,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: total banks %d", p.TotalBanks)
 	case p.EnumUnit < p.BankSize || p.EnumUnit%p.BankSize != 0:
 		return fmt.Errorf("core: enum unit %v not a bank multiple", p.EnumUnit)
+	case p.MinBanks < 0 || p.MinBanks > p.TotalBanks:
+		return fmt.Errorf("core: MinBanks %d outside [0, %d]", p.MinBanks, p.TotalBanks)
+	case p.MaxCandidatesPerPass < 2:
+		// A pass spans its range in MaxCandidatesPerPass-1 steps.
+		return fmt.Errorf("core: MaxCandidatesPerPass %d must be at least 2", p.MaxCandidatesPerPass)
 	}
 	if len(p.SpeedLevels) > 0 {
 		if p.SpeedTransitionPerRPM < 0 || math.IsNaN(float64(p.SpeedTransitionPerRPM)) {
@@ -403,6 +408,11 @@ func (m *Manager) decideBatch(obs Observation) Decision {
 // First accesses are told from the depths alone, by lrusim.DepthHist's
 // rule, so the log must be the complete depth stream of one StackSim over
 // the period, in reference order.
+//
+// The prefix arrays may stop at any n banks that hold every non-cold
+// reference up to the deep bucket (batch fills all installed banks, the
+// incremental path only the reached ones): the queries clamp past the
+// arrays' length, so a shorter profile answers every size identically.
 type depthProfile struct {
 	bankPages    int64
 	cold         simtime.Bytes
@@ -412,9 +422,10 @@ type depthProfile struct {
 	cumTotal     []simtime.Bytes // cumTotal[b]: non-cold bytes at depth ≤ b banks
 	cumFirst     []simtime.Bytes // cumFirst[b]: first-access bytes at depth ≤ b banks
 	// cumCount[b]: non-cold references at depth ≤ b banks, with one extra
-	// deep bucket (maxBanks+1) so cumCount[maxBanks+1] == nonColdCount
-	// even when the stack tracks pages beyond the installed banks. It
-	// makes the per-candidate disk-access count an O(1) integer query.
+	// entry past the byte arrays' (the deep bucket, maxBanks+1, in a full
+	// profile) so cumCount[n+1] == nonColdCount even when the stack tracks
+	// pages beyond the installed banks. It makes the per-candidate
+	// disk-access count an O(1) integer query.
 	cumCount []int64
 }
 
@@ -425,7 +436,7 @@ func (p *depthProfile) reset(bankPages int64, maxBanks int) {
 	p.coldCount = 0
 	p.total = 0
 	p.nonColdCount = 0
-	if cap(p.cumTotal) < maxBanks+1 {
+	if cap(p.cumTotal) < maxBanks+1 || cap(p.cumFirst) < maxBanks+1 || cap(p.cumCount) < maxBanks+2 {
 		p.cumTotal = make([]simtime.Bytes, maxBanks+1)
 		p.cumFirst = make([]simtime.Bytes, maxBanks+1)
 		p.cumCount = make([]int64, maxBanks+2)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"jointpm/internal/disk"
@@ -44,6 +45,36 @@ func TestParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: bad params accepted", i)
 		}
+	}
+}
+
+// TestNewManagerRejectsBadSlateParams: slate parameters that would crash
+// either Decide entry point are configuration errors that name their
+// field. The first three rows divide by zero or index out of range in
+// the slate search if NewManager accepts them.
+func TestNewManagerRejectsBadSlateParams(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Params)
+	}{
+		{"MaxCandidatesPerPass", func(p *Params) { p.MaxCandidatesPerPass = 1 }},
+		{"MinBanks", func(p *Params) { p.MinBanks = p.TotalBanks + 6 }},
+		{"MinBanks", func(p *Params) { p.MinBanks = -2 }},
+		{"MaxCandidatesPerPass", func(p *Params) { p.MaxCandidatesPerPass = 0 }},
+		{"MinBanks", func(p *Params) { p.MinBanks = p.TotalBanks + 1 }},
+	}
+	for i, c := range cases {
+		p := testParams()
+		c.mut(&p)
+		_, err := NewManager(p)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("case %d: NewManager error %v, want one naming %s", i, err, c.field)
+		}
+	}
+	p := testParams()
+	p.MinBanks = p.TotalBanks
+	if _, err := NewManager(p); err != nil {
+		t.Errorf("MinBanks = TotalBanks rejected: %v", err)
 	}
 }
 

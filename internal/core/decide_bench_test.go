@@ -41,11 +41,12 @@ func BenchmarkDecide(b *testing.B) {
 // references are streamed through Ingest once, outside the timed region
 // (in production that cost rides on request handling, spread across the
 // whole period — BenchmarkIngest prices it), so the measurement is
-// exactly what a period boundary costs: Fenwick prefix-sum
-// materialisation plus slate pricing over the finished gap log. The
-// timed body is DecideIncremental minus the end-of-period hist.Reset —
-// GapStream.Finish is idempotent, so the same ingested period can be
-// decided repeatedly.
+// exactly what a period boundary costs: the depth profile's prefix sums
+// over the reached banks plus slate pricing over the finished gap log.
+// The timed body is DecideIncremental minus the end-of-period
+// hist.Reset — GapStream.Finish is idempotent, so the same ingested
+// period can be decided repeatedly. This period reaches about half the
+// installed banks, so its cost is dominated by its large gap log.
 func BenchmarkDecideIncremental(b *testing.B) {
 	m, obs := benchDecideSetup(b, false)
 	for j := range obs.Log {
@@ -67,8 +68,8 @@ func BenchmarkDecideIncremental(b *testing.B) {
 }
 
 // BenchmarkIngest measures the per-reference cost of the streaming
-// observation path: depth-histogram maintenance (Fenwick update) plus the
-// bank-space gap log. Reported per reference, it is the tax Ingest adds
+// observation path: depth-histogram maintenance (one bucket update) plus
+// the bank-space gap log. Reported per reference, it is the tax Ingest adds
 // to request handling so the period boundary can run in O(banks + gaps).
 func BenchmarkIngest(b *testing.B) {
 	m, obs := benchDecideSetup(b, false)
@@ -85,8 +86,8 @@ func BenchmarkIngest(b *testing.B) {
 // BenchmarkIngestBatch is BenchmarkIngest through the block entry point:
 // the same 256k references, as one-page runs, streamed in 4096-run
 // blocks, the shape the daemon's ring drain feeds. The delta against
-// BenchmarkIngest is what Fenwick-walk amortisation and hoisted per-call
-// checks buy per reference, not what multi-page runs save;
+// BenchmarkIngest is what the hoisted per-call checks and the block-wide
+// gap-log feed buy per reference, not what multi-page runs save;
 // ci/check_ingest_speed.sh gates on batch strictly winning.
 func BenchmarkIngestBatch(b *testing.B) {
 	m, obs := benchDecideSetup(b, false)
@@ -119,3 +120,33 @@ func BenchmarkDecideReplayReference(b *testing.B) {
 		m.Decide(obs)
 	}
 }
+
+// benchDecideLight times one boundary of a light period at the geometry
+// of a many-bank daemon shard (16 KB pages, 64 KB banks, 60 s period,
+// four-level ladder): 4,096 references reaching about 750 banks, ingested
+// once, decided with the given number of installed banks. The timed body
+// is BenchmarkDecideIncremental's.
+func benchDecideLight(b *testing.B, banks int) {
+	p := boundaryParams()
+	p.TotalBanks = banks
+	p.HysteresisFrac = -1 // pure optimiser: identical work every iteration
+	m, err := NewManager(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := feedIncremental(m, lightStream(p, []int{750})[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := m.inputFromHist(&o)
+		m.decideFrom(in)
+	}
+}
+
+// BenchmarkDecideLight1K and BenchmarkDecideLight64K decide the same light
+// period at 1,024 and at 65,536 installed banks. A boundary costs
+// O(banks reached + gaps), so the two must run in about the same time;
+// ci/check_decide_speed.sh fails if the 64K one takes twice as long.
+func BenchmarkDecideLight1K(b *testing.B) { benchDecideLight(b, 1<<10) }
+
+func BenchmarkDecideLight64K(b *testing.B) { benchDecideLight(b, 1<<16) }

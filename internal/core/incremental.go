@@ -18,16 +18,17 @@ import (
 //
 // The design invariant: batch Decide and DecideIncremental never diverge,
 // because both reduce their inputs to the SAME intermediate form — a
-// depthProfile (integer histograms) plus a compressed SweepEvent stream —
-// and hand it to one shared driver (decideFrom). Batch builds that form
-// in a single fused pass over the period log; the incremental path has
-// been accumulating it reference-by-reference in a Fenwick-backed
-// lrusim.DepthHist and only materialises O(banks) prefix sums at decide
-// time. Per-candidate floating-point reductions inside the kernel fold
-// emissions in chronological order, which is exactly the order the
-// sequential replay path visits intervals, so the equivalence is
-// bit-exact, not approximate (see TestDecideIncrementalMatchesBatch and
-// TestDecideSweepMatchesReplay).
+// depthProfile (integer prefix sums) plus a bank-space gap log — and hand
+// it to one shared driver (decideFrom). Batch builds that form in a
+// single fused pass over the period log; the incremental path has been
+// accumulating it reference-by-reference in lrusim.DepthHist's per-bank
+// buckets and gap stream, and at decide time sums only the buckets up to
+// the deepest reference, so a boundary costs O(banks reached + gaps), not
+// O(installed banks). Per-candidate floating-point reductions inside the
+// kernel fold emissions in chronological order, which is exactly the
+// order the sequential replay path visits intervals, so the equivalence
+// is bit-exact, not approximate (see TestDecideIncrementalMatchesBatch
+// and TestDecideSweepMatchesReplay).
 
 // DecideMode selects which Decide entry point a host (simulator engine,
 // daemon shard) drives the manager through. The zero value is the batch
@@ -86,7 +87,6 @@ type decideScratch struct {
 	gs     lrusim.GapStream // batch-mode gap-log materialisation
 	sweep  lrusim.EventSweeper
 	in     decideInput
-	i64    []int64 // Fenwick prefix-sum materialisation buffer
 
 	slateBanks []int32
 	tcs        []TimeoutChoice
@@ -95,7 +95,7 @@ type decideScratch struct {
 	to2, ts2   []float64 // unclamped-timeout attribution pass
 	hcnt, h2   []int64
 
-	seen  []bool // indexed by bank count; cleared per decision
+	seen  []bool // indexed by bank count; set by a search, cleared at its end
 	slate []int
 	all   []Candidate
 }
@@ -123,8 +123,8 @@ func (m *Manager) Ingest(rec lrusim.DepthRecord) {
 
 // IngestBatch streams a time-ordered block of depth runs, each page of
 // which moved PageSize bytes, into the incremental observation state:
-// Ingest with the per-call nil check, hook check, and Fenwick node walks
-// hoisted out of the loop, and the per-page work done once per run (see
+// Ingest with the per-call nil and hook checks hoisted out of the loop,
+// and the per-page work done once per run (see
 // lrusim.DepthHist.ObserveRuns). The resulting state is bit-identical to
 // ingesting the runs' pages one record at a time.
 func (m *Manager) IngestBatch(runs []lrusim.DepthRun) {
@@ -367,30 +367,29 @@ func (m *Manager) buildInput(o *Observation) *decideInput {
 }
 
 // inputFromHist materialises the kernel's input form from the ingested
-// DepthHist: three O(banks) prefix-sum queries, the event stream the
-// histogram already holds, and the bank-space gap log the histogram's
-// GapStream has been folding at ingest (Finish only resolves the
-// period-boundary emissions, and is idempotent, so re-materialising is
-// cheap). This is the payoff of maintaining the state continuously —
-// nothing here is proportional to the number of references in the period.
+// DepthHist: prefix sums of the buckets up to the deepest reference, and
+// the bank-space gap log the histogram's GapStream has been folding at
+// ingest (Finish only resolves the period-boundary emissions, and is
+// idempotent, so re-materialising is cheap). This is the payoff of
+// maintaining the state continuously — nothing here is proportional to
+// the references in the period or to the installed banks.
+//
+// The profile stops at the deepest reached bank n: every deeper bucket is
+// empty, so each prefix sum past n equals the one at n, and the profile's
+// queries clamp to their length. The count prefix keeps one bucket more,
+// the deep bucket when n is the installed banks, as batch's does.
 func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	s := &m.scratch
 	h := m.hist
-	maxBanks := m.p.TotalBanks
+	bankPages := m.p.bankPages()
+	n := int(min((h.MaxDepth()+bankPages-1)/bankPages, int64(m.p.TotalBanks)))
 	prof := &s.prof
-	prof.reset(m.p.bankPages(), maxBanks)
+	prof.bankPages = bankPages
 	prof.coldCount, prof.cold = h.Cold()
 	prof.nonColdCount, prof.total = h.NonCold()
-	s.i64 = h.AppendTotalPrefix(s.i64[:0])
-	for b := 1; b <= maxBanks; b++ {
-		prof.cumTotal[b] = simtime.Bytes(s.i64[b-1])
-	}
-	s.i64 = h.AppendFirstPrefix(s.i64[:0])
-	for b := 1; b <= maxBanks; b++ {
-		prof.cumFirst[b] = simtime.Bytes(s.i64[b-1])
-	}
-	s.i64 = h.AppendCountPrefix(s.i64[:0])
-	copy(prof.cumCount[1:], s.i64)
+	prof.cumTotal = h.AppendTotalPrefix(append(prof.cumTotal[:0], 0), n)
+	prof.cumFirst = h.AppendFirstPrefix(append(prof.cumFirst[:0], 0), n)
+	prof.cumCount = h.AppendCountPrefix(append(prof.cumCount[:0], 0), n+1)
 	start, end := m.bounds(*o)
 	in := &s.in
 	*in = decideInput{obs: *o, logLen: int(h.Refs()), maxDepth: h.MaxDepth(),
@@ -416,12 +415,8 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 		hiBanks = m.p.MinBanks
 	}
 
-	if cap(s.seen) < m.p.TotalBanks+1 {
+	if len(s.seen) < m.p.TotalBanks+1 {
 		s.seen = make([]bool, m.p.TotalBanks+1)
-	}
-	s.seen = s.seen[:m.p.TotalBanks+1]
-	for i := range s.seen {
-		s.seen[i] = false
 	}
 	s.all = s.all[:0]
 
@@ -528,6 +523,10 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 			held = true
 			m.met.hysteresis.Inc()
 		}
+	}
+	// Clear only what this search set: every size it priced is in s.all.
+	for i := range s.all {
+		s.seen[s.all[i].Banks] = false
 	}
 
 	// Candidates leave the scratch slab as one right-sized copy, sorted
@@ -651,7 +650,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 		s.slateBanks[i] = int32(b)
 	}
 	sw := &s.sweep
-	sw.SweepGaps(in.gaps, s.slateBanks, int32(m.p.TotalBanks))
+	sw.SweepGaps(in.gaps, s.slateBanks)
 
 	// Phase 1: timeout choice per candidate from the folded (count, sum,
 	// min) reductions — the same Pareto moments FitMoments computes from

@@ -79,8 +79,8 @@ func TestIngestBatchMatchesIngest(t *testing.T) {
 
 // TestIngestBatchDiscardPeriod: a discarded batch-ingested period must
 // leave no residue — the next period's decision matches a manager that
-// never saw the discarded records (pending Fenwick deltas die with the
-// period).
+// never saw the discarded records (its buckets and pending event die
+// with the period).
 func TestIngestBatchDiscardPeriod(t *testing.T) {
 	p := testParams()
 	clean, _ := NewManager(p)

@@ -12,15 +12,17 @@ import (
 // histState flattens every externally observable aggregate of a
 // DepthHist, including the finished gap log, for equality checks.
 type histState struct {
-	refs, maxDepth         int64
-	coldCount              int64
-	coldBytes, nonColdB    simtime.Bytes
-	countPfx, totPfx, fPfx []int64
-	events                 []SweepEvent
-	gaps                   []Emission
+	refs, maxDepth      int64
+	coldCount           int64
+	coldBytes, nonColdB simtime.Bytes
+	countPfx            []int64
+	totPfx, fPfx        []simtime.Bytes
+	gaps                []Emission
 }
 
-func captureHist(h *DepthHist, start, end simtime.Seconds) histState {
+// captureHist reads h's prefix sums over the full width of maxBanks
+// installed banks.
+func captureHist(h *DepthHist, maxBanks int, start, end simtime.Seconds) histState {
 	_, cb := h.Cold()
 	cc, _ := h.Cold()
 	_, nb := h.NonCold()
@@ -30,10 +32,9 @@ func captureHist(h *DepthHist, start, end simtime.Seconds) histState {
 		coldCount: cc,
 		coldBytes: cb,
 		nonColdB:  nb,
-		countPfx:  h.AppendCountPrefix(nil),
-		totPfx:    h.AppendTotalPrefix(nil),
-		fPfx:      h.AppendFirstPrefix(nil),
-		events:    append([]SweepEvent(nil), h.Events()...),
+		countPfx:  h.AppendCountPrefix(nil, maxBanks+1),
+		totPfx:    h.AppendTotalPrefix(nil, maxBanks),
+		fPfx:      h.AppendFirstPrefix(nil, maxBanks),
 		gaps:      append([]Emission(nil), h.FinishGaps(start, end)...),
 	}
 }
@@ -65,8 +66,8 @@ func randPeriodRuns(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRun {
 
 // TestObserveRunsMatchesObserve: feeding a period's depth runs through
 // ObserveRuns in arbitrary block sizes — interleaved with runs fed page
-// by page through Observe — must leave the histogram, event stream, and
-// gap log in exactly the state page-at-a-time feeding produces.
+// by page through Observe — must leave the histogram and gap log in
+// exactly the state page-at-a-time feeding produces.
 func TestObserveRunsMatchesObserve(t *testing.T) {
 	geometries := []struct {
 		bankPages int64
@@ -110,8 +111,8 @@ func TestObserveRunsMatchesObserve(t *testing.T) {
 				bat.ObserveRuns(runs[off:off+n], pageBytes)
 				off += n
 			}
-			want := captureHist(ref, start, end)
-			got := captureHist(bat, start, end)
+			want := captureHist(ref, g.maxBanks, start, end)
+			got := captureHist(bat, g.maxBanks, start, end)
 			if !reflect.DeepEqual(want, got) {
 				t.Logf("seed %d geometry %+v:\nwant %+v\ngot  %+v", seed, g, want, got)
 				return false

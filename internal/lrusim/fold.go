@@ -6,7 +6,10 @@ package lrusim
 // chronological — the property that keeps every result bit-identical to
 // a pass over that candidate's own interval list. On amd64 with AVX2 the
 // kernels run vectorised (see fold_amd64.s); the generic forms below are
-// the reference semantics and the fallback everywhere else.
+// the reference semantics and the fallback everywhere else. They fold
+// slate-space logs, which is all EventSweeper keeps: on AVX-512 machines
+// SweepGaps and TailStats hand the same logs to the register-resident
+// gap kernels instead.
 //
 // Exactness of the vector forms:
 //
@@ -51,24 +54,6 @@ func foldEmitsGeneric(emits []Emission, sum, min []float64) {
 			sm[i] += gap
 			if gap < mn[i] {
 				mn[i] = gap
-			}
-		}
-	}
-}
-
-// tailGapsGeneric is the scalar form of tailGapsAVX512: the tail
-// reduction over a bank-space gap log, remapping each emission's
-// threshold range through the bound table on the fly. Used when a caller
-// hands TailStats slices too small for the 32-lane asm blocks.
-func tailGapsGeneric(gaps []Emission, bound []int32, to, ts []float64, h []int64) {
-	for i := range gaps {
-		e := &gaps[i]
-		gap := e.Gap
-		rl, rh := bound[e.Lo], bound[e.Hi]
-		for j := rl; j < rh; j++ {
-			if d := gap - to[j]; d > 0 {
-				ts[j] += d
-				h[j]++
 			}
 		}
 	}

@@ -33,18 +33,19 @@ var gapAsm = hasAVX512()
 // kernels use. Implemented in fold_amd64.s via CPUID/XGETBV.
 func hasAVX512() bool
 
-// foldGapsAVX512 folds a bank-space gap log into per-candidate (count,
-// sum, min) through the slate's bound remap table. len(sum) == len(min)
-// == len(cnt) == k ≤ 32, and all three must have capacity ≥ 32 (whole
-// accumulator blocks are loaded and stored). Implemented in fold_amd64.s.
+// foldGapsAVX512 folds an emission log into per-candidate (count, sum,
+// min) through a remap table from emission bounds to lanes; EventSweeper
+// passes a slate-space log and one 32-lane block's clamp table. The
+// accumulators need capacity ≥ 32 (whole blocks are loaded and stored).
+// Implemented in fold_amd64.s.
 //
 //go:noescape
 func foldGapsAVX512(gaps []Emission, bound []int32, cnt []int64, sum, min []float64)
 
-// tailGapsAVX512 is the conditional tail reduction over a bank-space gap
-// log: for candidates in each emission's remapped range with gap > to,
-// ts += gap − to and h++. Same length/capacity contract as foldGapsAVX512;
-// to is read-only. Implemented in fold_amd64.s.
+// tailGapsAVX512 is the conditional tail reduction over an emission log:
+// for candidates in each emission's remapped range with gap > to,
+// ts += gap − to and h++. Same table and capacity contract as
+// foldGapsAVX512; to is read-only. Implemented in fold_amd64.s.
 //
 //go:noescape
 func tailGapsAVX512(gaps []Emission, bound []int32, to, ts []float64, h []int64)

@@ -214,15 +214,15 @@ no512:
 //
 // Register-resident remap fold: the 32 per-candidate accumulators (count,
 // sum, min — four 8-lane zmm blocks each) stay in registers across the
-// whole gap log. Per emission the threshold range [Lo, Hi) maps through
-// the bound table to a slate-index range, which becomes the bit mask
+// whole gap log. Per emission the range [Lo, Hi) maps through the bound
+// table to the block's lane range, which becomes the bit mask
 // (1<<bound[Hi]) − (1<<bound[Lo]); successive 8-bit chunks drive
 // merge-masked VADDPD/VMINPD/VPSUBQ so uncovered candidates are untouched
 // (not even a +0.0 is added). Each lane is an independent accumulator fed
 // in log order, so every candidate's reduction is bit-identical to
 // folding its own chronological interval list. Emissions that miss the
-// slate entirely (mask 0, the common case in a refined pass) skip the
-// vector work, as does the upper half when the mask has no bits >= 16.
+// block entirely (mask 0) skip the vector work, as does the upper half
+// when the mask has no bits >= 16.
 TEXT ·foldGapsAVX512(SB), NOSPLIT, $0-120
 	MOVQ  gaps_base+0(FP), SI
 	MOVQ  gaps_len+8(FP), CX

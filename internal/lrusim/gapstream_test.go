@@ -57,69 +57,147 @@ func randSlate(rng *rand.Rand, maxBanks, kmax int) []int32 {
 	return slate
 }
 
-// TestSweepGapsMatchesSweep is the kernel-level half of the
-// incremental/batch equivalence: pricing a slate from the bank-space gap
-// log (GapStream + remapped fold, the incremental decide path) must be
-// bit-identical — Cnt, Sum, Min, and a TailStats pass — to a dedicated
-// slate sweep of the same events. Exercised across window/bound
-// configurations, including window 0 (zero-length gaps emitted) and
-// missing period bounds.
-func TestSweepGapsMatchesSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var gs GapStream
-	var ref, got EventSweeper
-	for trial := 0; trial < 200; trial++ {
-		maxBanks := 4 + rng.Intn(60)
-		window := simtime.Seconds(0)
-		dupT := trial%3 == 0
-		if !dupT {
-			window = simtime.Seconds(rng.Float64() * 0.4)
+// randLightEvents builds a dedup-free event stream shaped like a light
+// period over many installed banks: half the events fall in the first
+// eighth of the banks, an eighth are cold (the sentinel maxBanks+1), and
+// the rest anywhere on the bank axis.
+func randLightEvents(rng *rand.Rand, n, maxBanks int) []SweepEvent {
+	ev := make([]SweepEvent, 0, n)
+	t := simtime.Seconds(0)
+	for i := 0; i < n; i++ {
+		t += simtime.Seconds(rng.ExpFloat64() * 0.2)
+		var bank int
+		switch r := rng.Intn(8); {
+		case r < 4:
+			bank = 1 + rng.Intn(maxBanks/8)
+		case r == 4:
+			bank = maxBanks + 1
+		default:
+			bank = 1 + rng.Intn(maxBanks)
 		}
-		start, end := simtime.Seconds(-1), simtime.Seconds(-1)
+		ev = append(ev, SweepEvent{T: t, Bank: int32(bank)})
+	}
+	return ev
+}
+
+// sweepShape is one randomized SweepGaps input: an event stream, its
+// bank-space gap log, and the slates to price from it.
+type sweepShape struct {
+	maxBanks   int
+	window     simtime.Seconds
+	start, end simtime.Seconds
+	ev         []SweepEvent
+	gaps       []Emission
+	slates     [][]int32
+}
+
+// randSweepShapes draws n shapes. The first kind spans a few dozen banks
+// with slates anywhere on the axis, up to 80 wide so the blocked kernel
+// form runs. The second, every third shape, spans up to 4,096 banks with
+// slates drawn from the first eighth, as a light period's search prices
+// them: most emissions then reach past the slate's largest candidate,
+// where the bound table stops.
+func randSweepShapes(rng *rand.Rand, gs *GapStream, n int) []sweepShape {
+	var shapes []sweepShape
+	for trial := 0; trial < n; trial++ {
+		var sh sweepShape
+		sh.start, sh.end = -1, -1
 		if trial%4 != 1 {
-			start = 0
-			end = simtime.Seconds(600)
+			sh.start, sh.end = 0, 600
 		}
-		ev := randEvents(rng, rng.Intn(400), maxBanks, 0, dupT)
-		gaps := BuildGapLog(&gs, ev, maxBanks, window, start, end)
+		light := trial%3 == 2
+		if light {
+			sh.maxBanks = 64 + rng.Intn(4096-63)
+			sh.window = simtime.Seconds(rng.Float64() * 0.4)
+			sh.ev = randLightEvents(rng, rng.Intn(600), sh.maxBanks)
+		} else {
+			sh.maxBanks = 4 + rng.Intn(60)
+			dupT := trial%3 == 0
+			if !dupT {
+				sh.window = simtime.Seconds(rng.Float64() * 0.4)
+			}
+			sh.ev = randEvents(rng, rng.Intn(400), sh.maxBanks, 0, dupT)
+		}
+		sh.gaps = append([]Emission(nil), BuildGapLog(gs, sh.ev, sh.maxBanks, sh.window, sh.start, sh.end)...)
 		for pass := 0; pass < 3; pass++ {
 			kmax := 32
 			if pass == 2 {
 				kmax = 80 // wide slates take the blocked kernel form
 			}
-			slate := randSlate(rng, maxBanks, kmax)
-			k := len(slate)
-			ref.Sweep(ev, slate, int32(maxBanks), window, start, end)
-			got.SweepGaps(gaps, slate, int32(maxBanks))
-			for i := 0; i < k; i++ {
-				if ref.Cnt[i] != got.Cnt[i] ||
-					math.Float64bits(ref.Sum[i]) != math.Float64bits(got.Sum[i]) ||
-					math.Float64bits(ref.Min[i]) != math.Float64bits(got.Min[i]) {
-					t.Fatalf("trial %d slate[%d]=%d: sweep (%d, %v, %v) vs gaps (%d, %v, %v)",
-						trial, i, slate[i], ref.Cnt[i], ref.Sum[i], ref.Min[i],
-						got.Cnt[i], got.Sum[i], got.Min[i])
-				}
+			span := sh.maxBanks
+			if light {
+				span = sh.maxBanks / 8
 			}
-			kk := (k + 31) &^ 31
-			to := make([]float64, k, kk)
-			ts1 := make([]float64, k, kk)
-			h1 := make([]int64, k, kk)
-			ts2 := make([]float64, k, kk)
-			h2 := make([]int64, k, kk)
-			for i := range to {
-				to[i] = rng.Float64() * 0.5
-				if rng.Intn(8) == 0 {
-					to[i] = math.Inf(1)
-				}
+			sh.slates = append(sh.slates, randSlate(rng, span, kmax))
+		}
+		shapes = append(shapes, sh)
+	}
+	return shapes
+}
+
+// sameStats fails the test unless a and b hold bit-identical Cnt, Sum and
+// Min for a k-candidate slate.
+func sameStats(t *testing.T, what string, trial int, slate []int32, a, b *EventSweeper) {
+	t.Helper()
+	for i := range slate {
+		if a.Cnt[i] != b.Cnt[i] ||
+			math.Float64bits(a.Sum[i]) != math.Float64bits(b.Sum[i]) ||
+			math.Float64bits(a.Min[i]) != math.Float64bits(b.Min[i]) {
+			t.Fatalf("trial %d slate[%d]=%d: %s (%d, %v, %v) vs (%d, %v, %v)",
+				trial, i, slate[i], what, a.Cnt[i], a.Sum[i], a.Min[i],
+				b.Cnt[i], b.Sum[i], b.Min[i])
+		}
+	}
+}
+
+// sameTails runs two to four TailStats calls on a and b, each with fresh
+// timeouts, as the manager's refinement passes do after one sweep, and
+// fails the test unless every call agrees bit for bit.
+func sameTails(t *testing.T, what string, trial int, rng *rand.Rand, k int, a, b *EventSweeper) {
+	t.Helper()
+	kk := (k + 31) &^ 31
+	to := make([]float64, k, kk)
+	ts1 := make([]float64, k, kk)
+	h1 := make([]int64, k, kk)
+	ts2 := make([]float64, k, kk)
+	h2 := make([]int64, k, kk)
+	for call, calls := 0, 2+rng.Intn(3); call < calls; call++ {
+		for i := range to {
+			to[i] = rng.Float64() * 0.5
+			if rng.Intn(8) == 0 {
+				to[i] = math.Inf(1)
 			}
-			ref.TailStats(to, ts1, h1)
-			got.TailStats(to, ts2, h2)
-			for i := 0; i < k; i++ {
-				if math.Float64bits(ts1[i]) != math.Float64bits(ts2[i]) || h1[i] != h2[i] {
-					t.Fatalf("trial %d tail[%d]: sweep (%v, %d) vs gaps (%v, %d)",
-						trial, i, ts1[i], h1[i], ts2[i], h2[i])
-				}
+			ts1[i], h1[i], ts2[i], h2[i] = 0, 0, 0, 0
+		}
+		a.TailStats(to, ts1, h1)
+		b.TailStats(to, ts2, h2)
+		for i := 0; i < k; i++ {
+			if math.Float64bits(ts1[i]) != math.Float64bits(ts2[i]) || h1[i] != h2[i] {
+				t.Fatalf("trial %d call %d tail[%d]: %s (%v, %d) vs (%v, %d)",
+					trial, call, i, what, ts1[i], h1[i], ts2[i], h2[i])
 			}
+		}
+	}
+}
+
+// TestSweepGapsMatchesSweep is the kernel-level half of the
+// incremental/batch equivalence: pricing a slate from the bank-space gap
+// log (GapStream + remapped fold, the incremental decide path) must be
+// bit-identical — Cnt, Sum, Min, and every TailStats pass after it — to a
+// dedicated slate sweep of the same events. Exercised across window/bound
+// configurations, including window 0 (zero-length gaps emitted), missing
+// period bounds, and slates confined to the shallow end of thousands of
+// banks.
+func TestSweepGapsMatchesSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var gs GapStream
+	var ref, got EventSweeper
+	for trial, sh := range randSweepShapes(rng, &gs, 240) {
+		for _, slate := range sh.slates {
+			ref.Sweep(sh.ev, slate, int32(sh.maxBanks), sh.window, sh.start, sh.end)
+			got.SweepGaps(sh.gaps, slate)
+			sameStats(t, "sweep vs gaps", trial, slate, &ref, &got)
+			sameTails(t, "sweep vs gaps", trial, rng, len(slate), &ref, &got)
 		}
 	}
 }
@@ -162,7 +240,7 @@ func compareLogs(t *testing.T, trial int, want, got []Emission) {
 }
 
 // TestSweepGapsGenericMatchesAsm pins the asm gap kernels to the generic
-// compact-and-fold tier bit for bit, on the same inputs.
+// slate-space fold bit for bit, on the same inputs.
 func TestSweepGapsGenericMatchesAsm(t *testing.T) {
 	if !gapAsm {
 		t.Skip("no AVX512 gap kernels on this machine")
@@ -171,46 +249,14 @@ func TestSweepGapsGenericMatchesAsm(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var gs GapStream
 	var asmS, genS EventSweeper
-	for trial := 0; trial < 150; trial++ {
-		maxBanks := 4 + rng.Intn(80)
-		window := simtime.Seconds(rng.Float64() * 0.2)
-		ev := randEvents(rng, rng.Intn(500), maxBanks, 0, true)
-		gaps := BuildGapLog(&gs, ev, maxBanks, window, 0, 400)
-		kmax := 32
-		if trial%2 == 1 {
-			kmax = 80
-		}
-		slate := randSlate(rng, maxBanks, kmax)
-		k := len(slate)
-		gapAsmEnabled(true)
-		asmS.SweepGaps(gaps, slate, int32(maxBanks))
-		gapAsmEnabled(false)
-		genS.SweepGaps(gaps, slate, int32(maxBanks))
-		for i := 0; i < k; i++ {
-			if asmS.Cnt[i] != genS.Cnt[i] ||
-				math.Float64bits(asmS.Sum[i]) != math.Float64bits(genS.Sum[i]) ||
-				math.Float64bits(asmS.Min[i]) != math.Float64bits(genS.Min[i]) {
-				t.Fatalf("trial %d cand %d: asm (%d, %v, %v) vs generic (%d, %v, %v)",
-					trial, i, asmS.Cnt[i], asmS.Sum[i], asmS.Min[i],
-					genS.Cnt[i], genS.Sum[i], genS.Min[i])
-			}
-		}
-		kk := (k + 31) &^ 31
-		to := make([]float64, k, kk)
-		tsA := make([]float64, k, kk)
-		hA := make([]int64, k, kk)
-		tsG := make([]float64, k, kk)
-		hG := make([]int64, k, kk)
-		for i := range to {
-			to[i] = rng.Float64() * 0.3
-		}
-		asmS.TailStats(to, tsA, hA)
-		genS.TailStats(to, tsG, hG)
-		for i := 0; i < k; i++ {
-			if math.Float64bits(tsA[i]) != math.Float64bits(tsG[i]) || hA[i] != hG[i] {
-				t.Fatalf("trial %d tail cand %d: asm (%v, %d) vs generic (%v, %d)",
-					trial, i, tsA[i], hA[i], tsG[i], hG[i])
-			}
+	for trial, sh := range randSweepShapes(rng, &gs, 180) {
+		for _, slate := range sh.slates {
+			gapAsmEnabled(true)
+			asmS.SweepGaps(sh.gaps, slate)
+			gapAsmEnabled(false)
+			genS.SweepGaps(sh.gaps, slate)
+			sameStats(t, "asm vs generic", trial, slate, &asmS, &genS)
+			sameTails(t, "asm vs generic", trial, rng, len(slate), &asmS, &genS)
 		}
 	}
 }

@@ -4,20 +4,19 @@ import (
 	"math"
 	"math/bits"
 
-	"jointpm/internal/fenwick"
 	"jointpm/internal/simtime"
 )
 
 // This file is the streaming half of the stack-distance machinery: a
-// Fenwick-backed depth histogram maintained reference-by-reference, plus
+// dense per-bank depth histogram maintained reference-by-reference, plus
 // the compressed event stream and the slate sweeper that run the joint
 // manager's incremental Decide path. The invariant the whole file serves:
 // feeding every reference of a period into a DepthHist, as records or as
-// depth runs, and then sweeping its event stream must reproduce, bit for
-// bit, what the batch path computes from the full []DepthRecord log (see
-// the differential tests in hist_test.go and internal/core). Both paths
-// tell a page's first touch in the period from its depth alone, by the
-// rule stated on DepthHist.
+// depth runs, must reproduce, bit for bit, the aggregates and gap log the
+// batch path computes from the full []DepthRecord log (see the
+// differential tests in hist_test.go and internal/core). Both paths tell
+// a page's first touch in the period from its depth alone, by the rule
+// stated on DepthHist.
 
 // SweepEvent is one compressed entry of a period's miss-relevant event
 // stream: the reference time and the bank-granular stack depth
@@ -32,13 +31,15 @@ type SweepEvent struct {
 
 // DepthHist accumulates a period's depth-annotated reference stream into
 // exactly the aggregates the joint manager's Decide needs, so closing a
-// period is an O(banks) query instead of an O(refs) replay:
+// period costs O(banks the period reached) instead of an O(refs) replay:
 //
-//   - Fenwick histograms (count, bytes, first-access bytes) bucketed by
-//     bank-granular depth — the depth profile and per-candidate disk-access
-//     counts come from prefix sums;
-//   - the maximum observed stack depth, which bounds the candidate search;
-//   - the compressed SweepEvent stream that reconstructs idle intervals.
+//   - per-bank buckets (count, bytes, first-access bytes) indexed by
+//     bank-granular depth — the depth profile and per-candidate
+//     disk-access counts come from their prefix sums;
+//   - the maximum observed stack depth, which bounds the candidate search
+//     and every bucket the period touched;
+//   - the bank-space gap log (GapStream) that reconstructs idle intervals,
+//     fed from the compressed SweepEvent stream as it is produced.
 //
 // The references — records through Observe, or runs through ObserveRuns,
 // read page by page — must be the complete depth stream of one StackSim
@@ -73,6 +74,9 @@ type SweepEvent struct {
 //     filter discards. With window == 0 those zero gaps ARE emitted by the
 //     batch path, so dedup must stay off to remain bit-identical.
 //
+// Only the newest event is kept: with dedup on it may still deepen, so it
+// reaches the gap log once a later event (or FinishGaps) settles it.
+//
 // The zero value is unusable; construct with NewDepthHist. Reset clears
 // the period while keeping every buffer's capacity, so a warm manager
 // ingests allocation-free.
@@ -83,9 +87,10 @@ type DepthHist struct {
 	window    simtime.Seconds
 	dedup     bool
 
-	counts     *fenwick.Tree // buckets 1..maxBanks+1 (bank depth, deep-clamped)
-	totalBytes *fenwick.Tree // buckets 1..maxBanks: bytes of non-cold references
-	firstBytes *fenwick.Tree // buckets 1..maxBanks: bytes of first-per-page references
+	// buckets[b-1] aggregates the non-cold references at bank depth b.
+	// Counts are deep-clamped to bucket maxBanks+1, bytes to bucket
+	// maxBanks. No bucket deeper than maxDepth's bank is ever touched.
+	buckets []depthBucket
 
 	refs      int64
 	coldCount int64
@@ -93,21 +98,20 @@ type DepthHist struct {
 	nonCold   simtime.Bytes // bytes of all non-cold references
 	maxDepth  int64         // deepest non-cold reference, in pages
 
-	touched int64 // D: the period's cold and first-touch references so far
-	events  []SweepEvent
-	gaps    GapStream // bank-space idle-gap sweep, fed one finalized event behind events
+	touched int64     // D: the period's cold and first-touch references so far
+	gaps    GapStream // bank-space idle-gap sweep, fed every event but the newest
 
-	// Batch-ingest scratch (ObserveRuns): dense per-bucket Fenwick
-	// deltas, allocated lazily on the first batch and reused forever
-	// after. dCount is indexed by the counts-tree bucket (0..maxBanks),
-	// dTotal/dFirst by the bytes-tree bucket (0..maxBanks-1). dirty marks
-	// pending deltas; flushDeltas scans the dense arrays once when a
-	// prefix-sum reader arrives, so the ingest loop never tracks which
-	// buckets it touched.
-	dCount []int64
-	dTotal []int64
-	dFirst []int64
-	dirty  bool
+	pending    SweepEvent   // the newest event, not yet fed to gaps
+	hasPending bool         // pending holds an event
+	block      []SweepEvent // ObserveRuns scratch: one block's events
+}
+
+// depthBucket is one bank depth's share of the period's non-cold
+// references.
+type depthBucket struct {
+	count int64
+	bytes simtime.Bytes
+	first simtime.Bytes // bytes of the references that were first touches
 }
 
 // NewDepthHist returns an empty histogram for a geometry of bankPages
@@ -123,14 +127,12 @@ func NewDepthHist(bankPages int64, maxBanks, minKeepBanks int, window simtime.Se
 		panic("lrusim: bad DepthHist geometry")
 	}
 	h := &DepthHist{
-		bankPages:  bankPages,
-		maxBanks:   maxBanks,
-		minKeep:    int32(minKeepBanks),
-		window:     window,
-		dedup:      window > 0,
-		counts:     fenwick.New(maxBanks + 1),
-		totalBytes: fenwick.New(maxBanks),
-		firstBytes: fenwick.New(maxBanks),
+		bankPages: bankPages,
+		maxBanks:  maxBanks,
+		minKeep:   int32(minKeepBanks),
+		window:    window,
+		dedup:     window > 0,
+		buckets:   make([]depthBucket, maxBanks+1),
 	}
 	h.gaps.Reset(window, maxBanks)
 	return h
@@ -152,21 +154,15 @@ func (h *DepthHist) Observe(r DepthRecord) {
 		h.maxDepth = d
 	}
 	bank := (d-1)/h.bankPages + 1
-	cb := bank
-	if cb > int64(h.maxBanks) {
-		cb = int64(h.maxBanks)
-	}
-	h.totalBytes.Add(int(cb)-1, int64(r.Bytes))
+	kb := min(bank, int64(h.maxBanks)+1)
+	h.buckets[kb-1].count++
+	bb := &h.buckets[min(bank, int64(h.maxBanks))-1]
+	bb.bytes += r.Bytes
 	h.nonCold += r.Bytes
 	if d > h.touched {
 		h.touched++
-		h.firstBytes.Add(int(cb)-1, int64(r.Bytes))
+		bb.first += r.Bytes
 	}
-	kb := bank
-	if kb > int64(h.maxBanks)+1 {
-		kb = int64(h.maxBanks) + 1
-	}
-	h.counts.Add(int(kb)-1, 1)
 	if kb > int64(h.minKeep) {
 		h.push(r.Time, int32(kb))
 	}
@@ -180,22 +176,13 @@ func (h *DepthHist) Observe(r DepthRecord) {
 // (DepthHist's rule applied to each page in turn: the run's pages are
 // first touches while D < d, and each raises D by one). It pushes one
 // event, or n with dedup off, where n same-time events stay distinct.
-// Each run adds its deltas to a dense per-bucket accumulator, and one
-// tree update per touched bucket lands the lot when a reader arrives.
-// Integer tree updates commute, and nothing reads the trees mid-period,
-// so the resulting state — trees, counters, event stream, gap log — is
-// bit-identical to the page-at-a-time path (see
+// Integer bucket sums commute, so the resulting state — buckets,
+// counters, gap log — is bit-identical to the page-at-a-time path (see
 // TestObserveRunsMatchesObserve).
 func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 	if len(runs) == 0 {
 		return
 	}
-	if h.dCount == nil {
-		h.dCount = make([]int64, h.maxBanks+1)
-		h.dTotal = make([]int64, h.maxBanks)
-		h.dFirst = make([]int64, h.maxBanks)
-	}
-	h.dirty = true
 	// Hoist every hot field into locals: the loop below runs once per
 	// run at fleet ingest rates, and keeping the accumulators and slice
 	// headers in registers is a measurable share of the win. The bank
@@ -209,9 +196,13 @@ func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 	maxBanks := int64(h.maxBanks)
 	minKeep := int64(h.minKeep)
 	dedup := h.dedup
-	evBase := len(h.events)
-	events := h.events
-	dCount, dTotal, dFirst := h.dCount, h.dTotal, h.dFirst
+	// The block's events start from the pending one, which a same-time
+	// run may still deepen.
+	events := h.block[:0]
+	if h.hasPending {
+		events = append(events, h.pending)
+	}
+	buckets := h.buckets
 	refs, coldCount, coldBytes := h.refs, h.coldCount, int64(h.coldBytes)
 	nonCold, maxDepth, touched := int64(h.nonCold), h.maxDepth, h.touched
 	for i := range runs {
@@ -235,20 +226,17 @@ func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 			} else {
 				kb = (d-1)/bankPages + 1
 			}
-			if kb > maxBanks+1 {
-				kb = maxBanks + 1
+			kb = min(kb, maxBanks+1)
+			bb := &buckets[kb-1]
+			bb.count += n
+			if kb > maxBanks {
+				bb = &buckets[maxBanks-1] // bytes bucket: clamped to maxBanks
 			}
-			ki := int(kb) - 1
-			bi := ki // bytes bucket: clamped to maxBanks
-			if bi >= int(maxBanks) {
-				bi = int(maxBanks) - 1
-			}
-			dCount[ki] += n
-			dTotal[bi] += n * pb
+			bb.bytes += simtime.Bytes(n * pb)
 			nonCold += n * pb
 			if f := min(d-touched, n); f > 0 {
 				touched += f
-				dFirst[bi] += f * pb
+				bb.first += simtime.Bytes(f * pb)
 			}
 			if kb <= minKeep {
 				continue
@@ -269,42 +257,31 @@ func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 		}
 		events = append(events, SweepEvent{T: r.Time, Bank: pushBank})
 	}
-	h.events = events
 	h.refs, h.coldCount, h.coldBytes = refs, coldCount, simtime.Bytes(coldBytes)
 	h.nonCold, h.maxDepth, h.touched = simtime.Bytes(nonCold), maxDepth, touched
-	// The accumulated deltas stay pending: nothing reads the Fenwick
-	// trees mid-period, so back-to-back blocks keep adding to the dense
-	// accumulators and the prefix-sum accessors land everything with one
-	// tree walk per touched bucket when a reader finally arrives.
-	// Feed the events finalized by this block in one pass. The invariant
-	// is "exactly the last event is unfed": dedup only ever deepens the
-	// current last event, so everything before the new last — including
-	// the pre-block straggler — is final now.
-	if n := len(h.events); n >= 2 {
-		from := evBase - 1
-		if from < 0 {
-			from = 0
-		}
-		h.gaps.FeedBatch(h.events[from : n-1])
+	// Feed every event but the newest in one pass: dedup only ever
+	// deepens the newest, so everything before it — the previous block's
+	// pending event included — is final now.
+	if n := len(events); n > 0 {
+		h.gaps.FeedBatch(events[:n-1])
+		h.pending, h.hasPending = events[n-1], true
 	}
+	h.block = events
 }
 
 func (h *DepthHist) push(t simtime.Seconds, bank int32) {
-	if h.dedup {
-		if n := len(h.events); n > 0 && h.events[n-1].T == t {
-			if bank > h.events[n-1].Bank {
-				h.events[n-1].Bank = bank
+	if h.hasPending {
+		if h.dedup && h.pending.T == t {
+			if bank > h.pending.Bank {
+				h.pending.Bank = bank
 			}
 			return
 		}
+		// Only a same-time event under dedup could still deepen the
+		// pending one: this one settles it.
+		h.gaps.Feed(h.pending)
 	}
-	h.events = append(h.events, SweepEvent{T: t, Bank: bank})
-	// Feed the event BEHIND the append into the gap sweep: with
-	// compression on, the latest event may still deepen, so only the
-	// second-newest is final. FinishGaps feeds the straggler.
-	if n := len(h.events); n >= 2 {
-		h.gaps.Feed(h.events[n-2])
-	}
+	h.pending, h.hasPending = SweepEvent{T: t, Bank: bank}, true
 }
 
 // Refs returns how many references this period has observed.
@@ -312,10 +289,6 @@ func (h *DepthHist) Refs() int64 { return h.refs }
 
 // MaxDepth returns the deepest non-cold stack depth observed, in pages.
 func (h *DepthHist) MaxDepth() int64 { return h.maxDepth }
-
-// Events returns the compressed event stream. The slice is owned by the
-// histogram and is invalidated by Reset.
-func (h *DepthHist) Events() []SweepEvent { return h.events }
 
 // Cold returns the cold-reference count and bytes.
 func (h *DepthHist) Cold() (count int64, bytes simtime.Bytes) {
@@ -327,100 +300,70 @@ func (h *DepthHist) NonCold() (count int64, bytes simtime.Bytes) {
 	return h.refs - h.coldCount, h.nonCold
 }
 
-// flushDeltas lands the per-bucket deltas accumulated by ObserveRuns
-// into the Fenwick trees: a dense scan with one tree walk per non-zero
-// bucket, run once when a prefix-sum reader arrives (at most once per
-// period in steady state). Integer tree updates commute with the
-// record-at-a-time path's direct Adds, so interleaving Observe and
-// ObserveRuns before the flush still yields identical prefix sums.
-func (h *DepthHist) flushDeltas() {
-	if !h.dirty {
-		return
-	}
-	h.dirty = false
-	for ki, v := range h.dCount {
-		if v != 0 {
-			h.counts.Add(ki, v)
-			h.dCount[ki] = 0
-		}
-	}
-	for bi, v := range h.dTotal {
-		if v != 0 {
-			h.totalBytes.Add(bi, v)
-			h.dTotal[bi] = 0
-		}
-	}
-	for bi, v := range h.dFirst {
-		if v != 0 {
-			h.firstBytes.Add(bi, v)
-			h.dFirst[bi] = 0
-		}
-	}
+// reached returns how many buckets the period can have touched: the
+// bank of the deepest reference, clamped to the deep bucket.
+func (h *DepthHist) reached() int {
+	return int(min((h.maxDepth+h.bankPages-1)/h.bankPages, int64(h.maxBanks)+1))
 }
 
-// AppendTotalPrefix appends maxBanks cumulative byte counts: the k-th
-// value is the non-cold reference bytes at depth ≤ k+1 banks.
-func (h *DepthHist) AppendTotalPrefix(dst []int64) []int64 {
-	h.flushDeltas()
-	return h.totalBytes.AppendPrefixSums(dst)
+// AppendCountPrefix appends n cumulative non-cold reference counts, for
+// n up to maxBanks+1: the k-th value counts the references at depth
+// ≤ k+1 banks. The bucket past maxBanks collects every deeper reference,
+// which keeps disk-access counts exact for depths beyond the installed
+// banks.
+func (h *DepthHist) AppendCountPrefix(dst []int64, n int) []int64 {
+	var c int64
+	for i := range h.buckets[:n] {
+		c += h.buckets[i].count
+		dst = append(dst, c)
+	}
+	return dst
 }
 
-// AppendFirstPrefix appends maxBanks cumulative first-access byte counts.
-func (h *DepthHist) AppendFirstPrefix(dst []int64) []int64 {
-	h.flushDeltas()
-	return h.firstBytes.AppendPrefixSums(dst)
+// AppendTotalPrefix appends n cumulative non-cold byte counts, for n up
+// to maxBanks: the k-th value is the bytes at depth ≤ k+1 banks.
+func (h *DepthHist) AppendTotalPrefix(dst []simtime.Bytes, n int) []simtime.Bytes {
+	var c simtime.Bytes
+	for i := range h.buckets[:n] {
+		c += h.buckets[i].bytes
+		dst = append(dst, c)
+	}
+	return dst
 }
 
-// AppendCountPrefix appends maxBanks+1 cumulative non-cold reference
-// counts (the extra deep-clamped bucket keeps disk-access counts exact
-// even for depths beyond the installed banks).
-func (h *DepthHist) AppendCountPrefix(dst []int64) []int64 {
-	h.flushDeltas()
-	return h.counts.AppendPrefixSums(dst)
+// AppendFirstPrefix appends n cumulative first-access byte counts, for
+// n up to maxBanks.
+func (h *DepthHist) AppendFirstPrefix(dst []simtime.Bytes, n int) []simtime.Bytes {
+	var c simtime.Bytes
+	for i := range h.buckets[:n] {
+		c += h.buckets[i].first
+		dst = append(dst, c)
+	}
+	return dst
 }
 
-// FinishGaps feeds the last pending event into the bank-space gap sweep
-// and returns the period's complete gap log for the given observation
-// bounds (see GapStream.Finish). Idempotent until the next Reset.
+// FinishGaps feeds the pending event into the bank-space gap sweep and
+// returns the period's complete gap log for the given observation bounds
+// (see GapStream.Finish). Idempotent until the next Reset.
 func (h *DepthHist) FinishGaps(start, end simtime.Seconds) []Emission {
-	if !h.gaps.finished && len(h.events) > 0 {
-		h.gaps.Feed(h.events[len(h.events)-1])
+	if !h.gaps.finished && h.hasPending {
+		h.gaps.Feed(h.pending)
 	}
 	return h.gaps.Finish(start, end)
 }
 
-// Counters summarises the period for snapshot validation: references,
-// cold misses, retained events, and max depth.
-func (h *DepthHist) Counters() (refs, colds, events, maxDepth int64) {
-	return h.refs, h.coldCount, int64(len(h.events)), h.maxDepth
-}
-
-// Reset clears the period's state, retaining all buffer capacity.
+// Reset clears the period's state, retaining all buffer capacity. Only
+// the buckets the period reached are zeroed: every deeper one is still
+// empty.
 func (h *DepthHist) Reset() {
-	// Pending batch deltas die with the period: zero them without paying
-	// for the tree walks the Reset below would erase.
-	if h.dirty {
-		h.dirty = false
-		for i := range h.dCount {
-			h.dCount[i] = 0
-		}
-		for i := range h.dTotal {
-			h.dTotal[i] = 0
-		}
-		for i := range h.dFirst {
-			h.dFirst[i] = 0
-		}
-	}
-	h.counts.Reset()
-	h.totalBytes.Reset()
-	h.firstBytes.Reset()
+	clear(h.buckets[:h.reached()])
 	h.refs = 0
 	h.coldCount = 0
 	h.coldBytes = 0
 	h.nonCold = 0
 	h.maxDepth = 0
 	h.touched = 0
-	h.events = h.events[:0]
+	h.hasPending = false
 	h.gaps.Reset(h.window, h.maxBanks)
 }
 
@@ -435,33 +378,32 @@ type Emission struct {
 }
 
 // EventSweeper reconstructs idle-interval statistics for an ascending
-// candidate slate from a compressed SweepEvent stream: the incremental
-// counterpart of Sweeper, with the per-candidate interval lists replaced
-// by streaming reductions (count, sum, min — everything a Pareto moment
-// fit needs) plus a shared emission log for later conditional passes
-// (timeout valuation). All buffers are reused across calls; returned
-// slices are invalidated by the next Sweep.
+// candidate slate: the incremental counterpart of Sweeper, with the
+// per-candidate interval lists replaced by streaming reductions (count,
+// sum, min — everything a Pareto moment fit needs) plus a shared
+// slate-space emission log for later conditional passes (timeout
+// valuation). All buffers are reused across calls; returned slices are
+// invalidated by the next Sweep or SweepGaps.
 type EventSweeper struct {
 	segT  []simtime.Seconds
 	segHi []int32
 
-	bound   []int32 // bound[bank]: slate candidates a reference at that bank depth misses
+	bound   []int32 // bound[b]: slate candidates a reference at bank depth b misses
 	cntDiff []int64 // per-emission boundary deltas; prefix-summed into Cnt
 
-	Emits []Emission
-	Cnt   []int64   // per candidate: intervals emitted (n_i)
-	Sum   []float64 // per candidate: total idle seconds, chronological summation
-	Min   []float64 // per candidate: shortest interval (+Inf when none)
+	Emits []Emission // slate-space log: each emission covers candidates [Lo, Hi), Lo < Hi
+	Cnt   []int64    // per candidate: intervals emitted (n_i)
+	Sum   []float64  // per candidate: total idle seconds, chronological summation
+	Min   []float64  // per candidate: shortest interval (+Inf when none)
 
-	// Set by SweepGaps when the register-resident kernel priced the slate
-	// directly from the bank-space log: TailStats then runs over the same
-	// log with the same remap instead of a compacted Emits. Slates wider
-	// than the 32 kernel lanes run in 32-candidate blocks; boundBlk holds
-	// the current block's clamp-shifted remap table.
-	gapLog   []Emission
-	gapBound []int32
-	boundBlk []int32
-	gapHi    []Emission // ordered sub-log of emissions reaching past block 0
+	// Set by SweepGaps when the register-resident kernels priced the
+	// slate: TailStats then runs them too. Slates wider than the 32
+	// kernel lanes run in 32-candidate blocks; blockTab holds one clamp
+	// table of k+1 entries per block, and gapHi the emissions the blocks
+	// past the first can see.
+	asm      bool
+	blockTab []int32
+	gapHi    []Emission // ordered sub-log of emissions reaching past lane 31
 }
 
 // Sweep runs the multi-threshold idle reconstruction over events for the
@@ -471,31 +413,19 @@ type EventSweeper struct {
 // candidate's interval statistics and Emits the shared emission log.
 func (s *EventSweeper) Sweep(events []SweepEvent, slate []int32, maxBank int32, window, start, end simtime.Seconds) {
 	k := len(slate)
-	for i := 1; i < k; i++ {
-		if slate[i] < slate[i-1] {
-			panic("lrusim: EventSweeper slate must be ascending")
-		}
-	}
-	s.reset(k, int(maxBank))
-	s.gapLog = nil
+	s.reset(slate)
+	s.asm = false
 
 	// bound[b] = number of slate entries with bank < b: the miss bound of
 	// a reference whose bank depth is b, precomputed so the per-event cost
 	// is one table load instead of a binary search.
-	j := 0
-	for b := int32(0); b <= maxBank+1; b++ {
-		for j < k && slate[j] < b {
-			j++
-		}
-		s.bound[b] = int32(j)
-	}
+	boundTab := s.buildBound(slate, maxBank+1)
 
 	// The segment stack holds strictly decreasing segHi values top-down
 	// (every push first pops all entries ≤ its bound), so its depth never
 	// exceeds k+1: fixed-capacity arrays indexed by a local depth counter
 	// keep the per-event cost free of append bookkeeping.
 	segT, segHi := s.segT[:k+1], s.segHi[:k+1]
-	boundTab := s.bound
 	n := 0
 
 	// Emission records are written unconditionally and the log index
@@ -593,94 +523,79 @@ func (s *EventSweeper) Sweep(events []SweepEvent, slate []int32, maxBank int32, 
 // table to the contiguous slate-index range [bound[Lo], bound[Hi)), and
 // the per-candidate reductions fold exactly the gaps a dedicated slate
 // sweep would have emitted, in the same order — so Cnt/Sum/Min (and a
-// later TailStats) are bit-identical to Sweep over the same period. The
-// log is O(kept gaps), independent of the slate, which is what makes the
-// decision hot path sub-linear in events: the sweep ran once, at ingest.
-func (s *EventSweeper) SweepGaps(gaps []Emission, slate []int32, maxBank int32) {
+// later TailStats) are bit-identical to Sweep over the same period.
+//
+// The remap runs once per call, into Emits, and drops the emissions that
+// cover no candidate; the folds and every TailStats call then work in
+// slate space only. The bound table stops one threshold past the largest
+// candidate, since every deeper threshold, the cold sentinel included,
+// misses the whole slate. Nothing here depends on the installed banks.
+func (s *EventSweeper) SweepGaps(gaps []Emission, slate []int32) {
 	k := len(slate)
-	for i := 1; i < k; i++ {
-		if slate[i] < slate[i-1] {
-			panic("lrusim: EventSweeper slate must be ascending")
-		}
+	s.reset(slate)
+	top := int32(0)
+	if k > 0 {
+		top = slate[k-1] + 1
 	}
-	s.reset(k, int(maxBank))
+	bt := s.buildBound(slate, top)
 
-	// bound[b] = number of slate entries with bank < b, for every
-	// threshold b on the bank axis — the remap table from bank-space
-	// emission ranges to slate-index ranges.
-	j := 0
-	for b := int32(0); b <= maxBank+1; b++ {
-		for j < k && slate[j] < b {
-			j++
-		}
-		s.bound[b] = int32(j)
-	}
-
-	nb := (k + 31) / 32
-	if gapAsm && cap(s.Sum) >= nb*32 && len(gaps) > 0 {
-		// Register-resident kernel: a block of up to 32 candidate
-		// accumulators lives in vector registers across the whole log; each
-		// emission costs a handful of masked operations regardless of its
-		// range width. Wider slates run one 32-candidate block per pass over
-		// the log — upper blocks skip nearly every emission through the
-		// zero-mask fast path, since few emissions reach a coarse slate's
-		// deep end.
-		s.gapLog = gaps
-		s.gapBound = s.bound
-		if nb == 1 {
-			s.gapHi = s.gapHi[:0]
-			foldGapsAVX512(gaps, s.bound, s.Cnt, s.Sum, s.Min)
-		} else {
-			// Upper blocks only see emissions whose remapped range reaches
-			// past lane 31; collect them once, in order, so every block past
-			// the first folds the (usually tiny) sub-log instead of rescanning
-			// the whole log. Per lane the sub-log is the identical
-			// subsequence, so the fold order — and the floats — don't change.
-			hi := s.gapHi[:0]
-			bt := s.bound
-			for i := range gaps {
-				if bt[gaps[i].Hi] > 32 {
-					hi = append(hi, gaps[i])
-				}
-			}
-			s.gapHi = hi
-			foldGapsAVX512(gaps, s.blockBound(0), s.Cnt, s.Sum, s.Min)
-			for blk := 1; blk < nb; blk++ {
-				off := blk * 32
-				foldGapsAVX512(hi, s.blockBound(off), s.Cnt[off:], s.Sum[off:], s.Min[off:])
-			}
-		}
-		return
-	}
-	s.gapLog = nil
-
-	// Fallback: compact the remapped, non-empty emissions into Emits and
-	// reuse the per-range fold kernels (and the Emits-based TailStats).
 	if cap(s.Emits) < len(gaps) {
 		s.Emits = make([]Emission, len(gaps))
 	}
 	emits := s.Emits[:len(gaps)]
-	bt := s.bound
-	cntDiff := s.cntDiff
 	idx := 0
 	for i := range gaps {
 		e := &gaps[i]
-		rl := bt[e.Lo]
-		rh := bt[e.Hi]
+		rl, rh := bt[min(e.Lo, top)], bt[min(e.Hi, top)]
 		if rl < rh {
 			emits[idx] = Emission{Gap: e.Gap, Lo: rl, Hi: rh}
-			cntDiff[rl]++
-			cntDiff[rh]--
 			idx++
 		}
 	}
-	s.Emits = emits[:idx]
+	emits = emits[:idx]
+	s.Emits = emits
+
+	s.asm = gapAsm
+	if s.asm {
+		// Register-resident kernel: a block of up to 32 candidate
+		// accumulators lives in vector registers across the whole log;
+		// each emission costs a handful of masked operations regardless
+		// of its range width. Wider slates run one 32-candidate block per
+		// pass: upper blocks fold only the (usually tiny) sub-log of
+		// emissions reaching past lane 31, collected once, in order, so
+		// per lane the fold order — and the floats — don't change.
+		nb := s.buildBlockTables(k)
+		hi := s.gapHi[:0]
+		if nb > 1 {
+			for i := range emits {
+				if emits[i].Hi > 32 {
+					hi = append(hi, emits[i])
+				}
+			}
+		}
+		s.gapHi = hi
+		for blk := 0; blk < nb; blk++ {
+			off := blk * 32
+			log := emits
+			if blk > 0 {
+				log = hi
+			}
+			foldGapsAVX512(log, s.blockTable(blk), s.Cnt[off:], s.Sum[off:], s.Min[off:])
+		}
+		return
+	}
+
+	cntDiff := s.cntDiff
+	for i := range emits {
+		cntDiff[emits[i].Lo]++
+		cntDiff[emits[i].Hi]--
+	}
 	c := int64(0)
 	for i := 0; i < k; i++ {
 		c += cntDiff[i]
 		s.Cnt[i] = c
 	}
-	foldEmits(s.Emits, s.Sum, s.Min)
+	foldEmits(emits, s.Sum, s.Min)
 }
 
 // TailStats runs the conditional reduction the timeout valuation needs:
@@ -690,88 +605,100 @@ func (s *EventSweeper) SweepGaps(gaps []Emission, slate []int32, maxBank int32) 
 // SweepGaps that took the register-resident kernel, the asm tail reads
 // and writes whole 32-lane blocks, so to/ts/h with capacity rounded up to
 // the 32-lane block count keep it on that path (the lanes past len are
-// scratch); smaller slices fall back to the scalar remap loop,
+// scratch); smaller slices fall back to the slate-space fold,
 // bit-identical by the same argument.
 func (s *EventSweeper) TailStats(to []float64, ts []float64, h []int64) {
-	if s.gapLog != nil {
-		k := len(to)
-		nb := (k + 31) / 32
-		if cap(to) >= nb*32 && cap(ts) >= nb*32 && cap(h) >= nb*32 {
-			for blk := 0; blk < nb; blk++ {
-				off := blk * 32
-				end := off + 32
-				if end > k {
-					end = k
-				}
-				// A lane with to = +Inf never accumulates (gap − ∞ > 0 is
-				// false for every finite gap), so a block of all-+Inf
-				// timeouts is a no-op: skip the pass. The caller's metrics
-				// pass usually attributes only a few candidates, making
-				// this the common case there.
-				allInf := true
-				for _, v := range to[off:end] {
-					if !math.IsInf(v, 1) {
-						allInf = false
-						break
-					}
-				}
-				if allInf {
-					continue
-				}
-				if nb == 1 {
-					tailGapsAVX512(s.gapLog, s.gapBound, to, ts, h)
-				} else if blk == 0 {
-					tailGapsAVX512(s.gapLog, s.blockBound(0), to, ts, h)
-				} else {
-					tailGapsAVX512(s.gapHi, s.blockBound(off), to[off:], ts[off:], h[off:])
-				}
-			}
-		} else {
-			tailGapsGeneric(s.gapLog, s.gapBound, to, ts, h)
-		}
+	k := len(s.Cnt)
+	nb := (k + 31) / 32
+	if !s.asm || cap(to) < nb*32 || cap(ts) < nb*32 || cap(h) < nb*32 {
+		tailEmits(s.Emits, to, ts, h)
 		return
 	}
-	tailEmits(s.Emits, to, ts, h)
+	for blk := 0; blk < nb; blk++ {
+		off := blk * 32
+		// A lane with to = +Inf never accumulates (gap − ∞ > 0 is false
+		// for every finite gap), so a block of all-+Inf timeouts is a
+		// no-op: skip the pass. The caller's metrics pass usually
+		// attributes only a few candidates, making this the common case
+		// there.
+		allInf := true
+		for _, v := range to[off:min(off+32, k)] {
+			if !math.IsInf(v, 1) {
+				allInf = false
+				break
+			}
+		}
+		if allInf {
+			continue
+		}
+		log := s.Emits
+		if blk > 0 {
+			log = s.gapHi
+		}
+		tailGapsAVX512(log, s.blockTable(blk), to[off:], ts[off:], h[off:])
+	}
 }
 
-// blockBound builds the remap table for the 32-candidate block starting
-// at slate index off: the global bound values shifted down by off and
-// clamped to [0, 32]. Clamping preserves each lane's coverage — lane
-// off+j is covered by [rl, rh) iff it is covered by the clamped
-// [rl', rh') — and keeps every shift count the mask kernels compute below
-// 33, so block masks never alias across 64-bit wraparound.
-func (s *EventSweeper) blockBound(off int) []int32 {
-	if cap(s.boundBlk) < len(s.bound) {
-		s.boundBlk = make([]int32, len(s.bound))
+// buildBound fills bound[b], for the thresholds b in 0..top, with the
+// number of slate entries below b, and returns the table.
+func (s *EventSweeper) buildBound(slate []int32, top int32) []int32 {
+	if cap(s.bound) < int(top)+1 {
+		s.bound = make([]int32, top+1)
 	}
-	bt := s.boundBlk[:len(s.bound)]
-	o := int32(off)
-	for i, v := range s.bound {
-		v -= o
-		if v < 0 {
-			v = 0
-		} else if v > 32 {
-			v = 32
+	bt := s.bound[:top+1]
+	j := 0
+	for b := range bt {
+		for j < len(slate) && slate[j] < int32(b) {
+			j++
 		}
-		bt[i] = v
+		bt[b] = int32(j)
 	}
+	s.bound = bt
 	return bt
 }
 
-func (s *EventSweeper) reset(k, maxBank int) {
-	if cap(s.bound) < maxBank+2 {
-		s.bound = make([]int32, maxBank+2)
+// buildBlockTables builds, for each 32-candidate block of a k-candidate
+// slate, the kernels' remap table over the slate indices 0..k: index i
+// shifted down by the block's offset and clamped to [0, 32]. Clamping
+// preserves each lane's coverage — lane off+j is covered by [rl, rh) iff
+// it is covered by the clamped [rl', rh') — and keeps every shift count
+// the mask kernels compute below 33, so block masks never alias across
+// 64-bit wraparound. It returns the block count.
+func (s *EventSweeper) buildBlockTables(k int) int {
+	nb := (k + 31) / 32
+	w := k + 1
+	if cap(s.blockTab) < nb*w {
+		s.blockTab = make([]int32, nb*w)
 	}
-	s.bound = s.bound[:maxBank+2]
+	s.blockTab = s.blockTab[:nb*w]
+	for blk := 0; blk < nb; blk++ {
+		t := s.blockTab[blk*w : (blk+1)*w]
+		for i := range t {
+			t[i] = int32(min(max(i-blk*32, 0), 32))
+		}
+	}
+	return nb
+}
+
+// blockTable returns the remap table of 32-candidate block blk.
+func (s *EventSweeper) blockTable(blk int) []int32 {
+	w := len(s.Cnt) + 1
+	return s.blockTab[blk*w : (blk+1)*w]
+}
+
+func (s *EventSweeper) reset(slate []int32) {
+	k := len(slate)
+	for i := 1; i < k; i++ {
+		if slate[i] < slate[i-1] {
+			panic("lrusim: EventSweeper slate must be ascending")
+		}
+	}
 	if cap(s.segT) < k+1 {
 		// Capacity rounded up to whole 32-lane blocks: the register-resident
 		// gap kernels load and store full accumulator blocks, so the backing
 		// arrays must own the complete width of every block the slate
 		// touches, even when the last block is partially filled.
-		kk := (k + 31) &^ 31
-		if kk < 32 {
-			kk = 32
-		}
+		kk := max((k+31)&^31, 32)
 		s.Cnt = make([]int64, k, kk)
 		s.Sum = make([]float64, k, kk)
 		s.Min = make([]float64, k, kk)
@@ -797,7 +724,7 @@ func (s *EventSweeper) reset(k, maxBank int) {
 }
 
 // BuildEvents compresses a depth-annotated log into the SweepEvent stream
-// a DepthHist would have accumulated: the batch path's half of the
+// a DepthHist feeds its gap log: the batch path's half of the
 // incremental/batch equivalence. minKeepBanks and dedup must match the
 // histogram's configuration.
 func BuildEvents(dst []SweepEvent, log []DepthRecord, bankPages int64, maxBanks, minKeepBanks int, dedup bool) []SweepEvent {

@@ -19,16 +19,22 @@ type naiveAggregates struct {
 	nonCold   simtime.Bytes
 	maxDepth  int64
 
-	countPrefix []int64 // maxBanks+1 cumulative non-cold counts
-	totalPrefix []int64 // maxBanks cumulative non-cold bytes
-	firstPrefix []int64 // maxBanks cumulative first-touch bytes
+	countPrefix []int64         // maxBanks+1 cumulative non-cold counts
+	totalPrefix []simtime.Bytes // maxBanks cumulative non-cold bytes
+	firstPrefix []simtime.Bytes // maxBanks cumulative first-touch bytes
+}
+
+func accumulate[T ~int64](a []T) {
+	for i := 1; i < len(a); i++ {
+		a[i] += a[i-1]
+	}
 }
 
 func naiveReplay(log []DepthRecord, bankPages int64, maxBanks int) naiveAggregates {
 	n := naiveAggregates{
 		countPrefix: make([]int64, maxBanks+1),
-		totalPrefix: make([]int64, maxBanks),
-		firstPrefix: make([]int64, maxBanks),
+		totalPrefix: make([]simtime.Bytes, maxBanks),
+		firstPrefix: make([]simtime.Bytes, maxBanks),
 	}
 	seen := make(map[int64]bool)
 	for _, r := range log {
@@ -48,22 +54,17 @@ func naiveReplay(log []DepthRecord, bankPages int64, maxBanks int) naiveAggregat
 		if cb > int64(maxBanks) {
 			cb = int64(maxBanks)
 		}
-		n.totalPrefix[cb-1] += int64(r.Bytes)
+		n.totalPrefix[cb-1] += r.Bytes
 		n.nonCold += r.Bytes
 		if !seen[r.Page] {
 			seen[r.Page] = true
-			n.firstPrefix[cb-1] += int64(r.Bytes)
+			n.firstPrefix[cb-1] += r.Bytes
 		}
 		kb := bank
 		if kb > int64(maxBanks)+1 {
 			kb = int64(maxBanks) + 1
 		}
 		n.countPrefix[kb-1]++
-	}
-	accumulate := func(a []int64) {
-		for i := 1; i < len(a); i++ {
-			a[i] += a[i-1]
-		}
 	}
 	accumulate(n.countPrefix)
 	accumulate(n.totalPrefix)
@@ -106,11 +107,12 @@ func randPeriodLog(rng *rand.Rand, bankPages int64, maxBanks int) []DepthRecord 
 }
 
 // TestDepthHistMatchesNaiveReplay drives randomized period logs through a
-// streaming DepthHist and checks every aggregate — histogram prefix sums,
-// cold/non-cold counters, max depth, and the compressed event stream —
-// against a naive full-log replay and the batch BuildEvents builder. The
-// same histogram is reused across trials so Reset's buffer reuse is under
-// test too.
+// streaming DepthHist and checks every aggregate — histogram prefix sums
+// over the full installed width, cold/non-cold counters, max depth, and
+// the finished gap log — against a naive full-log replay and the batch
+// builders (BuildEvents, then BuildGapLog). The same histogram is reused
+// across trials so Reset's buffer reuse, and its zeroing of only the
+// buckets a period reached, are under test too.
 func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 	geometries := []struct {
 		bankPages int64
@@ -125,6 +127,7 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 	}
 	for _, g := range geometries {
 		h := NewDepthHist(g.bankPages, g.maxBanks, g.minKeep, g.window)
+		var gs GapStream
 		trial := func(seed int64) bool {
 			h.Reset()
 			rng := rand.New(rand.NewSource(seed))
@@ -143,22 +146,27 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 			if nc, nb := h.NonCold(); nc != want.refs-want.coldCount || nb != want.nonCold {
 				return false
 			}
-			if !reflect.DeepEqual(h.AppendCountPrefix(nil), want.countPrefix) {
+			if !reflect.DeepEqual(h.AppendCountPrefix(nil, g.maxBanks+1), want.countPrefix) {
 				return false
 			}
-			if !reflect.DeepEqual(h.AppendTotalPrefix(nil), want.totalPrefix) {
+			if !reflect.DeepEqual(h.AppendTotalPrefix(nil, g.maxBanks), want.totalPrefix) {
 				return false
 			}
-			if !reflect.DeepEqual(h.AppendFirstPrefix(nil), want.firstPrefix) {
+			if !reflect.DeepEqual(h.AppendFirstPrefix(nil, g.maxBanks), want.firstPrefix) {
 				return false
 			}
-			wantEv := BuildEvents(nil, log, g.bankPages, g.maxBanks, g.minKeep, g.window > 0)
-			gotEv := h.Events()
-			if len(gotEv) != len(wantEv) {
+			start, end := simtime.Seconds(-1), simtime.Seconds(-1)
+			if seed%2 == 0 {
+				start, end = 0, log[len(log)-1].Time+1
+			}
+			ev := BuildEvents(nil, log, g.bankPages, g.maxBanks, g.minKeep, g.window > 0)
+			wantGaps := BuildGapLog(&gs, ev, g.maxBanks, g.window, start, end)
+			gotGaps := h.FinishGaps(start, end)
+			if len(gotGaps) != len(wantGaps) {
 				return false
 			}
-			for i := range wantEv {
-				if gotEv[i].T != wantEv[i].T || gotEv[i].Bank != wantEv[i].Bank {
+			for i := range wantGaps {
+				if gotGaps[i] != wantGaps[i] {
 					return false
 				}
 			}
@@ -211,7 +219,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(len(tc.name))))
 		s := NewStackSim(tc.window)
 		h := NewDepthHist(bankPages, maxBanks, 1, 0.5)
-		var got, want []int64
+		var got, want []simtime.Bytes
 		tm := simtime.Seconds(0)
 		nonColdFirsts, retouched := 0, 0
 		for p := 0; p < periods; p++ {
@@ -232,7 +240,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 			}
 			rng.Shuffle(len(pages), func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
 			seen := make(map[int64]bool)
-			first := make([]int64, maxBanks)
+			first := make([]simtime.Bytes, maxBanks)
 			midAt := rng.Intn(periodRefs)
 			for off := 0; off < periodRefs; {
 				if tc.mid != nil && off >= midAt {
@@ -255,7 +263,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 						}
 					case !seen[pg]:
 						nonColdFirsts++
-						first[min((r.Depth-1)/bankPages, maxBanks-1)] += int64(r.Bytes)
+						first[min((r.Depth-1)/bankPages, maxBanks-1)] += r.Bytes
 					}
 					seen[pg] = true
 				}
@@ -268,12 +276,12 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 				}
 				off += len(block)
 				want = want[:0]
-				var sum int64
+				var sum simtime.Bytes
 				for _, b := range first {
 					sum += b
 					want = append(want, sum)
 				}
-				got = h.AppendFirstPrefix(got[:0])
+				got = h.AppendFirstPrefix(got[:0], maxBanks)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: period %d after %d refs: first-access prefix\n got %v\nwant %v", tc.name, p, off, got, want)
 				}

@@ -179,6 +179,10 @@ func TestFacadeHelpers(t *testing.T) {
 	if _, err := NewJointManager(p); err != nil {
 		t.Error(err)
 	}
+	p.MaxCandidatesPerPass = 1 // a slate search with no step
+	if _, err := NewJointManager(p); err == nil {
+		t.Error("NewJointManager accepted MaxCandidatesPerPass = 1")
+	}
 	if got := DiskPMPowerModel(ParetoDist{Alpha: 1.5, Beta: 5}, 10, 20, 600, Barracuda()); got <= 0 {
 		t.Errorf("DiskPMPowerModel = %g", got)
 	}
