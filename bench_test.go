@@ -236,17 +236,6 @@ func BenchmarkAblationStackDistanceFenwick(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStackDistanceNaive measures the textbook O(n) list
-// walk on the same stream (smaller universe so it finishes).
-func BenchmarkAblationStackDistanceNaive(b *testing.B) {
-	s := lrusim.NewNaiveStack(1 << 12)
-	z := stats.NewZipf(stats.NewRNG(1), 1<<12, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reference(int64(z.Next()))
-	}
-}
-
 // BenchmarkParetoFit measures the runtime parameter estimation on a
 // period-sized idle-interval sample.
 func BenchmarkParetoFit(b *testing.B) {

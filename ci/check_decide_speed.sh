@@ -4,8 +4,9 @@
 # would flake):
 #
 #   - the incremental observation path exists to make closing a period
-#     cheaper than the batch replay, so it must stay strictly faster on
-#     the reference decision shape;
+#     cheaper than rebuilding the period from its log, so it must stay
+#     strictly faster than the batch oracle's Decide (a test-only
+#     reference) on the reference decision shape;
 #   - a boundary costs O(banks the period reached + gaps), not O(installed
 #     banks), so one light period decided at 65,536 installed banks must
 #     take less than twice as long as the same period at 1,024.

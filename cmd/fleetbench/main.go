@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"jointpm/internal/core"
 	"jointpm/internal/experiments"
 	"jointpm/internal/fleet"
 	"jointpm/internal/obs/flight"
@@ -108,7 +107,6 @@ func run() error {
 		*streams, len(tr.Requests), refsPerStream, len(data))
 
 	srv, err := serve.New(serve.Config{
-		Decide:         core.ModeIncremental,
 		PageSize:       pageSize,
 		BankSize:       bankSize,
 		InstalledMem:   installed,

@@ -22,7 +22,6 @@ func TestRenderStatusGolden(t *testing.T) {
 		StreamLagS:   0.418,
 		RefsIngested: 419552,
 		RefsPerSec:   663.4,
-		DecideMode:   "incremental",
 		PeriodS:      120,
 		FlightDepth:  64,
 		Shards: []serve.ShardStatus{
@@ -51,7 +50,7 @@ func TestRenderStatusGolden(t *testing.T) {
 	if err := renderStatus(&buf, "127.0.0.1:7071", st); err != nil {
 		t.Fatal(err)
 	}
-	want := "jointpmd 127.0.0.1:7071  up 632s  lag 0.42s  ingest 663 refs/s  decide incremental  period 120s  flight 64 periods\n" +
+	want := "jointpmd 127.0.0.1:7071  up 632s  lag 0.42s  ingest 663 refs/s  period 120s  flight 64 periods\n" +
 		"\n" +
 		"DISK  PERIODS  CONSUMED  REFS    RING        BANKS  TIMEOUT  FALLBK  DECIDE p50/p99   MEM J   DISK J  DELAY s\n" +
 		"sda   15       52340     418720  1024/16384  80     11.70s   0       0.41ms / 1.27ms  1234.6  345.3   12.60\n" +
@@ -71,20 +70,20 @@ func TestRenderPeriodsGolden(t *testing.T) {
 		Disks: map[string][]flight.PeriodRecord{
 			"sdb": {
 				{
-					Disk: "sdb", Period: 1, Mode: "incremental", StartS: 0, EndS: 120,
+					Disk: "sdb", Period: 1, StartS: 0, EndS: 120,
 					Refs: 0, Banks: 128, TimeoutS: obs.Float(math.Inf(1)), Warmup: true,
 					Energy: flight.Ledger{MemNapJ: 100},
 				},
 			},
 			"sda": {
 				{
-					Disk: "sda", Period: 7, Mode: "incremental", StartS: 720, EndS: 840,
+					Disk: "sda", Period: 7, StartS: 720, EndS: 840,
 					Refs: 4000, IngestNs: 1_200_000, DecideNs: 410_000, EmitNs: 9_100,
 					CheckpointNs: 12_000_000, Banks: 80, TimeoutS: 11.7,
 					Energy: flight.Ledger{MemNapJ: 80.25, DiskActiveJ: 20.5},
 				},
 				{
-					Disk: "sda", Period: 8, Mode: "incremental", StartS: 840, EndS: 960,
+					Disk: "sda", Period: 8, StartS: 840, EndS: 960,
 					Refs: 2000, IngestNs: 640_000, DecideNs: 380_000, EmitNs: 8_000,
 					Banks: 80, TimeoutS: 11.7, Fallback: true,
 					Energy: flight.Ledger{MemNapJ: 80.25},
@@ -112,7 +111,6 @@ func TestRenderPeriodsGolden(t *testing.T) {
 func TestRenderStatusFleetGolden(t *testing.T) {
 	st := serve.Status{
 		UptimeS:     240, // lag/rate columns zero-valued for brevity
-		DecideMode:  "incremental",
 		PeriodS:     120,
 		FlightDepth: 64,
 		Shards: []serve.ShardStatus{
@@ -134,7 +132,7 @@ func TestRenderStatusFleetGolden(t *testing.T) {
 	if err := renderStatus(&buf, "127.0.0.1:7071", st); err != nil {
 		t.Fatal(err)
 	}
-	want := "jointpmd 127.0.0.1:7071  up 240s  lag 0.00s  ingest 0 refs/s  decide incremental  period 120s  flight 64 periods\n" +
+	want := "jointpmd 127.0.0.1:7071  up 240s  lag 0.00s  ingest 0 refs/s  period 120s  flight 64 periods\n" +
 		"\n" +
 		"DISK  PERIODS  CONSUMED  REFS  RING  BANKS  TIMEOUT  FALLBK  DECIDE p50/p99   MEM J  DISK J  DELAY s  BUDGET W  ACTUAL W\n" +
 		"sda   4        900       7200  -     80     11.70s   0       0.41ms / 1.27ms  100.0  20.0    0.00     9.25      7.50\n" +

@@ -20,8 +20,8 @@ func renderStatus(w io.Writer, addr string, st serve.Status) error {
 	if st.FlightDepth > 0 {
 		flight = fmt.Sprintf("%d periods", st.FlightDepth)
 	}
-	fmt.Fprintf(w, "jointpmd %s  up %.0fs  lag %.2fs  ingest %.0f refs/s  decide %s  period %.0fs  flight %s\n\n",
-		addr, st.UptimeS, st.StreamLagS, st.RefsPerSec, st.DecideMode, st.PeriodS, flight)
+	fmt.Fprintf(w, "jointpmd %s  up %.0fs  lag %.2fs  ingest %.0f refs/s  period %.0fs  flight %s\n\n",
+		addr, st.UptimeS, st.StreamLagS, st.RefsPerSec, st.PeriodS, flight)
 
 	// The fleet columns only appear when the daemon reports a power cap
 	// (any shard carrying budget/actual watts), so an uncapped daemon's

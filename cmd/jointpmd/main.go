@@ -36,7 +36,6 @@ import (
 	"sync"
 	"syscall"
 
-	"jointpm/internal/core"
 	"jointpm/internal/fault"
 	"jointpm/internal/obs"
 	"jointpm/internal/obs/flight"
@@ -68,7 +67,6 @@ func run() (retErr error) {
 		faultsPath    = flag.String("faults", "", "fault plan JSON (supports daemon.crash_at_period)")
 		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/status, and /debug/periods on this address")
 		decTrace      = flag.String("decision-trace", "", "append one JSON line per joint decision to this file")
-		decideMode    = flag.String("decide", "incremental", "observation path per shard: batch or incremental (bit-identical decisions)")
 		refitDrift    = flag.Float64("refit-drift", 0, "steady-state refit drift-hold fraction (0: full slate search every period; 0.05 recommended)")
 		flightDepth   = flag.Int("flight", flight.DefaultDepth, "per-shard flight recorder depth in periods (0: disabled)")
 		powerCap      = flag.Float64("power-cap-w", 0, "global power cap in watts shared by every disk's (memory, disk) pair (0 or +Inf: uncapped, bit-identical to a build without the fleet layer)")
@@ -103,12 +101,7 @@ func run() (retErr error) {
 	stopSignals := shut.HandleSignals()
 	defer stopSignals()
 
-	mode, err := core.ParseDecideMode(*decideMode)
-	if err != nil {
-		return err
-	}
 	cfg := serve.Config{
-		Decide:         mode,
 		PageSize:       pageSize,
 		BankSize:       bankSize,
 		InstalledMem:   installed,

@@ -49,7 +49,6 @@ func run() (retErr error) {
 		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running")
 		metricsLinger = flag.Duration("metrics-linger", 0, "keep serving metrics this long after the run finishes")
 		decTrace      = flag.String("decision-trace", "", "append one JSON line per joint decision to this file")
-		decideMode    = flag.String("decide", "incremental", "joint observation path: batch or incremental (bit-identical decisions)")
 		refitDrift    = flag.Float64("refit-drift", 0, "steady-state refit drift-hold fraction (0: full slate search every period; 0.05 recommended)")
 		speedLevels   = flag.Int("speed-levels", 0, "derive a DRPM speed ladder of N levels from the disk spec; the joint slate prices every candidate at every level (0 or 1: single-speed)")
 		faultsPath    = flag.String("faults", "", "JSON fault plan: run under injected faults and check invariants")
@@ -140,14 +139,9 @@ func run() (retErr error) {
 		return nil
 	})
 
-	mode, err := core.ParseDecideMode(*decideMode)
-	if err != nil {
-		return err
-	}
 	cfg := sim.Config{
 		Trace:          tr,
 		Method:         m,
-		Decide:         mode,
 		RefitDriftFrac: *refitDrift,
 		SpeedLevels:    *speedLevels,
 		InstalledMem:   installed,

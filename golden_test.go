@@ -18,14 +18,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of diffing against them")
 
 // TestDecisionTraceGolden replays a fixed quick-scale workload through
-// the joint manager with a decision-trace sink attached and compares the
-// JSONL journal byte-for-byte against the checked-in snapshot — once per
-// observation path, so both the batch and the incremental Decide pipeline
-// are pinned to the same golden bytes. The journal is deterministic by
-// construction — candidate pricing is pure IEEE arithmetic, records carry
-// no timestamps, runner-ups are sorted by the decision ordering, and the
-// sink assigns seq in write order — so any diff means the decision
-// pipeline (or the journal schema) changed. Regenerate with:
+// the joint manager's incremental Decide with a decision-trace sink
+// attached and compares the JSONL journal byte-for-byte against the
+// checked-in snapshot, which the batch Decide recorded; the internal/core
+// oracle tests hold the two to the same decisions. The journal is
+// deterministic by construction — candidate pricing is pure IEEE
+// arithmetic, records carry no timestamps, runner-ups are sorted by the
+// decision ordering, and the sink assigns seq in write order — so any
+// diff means the decision pipeline (or the journal schema) changed.
+// Regenerate with:
 //
 //	go test -run TestDecisionTraceGolden -update .
 func TestDecisionTraceGolden(t *testing.T) {
@@ -42,7 +43,7 @@ func TestDecisionTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runTrace := func(t *testing.T, mode core.DecideMode) []byte {
+	runTrace := func(t *testing.T) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		sink := obs.NewDecisionSink(&buf, obs.DefaultSinkDepth)
@@ -55,7 +56,6 @@ func TestDecisionTraceGolden(t *testing.T) {
 			DiskSpec:      s.DiskSpec,
 			Period:        s.Period,
 			Warmup:        s.Warmup,
-			Decide:        mode,
 			Joint:         &core.Params{DelayCap: s.DelayCap},
 			DecisionTrace: sink,
 		})
@@ -73,7 +73,7 @@ func TestDecisionTraceGolden(t *testing.T) {
 
 	golden := filepath.Join("testdata", "decision_trace.golden.jsonl")
 	if *updateGolden {
-		got := runTrace(t, core.ModeBatch)
+		got := runTrace(t)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -84,53 +84,44 @@ func TestDecisionTraceGolden(t *testing.T) {
 		return
 	}
 
-	for _, m := range []struct {
-		name string
-		mode core.DecideMode
-	}{
-		{"batch", core.ModeBatch},
-		{"incremental", core.ModeIncremental},
-	} {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			got := runTrace(t, m.mode)
+	t.Run("incremental", func(t *testing.T) {
+		got := runTrace(t)
 
-			// Every line must round-trip as a DecisionRecord with contiguous
-			// seq — schema rot fails here before the byte diff confuses
-			// anyone.
-			lines := bytes.Split(bytes.TrimRight(got, "\n"), []byte("\n"))
-			if len(lines) == 0 || len(lines[0]) == 0 {
-				t.Fatal("journal is empty; the run made no decisions")
+		// Every line must round-trip as a DecisionRecord with contiguous
+		// seq — schema rot fails here before the byte diff confuses
+		// anyone.
+		lines := bytes.Split(bytes.TrimRight(got, "\n"), []byte("\n"))
+		if len(lines) == 0 || len(lines[0]) == 0 {
+			t.Fatal("journal is empty; the run made no decisions")
+		}
+		for i, line := range lines {
+			var rec obs.DecisionRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("line %d does not parse as a DecisionRecord: %v", i+1, err)
 			}
-			for i, line := range lines {
-				var rec obs.DecisionRecord
-				if err := json.Unmarshal(line, &rec); err != nil {
-					t.Fatalf("line %d does not parse as a DecisionRecord: %v", i+1, err)
-				}
-				if rec.Seq != int64(i+1) {
-					t.Fatalf("line %d has seq %d, want %d", i+1, rec.Seq, i+1)
-				}
+			if rec.Seq != int64(i+1) {
+				t.Fatalf("line %d has seq %d, want %d", i+1, rec.Seq, i+1)
 			}
+		}
 
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		}
+		if bytes.Equal(got, want) {
+			return
+		}
+		// Point at the first differing record, not just "bytes differ".
+		wantLines := bytes.Split(bytes.TrimRight(want, "\n"), []byte("\n"))
+		n := len(lines)
+		if len(wantLines) < n {
+			n = len(wantLines)
+		}
+		for i := 0; i < n; i++ {
+			if !bytes.Equal(lines[i], wantLines[i]) {
+				t.Fatalf("decision trace diverges at record %d:\n got: %s\nwant: %s", i+1, lines[i], wantLines[i])
 			}
-			if bytes.Equal(got, want) {
-				return
-			}
-			// Point at the first differing record, not just "bytes differ".
-			wantLines := bytes.Split(bytes.TrimRight(want, "\n"), []byte("\n"))
-			n := len(lines)
-			if len(wantLines) < n {
-				n = len(wantLines)
-			}
-			for i := 0; i < n; i++ {
-				if !bytes.Equal(lines[i], wantLines[i]) {
-					t.Fatalf("decision trace diverges at record %d:\n got: %s\nwant: %s", i+1, lines[i], wantLines[i])
-				}
-			}
-			t.Fatalf("decision trace length changed: got %d records, want %d", len(lines), len(wantLines))
-		})
-	}
+		}
+		t.Fatalf("decision trace length changed: got %d records, want %d", len(lines), len(wantLines))
+	})
 }

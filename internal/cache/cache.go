@@ -112,19 +112,27 @@ func (c *PageCache) Peek(page int64) (frame int64, hit bool) {
 	return f, true
 }
 
+// Promote makes the page resident in frame, as Peek returned it, the MRU
+// entry: Lookup's LRU touch without probing the page table again.
+func (c *PageCache) Promote(frame int64) { c.moveToFront(int32(frame)) }
+
 // Insert makes page resident (it must not already be resident), evicting
 // the LRU page if the cache is full. It returns the frame assigned and
 // the evicted page (or -1 if none).
 func (c *PageCache) Insert(page int64) (frame int64, evicted int64) {
-	if _, ok := c.table.Get(page); ok {
-		panic("cache: Insert of resident page")
-	}
 	evicted = -1
 	if c.count >= c.capacity {
+		// A resident page either is the LRU tail, which the eviction
+		// would drop, or is found by the table insert below.
+		if c.pages[c.tail] == page {
+			panic("cache: Insert of resident page")
+		}
 		evicted = c.evictLRU()
 	}
 	f := c.free.pop()
-	c.table.Put(page, int64(f))
+	if _, found := c.table.Swap(page, int64(f)); found {
+		panic("cache: Insert of resident page")
+	}
 	c.pages[f] = page
 	c.pushFront(f)
 	c.count++

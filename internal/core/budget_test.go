@@ -10,8 +10,8 @@ import (
 
 // budgetStream generates a deterministic multi-period observation
 // sequence shared by the budget tests.
-func budgetStream(p Params, periods int) []Observation {
-	out := make([]Observation, 0, periods)
+func budgetStream(p Params, periods int) []batchObs {
+	out := make([]batchObs, 0, periods)
 	t0 := simtime.Seconds(0)
 	for i := 0; i < periods; i++ {
 		o := zipfObservation(p, 3000+400*i, 1<<14, int64(7*i+1))

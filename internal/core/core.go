@@ -17,14 +17,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"jointpm/internal/disk"
 	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
 	"jointpm/internal/obs"
 	"jointpm/internal/pareto"
-	"jointpm/internal/qmodel"
 	"jointpm/internal/simtime"
 )
 
@@ -60,31 +58,19 @@ type Params struct {
 
 	// MaxCandidatesPerPass bounds one enumeration pass (at least 2); the
 	// search uses coarse-to-fine refinement to reach EnumUnit granularity
-	// without replaying the log for thousands of sizes.
+	// without pricing thousands of sizes.
 	MaxCandidatesPerPass int
-
-	// EvalWorkers is retained for configuration compatibility. The slate
-	// kernel now folds per-candidate statistics during the sweep itself,
-	// so there is no per-candidate pricing fan-out left to parallelise;
-	// the field is ignored.
-	EvalWorkers int
 
 	// RefitDriftFrac enables the incremental path's steady-state
 	// shortcut: when positive, DecideIncremental first re-prices only the
 	// previously chosen size and, if its estimated total power moved by
 	// less than this fraction since the last full search, keeps that size
 	// (with the fresh period's re-fitted timeout) without re-running the
-	// slate search. Zero (the default) disables the shortcut, keeping
-	// DecideIncremental bit-identical to batch Decide;
-	// DefaultRefitDriftFrac is the recommended value for hosts that opt
-	// in (the CLIs' -refit-drift flag).
+	// slate search. Zero (the default) disables the shortcut, so every
+	// period runs the full search; DefaultRefitDriftFrac is the
+	// recommended value for hosts that opt in (the CLIs' -refit-drift
+	// flag).
 	RefitDriftFrac float64
-
-	// SequentialReplay restores the pre-sweep evaluation path — one full
-	// log replay per candidate size instead of the shared multi-threshold
-	// sweep — for ablation benchmarks and the equivalence tests. The two
-	// paths produce bit-identical decisions.
-	SequentialReplay bool
 
 	// HysteresisFrac stabilises the sizing across periods: the manager
 	// moves away from its previous size only when the best candidate's
@@ -116,7 +102,7 @@ type Params struct {
 	DecisionTrace *obs.DecisionSink
 
 	// SpanHook receives the manager's lifecycle span timings: one
-	// ("decide", wall ns) per Decide/DecideIncremental call and one
+	// ("decide", wall ns) per DecideIncremental call and one
 	// ("ingest", accumulated wall ns) per period at the boundary that
 	// consumes the ingested references. Nil disables span timing
 	// entirely — the hot path takes no clock readings, so the disabled
@@ -201,26 +187,23 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Observation is what the manager sees at a period boundary: the period's
-// depth-annotated access log plus measured calibration inputs.
+// Observation is what the manager is handed at a period boundary besides
+// the period's references, which it has already ingested (see
+// Manager.IngestBatch): the measured calibration inputs.
 type Observation struct {
-	// Log must be the complete depth stream of one lrusim.StackSim over
-	// the period, in reference order: the manager reads each page's first
-	// touch in the period off the depths (see lrusim.DepthHist).
-	Log           []lrusim.DepthRecord
 	CacheAccesses int64 // N: all accesses to the disk cache in the period
 	// CoalesceFactor is pages-per-disk-request measured last period (≥ 1);
 	// it calibrates how many seeks the predicted misses will cost.
 	CoalesceFactor float64
 	// PeriodStart/PeriodEnd bound the observation window so the idle time
 	// before the first and after the last disk access counts as idleness.
-	// Both zero means "use the log's own extent" (no boundary gaps).
+	// Both zero means "use the references' own extent" (no boundary gaps).
 	PeriodStart, PeriodEnd simtime.Seconds
-	// CurrentBanks is the resident cache size while the log was recorded.
+	// CurrentBanks is the resident cache size while the period ran.
 	// Growing beyond it is not free: ghost pages between the current size
 	// and a larger candidate are NOT resident and must be re-fetched once,
 	// a transition cost the stack model's inclusion assumption hides. The
-	// manager charges candidates for it (see evaluate); without the
+	// manager charges candidates for it (see priceStats); without the
 	// charge, noisy periods make the sizing oscillate and every regrowth
 	// pays a refill storm. Zero means "no refill accounting".
 	CurrentBanks int
@@ -303,8 +286,8 @@ type Decision struct {
 }
 
 // Manager evaluates observations into decisions. It is deterministic and
-// stateless between periods apart from remembering its last decision and,
-// on the incremental path, the depth histogram accumulated by Ingest. A
+// stateless between periods apart from remembering its last decision and
+// the depth histogram the period's references are ingested into. A
 // Manager owns reusable decision scratch and must not be driven from
 // multiple goroutines concurrently.
 type Manager struct {
@@ -353,7 +336,7 @@ const DefaultRefitDriftFrac = 0.05
 
 // SetRefitDriftFrac adjusts the drift-hold fraction of a live manager
 // (negative is clamped to 0 = disabled). The daemon uses it on restore
-// so a warm restart keeps the snapshot's decide mode.
+// so a warm restart keeps the snapshot's drift-hold setting.
 func (m *Manager) SetRefitDriftFrac(f float64) {
 	if f < 0 || math.IsNaN(f) {
 		f = 0
@@ -364,37 +347,10 @@ func (m *Manager) SetRefitDriftFrac(f float64) {
 // Last returns the most recent decision.
 func (m *Manager) Last() Decision { return m.last }
 
-// Decide evaluates one period's observation and returns the sizing and
-// timeout for the next period. One fused pass over the log reduces it to
-// the kernel's input form (depth profile, compressed event stream); the
-// search itself is shared with DecideIncremental (see decideFrom).
-func (m *Manager) Decide(obs Observation) Decision {
-	hook := m.p.SpanHook
-	if hook == nil {
-		return m.decideBatch(obs)
-	}
-	start := time.Now()
-	d := m.decideBatch(obs)
-	hook(SpanDecide, time.Since(start).Nanoseconds())
-	return d
-}
-
-func (m *Manager) decideBatch(obs Observation) Decision {
-	m.met.decisions.Inc()
-	if len(obs.Log) == 0 || obs.CacheAccesses == 0 {
-		// Nothing happened: the cheapest configuration is the smallest
-		// cache with the disk allowed to sleep through the whole period.
-		return m.emptyDecision(obs, len(obs.Log))
-	}
-	if obs.CoalesceFactor < 1 {
-		obs.CoalesceFactor = 1
-	}
-	return m.decideFrom(m.buildInput(&obs))
-}
-
-// depthProfile is the per-decision aggregation of a period log: bytes of
-// all references and of first-per-page references, bucketed by the bank
-// their depth falls in. It makes the per-candidate byte queries O(1):
+// depthProfile is the per-decision aggregation of a period's references:
+// bytes of all references and of first-per-page references, bucketed by
+// the bank their depth falls in. It makes the per-candidate byte queries
+// O(1):
 //
 //   - a candidate of b banks misses every cold reference plus every
 //     reference deeper than b banks (missBytes);
@@ -406,13 +362,13 @@ func (m *Manager) decideBatch(obs Observation) Decision {
 //     refill).
 //
 // First accesses are told from the depths alone, by lrusim.DepthHist's
-// rule, so the log must be the complete depth stream of one StackSim over
-// the period, in reference order.
+// rule, so the references must be the complete depth stream of one
+// StackSim over the period, in reference order.
 //
 // The prefix arrays may stop at any n banks that hold every non-cold
-// reference up to the deep bucket (batch fills all installed banks, the
-// incremental path only the reached ones): the queries clamp past the
-// arrays' length, so a shorter profile answers every size identically.
+// reference up to the deep bucket (inputFromHist fills only the reached
+// ones): the queries clamp past the arrays' length, so a shorter profile
+// answers every size as one over all installed banks would.
 type depthProfile struct {
 	bankPages    int64
 	cold         simtime.Bytes
@@ -427,75 +383,6 @@ type depthProfile struct {
 	// pages beyond the installed banks. It makes the per-candidate
 	// disk-access count an O(1) integer query.
 	cumCount []int64
-}
-
-// reset sizes the profile for a geometry and zeroes it, reusing capacity.
-func (p *depthProfile) reset(bankPages int64, maxBanks int) {
-	p.bankPages = bankPages
-	p.cold = 0
-	p.coldCount = 0
-	p.total = 0
-	p.nonColdCount = 0
-	if cap(p.cumTotal) < maxBanks+1 || cap(p.cumFirst) < maxBanks+1 || cap(p.cumCount) < maxBanks+2 {
-		p.cumTotal = make([]simtime.Bytes, maxBanks+1)
-		p.cumFirst = make([]simtime.Bytes, maxBanks+1)
-		p.cumCount = make([]int64, maxBanks+2)
-	}
-	p.cumTotal = p.cumTotal[:maxBanks+1]
-	p.cumFirst = p.cumFirst[:maxBanks+1]
-	p.cumCount = p.cumCount[:maxBanks+2]
-	for i := range p.cumTotal {
-		p.cumTotal[i] = 0
-		p.cumFirst[i] = 0
-	}
-	for i := range p.cumCount {
-		p.cumCount[i] = 0
-	}
-}
-
-// finish turns the per-bucket tallies into prefix sums.
-func (p *depthProfile) finish() {
-	for b := 1; b < len(p.cumTotal); b++ {
-		p.cumTotal[b] += p.cumTotal[b-1]
-		p.cumFirst[b] += p.cumFirst[b-1]
-	}
-	for b := 1; b < len(p.cumCount); b++ {
-		p.cumCount[b] += p.cumCount[b-1]
-	}
-}
-
-func buildDepthProfile(log []lrusim.DepthRecord, bankPages int64, maxBanks int) *depthProfile {
-	p := &depthProfile{}
-	p.reset(bankPages, maxBanks)
-	touched := int64(0) // first touches so far (lrusim.DepthHist's rule)
-	for i := range log {
-		r := &log[i]
-		if r.Depth == lrusim.Cold {
-			p.cold += r.Bytes
-			p.coldCount++
-			touched++
-			continue
-		}
-		d := int64(r.Depth)
-		b := (d-1)/bankPages + 1 // depth within the first b banks
-		cb := b
-		if cb > int64(maxBanks) {
-			cb = int64(maxBanks)
-		}
-		p.cumTotal[cb] += r.Bytes
-		p.total += r.Bytes
-		if d > touched {
-			touched++
-			p.cumFirst[cb] += r.Bytes
-		}
-		if b > int64(maxBanks)+1 {
-			b = int64(maxBanks) + 1
-		}
-		p.cumCount[b]++
-		p.nonColdCount++
-	}
-	p.finish()
-	return p
 }
 
 // missBytes returns the predicted bytes missed at a capacity of banks.
@@ -526,7 +413,7 @@ func (p *depthProfile) refillBytes(current, banks int) simtime.Bytes {
 
 // diskAccesses returns the predicted page misses n_d at a capacity of
 // banks: every cold reference plus every non-cold reference deeper than
-// banks. Equals what replaying the log at that capacity would count.
+// banks. Equals what replaying the period at that capacity would count.
 func (p *depthProfile) diskAccesses(banks int) int64 {
 	if banks > len(p.cumCount)-2 {
 		banks = len(p.cumCount) - 2
@@ -555,184 +442,13 @@ func better(a, b Candidate) bool {
 	return a.Utilization < b.Utilization
 }
 
-// evaluate prices one candidate size: replay the log at that size,
-// reconstruct idle intervals (including the period-boundary gaps), fit
-// the Pareto model to choose the timeout (eq. 5 with the eq. 6 floor),
-// and assemble the power estimate.
-//
-// The timeout is chosen from the Pareto model as the paper derives; the
-// candidate's power is then valued against the reconstructed intervals
-// themselves rather than the fitted tail. With the small per-period
-// interval counts a server sees at well-chosen memory sizes, the fitted
-// tail's extrapolated off-time is far noisier than the intervals it was
-// fitted from; valuing empirically keeps the size comparison honest while
-// the closed-form optimum still sets the timeout. DiskPMPowerModel in
-// this package exposes the pure eq. 4 valuation for analysis.
-func (m *Manager) evaluate(obs Observation, banks int, prof *depthProfile) Candidate {
-	if prof == nil {
-		prof = buildDepthProfile(obs.Log, m.p.bankPages(), m.p.TotalBanks)
-	}
-	start, end := m.bounds(obs)
-	intervals, nd := lrusim.BoundedIdleIntervals(obs.Log, int64(banks)*m.p.bankPages(), m.p.Window, start, end)
-	return m.price(obs, banks, prof, intervals, nd)
-}
-
 // bounds resolves the observation window passed to the idle-interval
-// reconstruction (both zero means "use the log's own extent").
+// reconstruction (both zero means "use the references' own extent").
 func (m *Manager) bounds(obs Observation) (start, end simtime.Seconds) {
 	if obs.PeriodStart == 0 && obs.PeriodEnd == 0 {
 		return -1, -1
 	}
 	return obs.PeriodStart, obs.PeriodEnd
-}
-
-// evaluateSlate prices one refinement pass's candidate sizes (ascending)
-// through the shared event-stream kernel (see evalSlate), building the
-// kernel input from the observation log. Decide itself builds the input
-// once and calls evalSlate directly; this wrapper serves callers holding
-// a raw observation — tests, and the hysteresis re-pricing path under
-// SequentialReplay.
-func (m *Manager) evaluateSlate(obs Observation, banks []int, prof *depthProfile) []Candidate {
-	if obs.CoalesceFactor < 1 {
-		obs.CoalesceFactor = 1
-	}
-	out := make([]Candidate, len(banks))
-	if m.p.SequentialReplay {
-		for i, b := range banks {
-			out[i] = m.evaluate(obs, b, prof)
-		}
-		return out
-	}
-	in := m.buildInput(&obs)
-	if prof != nil {
-		in.prof = prof
-	}
-	m.evalSlate(in, banks, out)
-	return out
-}
-
-// price does the per-candidate valuation — Pareto fit, timeout choice,
-// M/G/1 wait, utilization test, and energy pricing — given the idle
-// intervals and disk-access count reconstructed for this size. It must
-// not retain or modify intervals: slate evaluation hands every candidate
-// a view into pooled sweep buffers.
-func (m *Manager) price(obs Observation, banks int, prof *depthProfile, intervals []float64, nd int64) Candidate {
-	p := m.p
-	if obs.CoalesceFactor < 1 {
-		obs.CoalesceFactor = 1
-	}
-	pages := int64(banks) * p.bankPages()
-	c := Candidate{Banks: banks, Pages: pages}
-	c.DiskAccesses = nd
-	c.IdleCount = len(intervals)
-	c.MissBytes = prof.missBytes(banks)
-	// Refill band: distinct pages the stack model counts as hits but that
-	// the real cache, currently holding only CurrentBanks banks, must
-	// re-fetch once while re-populating the grown region.
-	c.RefillBytes = prof.refillBytes(obs.CurrentBanks, banks)
-
-	// Normalise rates over the observed span: the period length, or the
-	// idle time actually covered by the log when it extends further (as
-	// offline analyses over multi-period logs do).
-	T := float64(p.Period)
-	var covered float64
-	for _, l := range intervals {
-		covered += l
-	}
-	if covered > T {
-		T = covered
-	}
-	spec := p.DiskSpec
-	pd := float64(spec.StaticPower())
-	tbe := float64(spec.BreakEven())
-
-	// Disk dynamic power from predicted busy time. Seek/rotation costs are
-	// paid per coalesced request, calibrated by the observed coalescing.
-	// The refill cost of growing is a one-time transient: it is charged to
-	// the energy estimate amortized over a few periods (so oscillating
-	// does not look free), but NOT to the utilization feasibility test —
-	// gating growth on a one-period burst would trap the manager at a
-	// small size forever.
-	requests := float64(nd) / obs.CoalesceFactor
-	busy := requests*float64(spec.SeekTime+spec.RotationalLatency) +
-		float64(c.MissBytes)/spec.TransferRate
-	c.Utilization = busy / T
-	if requests > 0 {
-		es := busy / requests
-		// SCV 1 (exponential-like service) is a conservative default for
-		// the mixed request sizes the cache emits.
-		if w, err := qmodel.MG1WaitSCV(requests/T, es, 1); err == nil {
-			c.PredictedWait = simtime.Seconds(w)
-		} else {
-			c.PredictedWait = simtime.Seconds(math.Inf(1))
-		}
-	}
-	refillPages := float64(c.RefillBytes) / float64(p.PageSize)
-	refillBusy := (refillPages/obs.CoalesceFactor)*float64(spec.SeekTime+spec.RotationalLatency) +
-		float64(c.RefillBytes)/spec.TransferRate
-	c.DiskDynPower = simtime.Watts((busy + refillBusy/refillAmortizePeriods) / T * float64(spec.DynamicPower()))
-
-	// Choose the timeout: t_o = α·t_be from the Pareto fit (eq. 5) under
-	// the eq. 6 floor, then value it against the observed intervals;
-	// spinning down must beat staying on or it is disabled.
-	tc := m.ChooseTimeout(intervals, nd, obs.CacheAccesses, T)
-	c.Fit = tc.Fit
-	c.FitOK = tc.FitOK
-	c.TimeoutFloor = tc.Floor
-	c.FloorClamped = tc.Clamped
-	c.SpanS = simtime.Seconds(T)
-	c.Timeout = simtime.Seconds(math.Inf(1))
-	c.DiskPMPower = simtime.Watts(pd) // always-on default
-	ts, h := empiricalPMStats(intervals, float64(tc.Timeout))
-	tailTS := ts // unclamped standby seconds, kept for the speed refinement
-	if ts > T {
-		ts = T
-	}
-	pm := pd*(T-ts)/T + pd*tbe*float64(h)/T
-	if pm < pd {
-		c.Timeout = tc.Timeout
-		c.DiskPMPower = simtime.Watts(pm)
-		c.SpinUps = int64(h)
-		c.StandbyS = simtime.Seconds(ts)
-	} else {
-		m.met.spinDisabled.Inc()
-		// Attribute the loss: if spin-down at the unconstrained
-		// t_o = α·t_be would have won, the delay cap D is what priced
-		// this candidate out of sleeping. The check re-walks the
-		// intervals, so it only runs while the counter is live.
-		if m.met.rejectedDelay != nil && delayCapCostSpinDown(intervals, tc, T, pd, tbe) {
-			m.met.rejectedDelay.Inc()
-		}
-	}
-
-	// Memory static power of the enabled banks (joint keeps them in nap).
-	c.MemPower = p.MemSpec.NapPower() * simtime.Watts(banks)
-
-	c.TotalPower = c.DiskPMPower + c.DiskDynPower + c.MemPower
-	c.Feasible = c.Utilization <= p.UtilCap
-	// A candidate whose pricing degenerated to NaN/Inf — a hostile trace
-	// segment, a poisoned coalesce factor — must never win on a garbage
-	// comparison: an Inf utilization already fails the cap above, but a
-	// NaN power would sort unpredictably through better().
-	if math.IsNaN(c.Utilization) || math.IsInf(c.Utilization, 0) ||
-		math.IsNaN(float64(c.TotalPower)) || math.IsInf(float64(c.TotalPower), 0) ||
-		math.IsNaN(float64(c.Timeout)) {
-		c.Feasible = false
-		m.met.nonFinite.Inc()
-	}
-	m.applyBudget(&c)
-	m.met.candidates.Inc()
-	if !c.Feasible {
-		m.met.rejectedUtil.Inc()
-	}
-	// Speed refinement: re-price this size at every other ladder level and
-	// keep the cheapest (see speed.go). Absent a multi-level ladder this
-	// is a single branch and the candidate above is returned untouched.
-	if m.speedEnabled() {
-		c = m.refineReplayLevels(c, intervals, tc, requests,
-			refillPages/obs.CoalesceFactor, T, tailTS, int64(h))
-	}
-	return c
 }
 
 // finitePower reports that a candidate's pricing stayed numerically sane

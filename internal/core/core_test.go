@@ -94,7 +94,7 @@ func TestNewManagerDefaults(t *testing.T) {
 
 func TestDecideEmptyObservation(t *testing.T) {
 	m, _ := NewManager(testParams())
-	d := m.Decide(Observation{})
+	d := m.Decide(batchObs{})
 	if d.Banks != 1 {
 		t.Errorf("idle decision banks = %d, want MinBanks", d.Banks)
 	}
@@ -129,7 +129,7 @@ func TestDecideCachesWorkingSet(t *testing.T) {
 	bankPages := p.bankPages()
 	ws := 8 * bankPages
 	log := synthLog(ws, 4000, 0.15, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: int64(len(log)), CoalesceFactor: 1})
+	d := m.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: int64(len(log)), CoalesceFactor: 1}})
 	if int64(d.Banks)*bankPages < ws {
 		t.Errorf("decision %d banks (%d pages) does not cover working set %d pages",
 			d.Banks, int64(d.Banks)*bankPages, ws)
@@ -156,7 +156,7 @@ func TestDecideShrinksForColdStreams(t *testing.T) {
 		log = append(log, lrusim.DepthRecord{Time: simtime.Seconds(tm), Page: int64(i), Depth: d, Bytes: p.PageSize})
 		tm += 0.3
 	}
-	d := m.Decide(Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1})
+	d := m.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: 2000, CoalesceFactor: 1}})
 	if d.Banks != p.MinBanks {
 		t.Errorf("cold-stream decision = %d banks, want min %d", d.Banks, p.MinBanks)
 	}
@@ -172,7 +172,7 @@ func TestDecideTimeoutFollowsAlpha(t *testing.T) {
 
 	// Idle gaps Pareto-distributed with scale comparable to the break-even
 	// time, so both regimes leave genuinely savable idle tails.
-	build := func(alpha float64, seed int64) Observation {
+	build := func(alpha float64, seed int64) batchObs {
 		rng := stats.NewRNG(seed)
 		var log []lrusim.DepthRecord
 		tm := 0.0
@@ -181,7 +181,7 @@ func TestDecideTimeoutFollowsAlpha(t *testing.T) {
 			log = append(log, lrusim.DepthRecord{Time: simtime.Seconds(tm), Depth: lrusim.Cold, Bytes: p.PageSize})
 			tm += rng.Pareto(alpha, 8.0)
 		}
-		return Observation{Log: log, CacheAccesses: 600, CoalesceFactor: 1}
+		return batchObs{Log: log, Observation: Observation{CacheAccesses: 600, CoalesceFactor: 1}}
 	}
 
 	mLow, _ := NewManager(p)
@@ -223,7 +223,7 @@ func TestConstraintFloorRaisesTimeout(t *testing.T) {
 		log = append(log, lrusim.DepthRecord{Time: simtime.Seconds(tm), Depth: lrusim.Cold, Bytes: p.PageSize})
 		tm += rng.Pareto(1.5, 2.0)
 	}
-	obs := Observation{Log: log, CacheAccesses: 500, CoalesceFactor: 1}
+	obs := batchObs{Log: log, Observation: Observation{CacheAccesses: 500, CoalesceFactor: 1}}
 
 	loose := base
 	loose.DelayCap = 1
@@ -250,7 +250,7 @@ func TestUtilizationCapMarksInfeasible(t *testing.T) {
 	p.UtilCap = 1e-9 // nothing is feasible
 	m, _ := NewManager(p)
 	log := synthLog(64, 1000, 0.05, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: 1000, CoalesceFactor: 1})
+	d := m.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: 1000, CoalesceFactor: 1}})
 	if d.Chosen.Feasible {
 		t.Error("candidate marked feasible under impossible cap")
 	}
@@ -265,7 +265,7 @@ func TestEvaluateMonotoneMisses(t *testing.T) {
 	p := testParams()
 	m, _ := NewManager(p)
 	log := synthLog(10*p.bankPages(), 3000, 0.2, p.PageSize)
-	obs := Observation{Log: log, CacheAccesses: 3000, CoalesceFactor: 1}
+	obs := batchObs{Log: log, Observation: Observation{CacheAccesses: 3000, CoalesceFactor: 1}}
 	prev := int64(math.MaxInt64)
 	for b := 1; b <= 12; b++ {
 		c := m.evaluate(obs, b, nil)
@@ -280,7 +280,7 @@ func TestDecideRecordsEvaluationCount(t *testing.T) {
 	p := testParams()
 	m, _ := NewManager(p)
 	log := synthLog(16*p.bankPages(), 2000, 0.2, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1})
+	d := m.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: 2000, CoalesceFactor: 1}})
 	if d.Evaluated <= 0 {
 		t.Error("no candidates evaluated")
 	}

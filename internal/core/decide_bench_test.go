@@ -12,11 +12,10 @@ import (
 // 16 MB banks (64 KB pages), a 256k-reference period log whose Zipf
 // reuse spans thousands of banks, and a 32-candidate pass limit — the
 // configuration whose Fig. 7/8 inner loop the sweep accelerates.
-func benchDecideSetup(b *testing.B, sequential bool) (*Manager, Observation) {
+func benchDecideSetup(b *testing.B) (*Manager, batchObs) {
 	b.Helper()
 	p := DefaultParams(64*simtime.KB, 16*simtime.MB, 8192, disk.Barracuda(), mem.RDRAM(16*simtime.MB))
 	p.HysteresisFrac = -1 // pure optimiser: identical work every iteration
-	p.SequentialReplay = sequential
 	m, err := NewManager(p)
 	if err != nil {
 		b.Fatal(err)
@@ -26,10 +25,11 @@ func benchDecideSetup(b *testing.B, sequential bool) (*Manager, Observation) {
 }
 
 // BenchmarkDecide measures one full joint decision — all refinement
-// passes — on the multi-threshold sweep path with parallel candidate
-// pricing.
+// passes — through the batch oracle: the period log reduced to the
+// kernel's input form, then the slate search. It is the baseline
+// ci/check_decide_speed.sh holds BenchmarkDecideIncremental under.
 func BenchmarkDecide(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,17 +48,8 @@ func BenchmarkDecide(b *testing.B) {
 // period can be decided repeatedly. This period reaches about half the
 // installed banks, so its cost is dominated by its large gap log.
 func BenchmarkDecideIncremental(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
-	for j := range obs.Log {
-		m.Ingest(obs.Log[j])
-	}
-	inc := Observation{
-		CacheAccesses:  obs.CacheAccesses,
-		CoalesceFactor: obs.CoalesceFactor,
-		PeriodStart:    obs.PeriodStart,
-		PeriodEnd:      obs.PeriodEnd,
-		CurrentBanks:   obs.CurrentBanks,
-	}
+	m, obs := benchDecideSetup(b)
+	inc := feedIncremental(m, obs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +63,7 @@ func BenchmarkDecideIncremental(b *testing.B) {
 // the bank-space gap log. Reported per reference, it is the tax Ingest adds
 // to request handling so the period boundary can run in O(banks + gaps).
 func BenchmarkIngest(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +81,7 @@ func BenchmarkIngest(b *testing.B) {
 // gap-log feed buy per reference, not what multi-page runs save;
 // ci/check_ingest_speed.sh gates on batch strictly winning.
 func BenchmarkIngestBatch(b *testing.B) {
-	m, obs := benchDecideSetup(b, false)
+	m, obs := benchDecideSetup(b)
 	runs := pageRuns(obs.Log)
 	const block = 4096
 	b.ReportAllocs()
@@ -109,15 +100,21 @@ func BenchmarkIngestBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideReplayReference is the retained pre-sweep reference: the
-// same decision computed by replaying the log once per candidate size,
-// serially. Compare ns/op and allocs/op against BenchmarkDecide.
+// BenchmarkDecideReplayReference is the retained pre-sweep reference: it
+// prices every size BenchmarkDecide's decision priced by replaying the
+// log once per size, serially, from one depth profile per decision —
+// the pricing work of the paper's literal procedure, without the search
+// bookkeeping. Compare ns/op and allocs/op against BenchmarkDecide.
 func BenchmarkDecideReplayReference(b *testing.B) {
-	m, obs := benchDecideSetup(b, true)
+	m, obs := benchDecideSetup(b)
+	d := m.Decide(obs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Decide(obs)
+		prof := buildDepthProfile(obs.Log, m.p.bankPages(), m.p.TotalBanks)
+		for _, c := range d.Candidates {
+			m.evaluate(obs, c.Banks, prof)
+		}
 	}
 }
 

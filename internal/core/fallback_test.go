@@ -89,13 +89,12 @@ func TestDecideFallbackNoHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Decide(Observation{
-		Log:            burstLog(p, 50),
+	d := m.Decide(batchObs{Log: burstLog(p, 50), Observation: Observation{
 		CacheAccesses:  50,
 		CoalesceFactor: 1,
 		PeriodStart:    0,
 		PeriodEnd:      p.Period,
-	})
+	}})
 	if !d.Fallback {
 		t.Fatal("degenerate observation did not trigger fallback")
 	}
@@ -135,23 +134,21 @@ func TestDecideFallbackHoldsPrevious(t *testing.T) {
 		good = append(good, lrusim.DepthRecord{Time: simtime.Seconds(tm), Depth: lrusim.Cold, Bytes: p.PageSize})
 		gap += 15
 	}
-	d1 := m.Decide(Observation{
-		Log:           good,
+	d1 := m.Decide(batchObs{Log: good, Observation: Observation{
 		CacheAccesses: int64(len(good)),
 		PeriodStart:   0,
 		PeriodEnd:     p.Period,
-	})
+	}})
 	if d1.Fallback {
 		t.Fatal("healthy observation fell back")
 	}
 
-	d2 := m.Decide(Observation{
-		Log:           burstLog(p, 50),
+	d2 := m.Decide(batchObs{Log: burstLog(p, 50), Observation: Observation{
 		CacheAccesses: 50,
 		PeriodStart:   p.Period,
 		PeriodEnd:     2 * p.Period,
 		CurrentBanks:  d1.Banks,
-	})
+	}})
 	if !d2.Fallback {
 		t.Fatal("degenerate observation did not trigger fallback")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -11,66 +10,37 @@ import (
 	"jointpm/internal/simtime"
 )
 
-// This file is the incremental half of the manager: the streaming
-// observation API (Ingest / DecideIncremental / DiscardPeriod), the
-// compressed-event pricing kernel both Decide entry points share, and the
-// persistent per-manager scratch that makes the hot path allocation-free.
+// This file is the manager's decision path: the streaming observation
+// API (Ingest / IngestBatch / DecideIncremental / DiscardPeriod), the
+// gap-log pricing kernel, and the persistent per-manager scratch that
+// makes the hot path allocation-free.
 //
-// The design invariant: batch Decide and DecideIncremental never diverge,
-// because both reduce their inputs to the SAME intermediate form — a
-// depthProfile (integer prefix sums) plus a bank-space gap log — and hand
-// it to one shared driver (decideFrom). Batch builds that form in a
-// single fused pass over the period log; the incremental path has been
-// accumulating it reference-by-reference in lrusim.DepthHist's per-bank
-// buckets and gap stream, and at decide time sums only the buckets up to
-// the deepest reference, so a boundary costs O(banks reached + gaps), not
-// O(installed banks). Per-candidate floating-point reductions inside the
-// kernel fold emissions in chronological order, which is exactly the
-// order the sequential replay path visits intervals, so the equivalence
+// The period's references accumulate in lrusim.DepthHist's per-bank
+// buckets and gap stream as they are ingested; at the boundary the
+// manager reduces them to a depthProfile (integer prefix sums over only
+// the reached banks) plus the bank-space gap log, so a boundary costs
+// O(banks reached + gaps), neither O(references) nor O(installed banks).
+// Per-candidate floating-point reductions inside the kernel fold
+// emissions in chronological order, which is exactly the order a replay
+// of the period at that size visits its idle intervals. The test oracle
+// in oracle_test.go keeps both that replay and a batch Decide that
+// rebuilds the same input form from a whole period log; the equivalence
 // is bit-exact, not approximate (see TestDecideIncrementalMatchesBatch
 // and TestDecideSweepMatchesReplay).
 
-// DecideMode selects which Decide entry point a host (simulator engine,
-// daemon shard) drives the manager through. The zero value is the batch
-// path, preserving the behaviour of configurations that predate the
-// incremental path.
+// DecideMode is deprecated and ignored: DecideIncremental is the only
+// Decide. The type and ModeIncremental remain so that configurations
+// naming them still compile.
 type DecideMode int
 
-const (
-	// ModeBatch collects the period's depth log and calls Decide once at
-	// the period boundary.
-	ModeBatch DecideMode = iota
-	// ModeIncremental feeds every reference to Manager.Ingest as it
-	// happens and calls DecideIncremental at the boundary.
-	ModeIncremental
-)
+// ModeIncremental is deprecated and ignored (see DecideMode).
+const ModeIncremental DecideMode = 1
 
-// String returns the flag spelling of the mode.
-func (m DecideMode) String() string {
-	if m == ModeIncremental {
-		return "incremental"
-	}
-	return "batch"
-}
-
-// ParseDecideMode parses a -decide flag value.
-func ParseDecideMode(s string) (DecideMode, error) {
-	switch s {
-	case "batch":
-		return ModeBatch, nil
-	case "incremental":
-		return ModeIncremental, nil
-	}
-	return ModeBatch, fmt.Errorf("core: unknown decide mode %q (want batch or incremental)", s)
-}
-
-// decideInput is the mode-independent form of one period's observation:
-// the scalar inputs, the integer depth profile, and the bank-space gap
-// log. The raw log (obs.Log) is only consulted by the SequentialReplay
-// ablation; the kernel never touches it.
+// decideInput is the kernel's form of one period's observation: the
+// scalar inputs, the integer depth profile, and the bank-space gap log.
 type decideInput struct {
 	obs      Observation
-	logLen   int               // references observed (len(obs.Log) ≡ hist.Refs())
+	logLen   int               // references observed (hist.Refs())
 	maxDepth int64             // deepest non-cold reference, in pages
 	gaps     []lrusim.Emission // bank-space gap log (see lrusim.GapStream)
 	prof     *depthProfile
@@ -82,11 +52,9 @@ type decideInput struct {
 // only per-decision allocation left is the right-sized Candidates slice
 // the Decision hands to the caller.
 type decideScratch struct {
-	prof   depthProfile
-	events []lrusim.SweepEvent
-	gs     lrusim.GapStream // batch-mode gap-log materialisation
-	sweep  lrusim.EventSweeper
-	in     decideInput
+	prof  depthProfile
+	sweep lrusim.EventSweeper
+	in    decideInput
 
 	slateBanks []int32
 	tcs        []TimeoutChoice
@@ -157,8 +125,7 @@ func (m *Manager) flushIngestSpan() {
 func (m *Manager) Hist() *lrusim.DepthHist { return m.hist }
 
 // DiscardPeriod drops the references ingested since the last decision
-// without deciding — the incremental equivalent of a host discarding a
-// warmup period's log unexamined.
+// without deciding: how a host skips a warmup period unexamined.
 func (m *Manager) DiscardPeriod() {
 	if m.hist != nil {
 		m.hist.Reset()
@@ -166,13 +133,12 @@ func (m *Manager) DiscardPeriod() {
 	m.flushIngestSpan()
 }
 
-// DecideIncremental is Decide over the references streamed through Ingest
-// since the previous period boundary: obs carries the scalar calibration
-// inputs (CacheAccesses, CoalesceFactor, period bounds, CurrentBanks) and
-// obs.Log is ignored. It returns a Decision bit-identical to what batch
-// Decide would return for the same references, in O(banks + events)
-// instead of O(references), and clears the ingested state for the next
-// period.
+// DecideIncremental evaluates the references streamed through Ingest or
+// IngestBatch since the previous period boundary, with the scalar
+// calibration inputs o carries (CacheAccesses, CoalesceFactor, period
+// bounds, CurrentBanks), and returns the sizing and timeout for the next
+// period. It costs O(banks reached + gaps), not O(references), and clears
+// the ingested state for the next period.
 func (m *Manager) DecideIncremental(o Observation) Decision {
 	hook := m.p.SpanHook
 	if hook == nil {
@@ -218,8 +184,8 @@ func (m *Manager) decideIncremental(o Observation) Decision {
 // at, keep that size (with the fresh period's re-fitted timeout) without
 // re-running the slate search. Any larger drift — or an infeasible or
 // distrusted re-evaluation — falls through to the full search. With the
-// default RefitDriftFrac = 0 the shortcut is disabled and the incremental
-// path stays bit-identical to batch Decide.
+// default RefitDriftFrac = 0 the shortcut is disabled and every period
+// runs the full search.
 func (m *Manager) tryDriftHold(o *Observation) (Decision, bool) {
 	f := m.p.RefitDriftFrac
 	if f <= 0 {
@@ -292,80 +258,6 @@ func (m *Manager) emptyDecision(o Observation, logLen int) Decision {
 	return d
 }
 
-// buildInput reduces a batch observation log to the kernel's input form
-// in one fused pass: depth profile, reference counts, max depth, and the
-// compressed event stream, all in manager-owned scratch. The event
-// compression must match lrusim.DepthHist.Observe exactly — shallow
-// references (at or below MinBanks, a miss-bound-zero no-op for every
-// candidate the manager prices) are dropped, and with a positive
-// aggregation window same-timestamp events collapse to the deepest.
-func (m *Manager) buildInput(o *Observation) *decideInput {
-	s := &m.scratch
-	bankPages := m.p.bankPages()
-	maxBanks := m.p.TotalBanks
-	prof := &s.prof
-	prof.reset(bankPages, maxBanks)
-	s.events = s.events[:0]
-	dedup := m.p.Window > 0
-	minKeep := int64(m.p.MinBanks)
-	coldBank := int32(maxBanks) + 1
-	maxDepth := int64(0)
-	touched := int64(0) // first touches so far (lrusim.DepthHist's rule)
-	for i := range o.Log {
-		r := &o.Log[i]
-		evBank := int32(0)
-		if r.Depth == lrusim.Cold {
-			prof.cold += r.Bytes
-			prof.coldCount++
-			touched++
-			evBank = coldBank
-		} else {
-			d := int64(r.Depth)
-			if d > maxDepth {
-				maxDepth = d
-			}
-			b := (d-1)/bankPages + 1
-			cb := b
-			if cb > int64(maxBanks) {
-				cb = int64(maxBanks)
-			}
-			prof.cumTotal[cb] += r.Bytes
-			prof.total += r.Bytes
-			if d > touched {
-				touched++
-				prof.cumFirst[cb] += r.Bytes
-			}
-			kb := b
-			if kb > int64(maxBanks)+1 {
-				kb = int64(maxBanks) + 1
-			}
-			prof.cumCount[kb]++
-			prof.nonColdCount++
-			if kb > minKeep {
-				evBank = int32(kb)
-			}
-		}
-		if evBank == 0 {
-			continue
-		}
-		if dedup {
-			if n := len(s.events); n > 0 && s.events[n-1].T == r.Time {
-				if evBank > s.events[n-1].Bank {
-					s.events[n-1].Bank = evBank
-				}
-				continue
-			}
-		}
-		s.events = append(s.events, lrusim.SweepEvent{T: r.Time, Bank: evBank})
-	}
-	prof.finish()
-	start, end := m.bounds(*o)
-	gaps := lrusim.BuildGapLog(&s.gs, s.events, maxBanks, m.p.Window, start, end)
-	in := &s.in
-	*in = decideInput{obs: *o, logLen: len(o.Log), maxDepth: maxDepth, gaps: gaps, prof: prof}
-	return in
-}
-
 // inputFromHist materialises the kernel's input form from the ingested
 // DepthHist: prefix sums of the buckets up to the deepest reference, and
 // the bank-space gap log the histogram's GapStream has been folding at
@@ -376,8 +268,8 @@ func (m *Manager) buildInput(o *Observation) *decideInput {
 //
 // The profile stops at the deepest reached bank n: every deeper bucket is
 // empty, so each prefix sum past n equals the one at n, and the profile's
-// queries clamp to their length. The count prefix keeps one bucket more,
-// the deep bucket when n is the installed banks, as batch's does.
+// queries clamp to their length. The count prefix keeps one bucket more:
+// the deep bucket when n is the installed banks.
 func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	s := &m.scratch
 	h := m.hist
@@ -397,9 +289,9 @@ func (m *Manager) inputFromHist(o *Observation) *decideInput {
 	return in
 }
 
-// decideFrom is the mode-independent decision driver: the coarse-to-fine
-// slate search, hysteresis, candidate ordering, and the fallback ladder,
-// exactly as Decide has always sequenced them, over a pre-reduced input.
+// decideFrom is the decision driver: the coarse-to-fine slate search,
+// hysteresis, candidate ordering, and the fallback ladder, over a
+// pre-reduced input.
 func (m *Manager) decideFrom(in *decideInput) Decision {
 	s := &m.scratch
 	// Sizes beyond the deepest observed hit depth cannot remove further
@@ -422,9 +314,7 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 
 	// Coarse-to-fine search at EnumUnit granularity. The energy curve is
 	// evaluated on a shrinking grid around the best point; each pass costs
-	// one multi-threshold sweep of the event stream for its whole
-	// candidate slate (or one replay per candidate under the
-	// SequentialReplay ablation).
+	// one fold of the gap log for its whole candidate slate.
 	lo, hi := m.p.MinBanks, hiBanks
 	var best Candidate
 	bestSet := false
@@ -598,22 +488,14 @@ func growCandidates(s []Candidate, n int) []Candidate {
 }
 
 // evalSlate prices one ascending candidate slate into out (len(out) ==
-// len(banks)). The kernel path folds each candidate's idle-interval
-// statistics straight out of the pre-built bank-space gap log (one
-// remapped reduction per pass, O(kept gaps) regardless of slate), then
-// prices every candidate from those reductions — no interval list is
-// ever materialised and no per-slate sweep of the event stream runs.
-// Under the SequentialReplay ablation (batch mode only: it needs the raw
-// log) each candidate is priced by a full log replay, the paper's literal
-// procedure; the paths produce bit-identical candidates.
+// len(banks)). It folds each candidate's idle-interval statistics
+// straight out of the pre-built bank-space gap log (one remapped
+// reduction per pass, O(kept gaps) regardless of slate), then prices
+// every candidate from those reductions — no interval list is ever
+// materialised. The oracle's per-candidate log replay, the paper's
+// literal procedure, prices bit-identical candidates.
 func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	if len(banks) == 0 {
-		return
-	}
-	if m.p.SequentialReplay && in.obs.Log != nil {
-		for i, b := range banks {
-			out[i] = m.evaluate(in.obs, b, in.prof)
-		}
 		return
 	}
 	k := len(banks)
@@ -691,7 +573,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	// Phase 4 (metrics only): for candidates the eq. 6 floor priced out of
 	// spinning down, re-value at the unclamped timeout to attribute the
 	// loss to the delay cap. Runs only when the rejected_delay counter is
-	// live, mirroring the batch path's lazily-paid second interval walk.
+	// live.
 	if needDelay {
 		sw.TailStats(s.to2, s.ts2, s.h2)
 		pd := float64(m.p.DiskSpec.StaticPower())
@@ -732,12 +614,22 @@ func (m *Manager) chooseTimeoutStats(ni int64, minGap, sumGap float64, nd, cache
 	return m.finishTimeout(fit, err, ni, nd, cacheAccesses, span)
 }
 
-// priceStats is the kernel's counterpart of price: the identical
-// valuation arithmetic fed from streaming reductions — nd and profile
-// byte queries, ni/covered from the sweep fold, the timeout choice, and
-// the tail excess (tailTS, tailH) from the emission pass — instead of a
+// priceStats prices one candidate — Pareto fit, timeout choice, M/G/1
+// wait, utilization test, and energy — from streaming reductions: nd and
+// the profile's byte queries, ni/covered from the gap-log fold, the
+// timeout choice, and the tail excess (tailTS, tailH) from the emission
+// pass. The oracle's price does the identical arithmetic over a
 // materialised interval list. The second return value asks the caller to
 // run the delay-cap attribution pass for this candidate.
+//
+// The timeout is chosen from the Pareto model as the paper derives; the
+// candidate's power is then valued against the reconstructed intervals
+// themselves rather than the fitted tail. With the small per-period
+// interval counts a server sees at well-chosen memory sizes, the fitted
+// tail's extrapolated off-time is far noisier than the intervals it was
+// fitted from; valuing empirically keeps the size comparison honest while
+// the closed-form optimum still sets the timeout. DiskPMPowerModel in
+// this package exposes the pure eq. 4 valuation for analysis.
 func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered float64, tc TimeoutChoice, tailTS float64, tailH int64) (Candidate, bool) {
 	p := m.p
 	pages := int64(banks) * p.bankPages()
@@ -745,8 +637,14 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 	c.DiskAccesses = nd
 	c.IdleCount = int(ni)
 	c.MissBytes = in.prof.missBytes(banks)
+	// Refill band: distinct pages the stack model counts as hits but that
+	// the real cache, currently holding only CurrentBanks banks, must
+	// re-fetch once while re-populating the grown region.
 	c.RefillBytes = in.prof.refillBytes(in.obs.CurrentBanks, banks)
 
+	// Normalise rates over the observed span: the period length, or the
+	// idle time actually covered when it extends further (as offline
+	// analyses over multi-period streams do).
 	T := float64(p.Period)
 	if covered > T {
 		T = covered
@@ -755,12 +653,21 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 	pd := float64(spec.StaticPower())
 	tbe := float64(spec.BreakEven())
 
+	// Disk dynamic power from predicted busy time. Seek/rotation costs are
+	// paid per coalesced request, calibrated by the observed coalescing.
+	// The refill cost of growing is a one-time transient: it is charged to
+	// the energy estimate amortized over a few periods (so oscillating
+	// does not look free), but NOT to the utilization feasibility test —
+	// gating growth on a one-period burst would trap the manager at a
+	// small size forever.
 	requests := float64(nd) / in.obs.CoalesceFactor
 	busy := requests*float64(spec.SeekTime+spec.RotationalLatency) +
 		float64(c.MissBytes)/spec.TransferRate
 	c.Utilization = busy / T
 	if requests > 0 {
 		es := busy / requests
+		// SCV 1 (exponential-like service) is a conservative default for
+		// the mixed request sizes the cache emits.
 		if w, err := qmodel.MG1WaitSCV(requests/T, es, 1); err == nil {
 			c.PredictedWait = simtime.Seconds(w)
 		} else {
@@ -772,6 +679,9 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 		float64(c.RefillBytes)/spec.TransferRate
 	c.DiskDynPower = simtime.Watts((busy + refillBusy/refillAmortizePeriods) / T * float64(spec.DynamicPower()))
 
+	// The timeout tc chose (t_o = α·t_be under the eq. 6 floor), valued
+	// against the observed intervals: spinning down must beat staying on
+	// or it is disabled.
 	c.Fit = tc.Fit
 	c.FitOK = tc.FitOK
 	c.TimeoutFloor = tc.Floor
@@ -792,15 +702,23 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 		c.StandbyS = simtime.Seconds(ts)
 	} else {
 		m.met.spinDisabled.Inc()
+		// Attribute the loss: if spin-down at the unclamped
+		// t_o = α·t_be would have won, the delay cap D is what priced
+		// this candidate out of sleeping (evalSlate's phase 4 checks).
 		if m.met.rejectedDelay != nil && tc.Clamped {
 			attribute = true
 		}
 	}
 
+	// Memory static power of the enabled banks (joint keeps them in nap).
 	c.MemPower = p.MemSpec.NapPower() * simtime.Watts(banks)
 
 	c.TotalPower = c.DiskPMPower + c.DiskDynPower + c.MemPower
 	c.Feasible = c.Utilization <= p.UtilCap
+	// A candidate whose pricing degenerated to NaN/Inf — a hostile trace
+	// segment, a poisoned coalesce factor — must never win on a garbage
+	// comparison: an Inf utilization already fails the cap above, but a
+	// NaN power would sort unpredictably through better().
 	if math.IsNaN(c.Utilization) || math.IsInf(c.Utilization, 0) ||
 		math.IsNaN(float64(c.TotalPower)) || math.IsInf(float64(c.TotalPower), 0) ||
 		math.IsNaN(float64(c.Timeout)) {

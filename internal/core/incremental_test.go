@@ -15,7 +15,7 @@ import (
 
 // shiftObservation rebases a generated period to start at t0 so one
 // generator can feed a multi-period sequence with increasing bounds.
-func shiftObservation(o Observation, t0 simtime.Seconds) Observation {
+func shiftObservation(o batchObs, t0 simtime.Seconds) batchObs {
 	span := o.PeriodEnd - o.PeriodStart
 	log := make([]lrusim.DepthRecord, len(o.Log))
 	for i, r := range o.Log {
@@ -31,12 +31,11 @@ func shiftObservation(o Observation, t0 simtime.Seconds) Observation {
 // feedIncremental streams one period's log into the manager and strips
 // the log from the returned observation, the way an incremental host
 // hands over only the scalar calibration inputs.
-func feedIncremental(m *Manager, o Observation) Observation {
+func feedIncremental(m *Manager, o batchObs) Observation {
 	for i := range o.Log {
 		m.Ingest(o.Log[i])
 	}
-	o.Log = nil
-	return o
+	return o.Observation
 }
 
 // TestDecideIncrementalMatchesBatch is the manager-level equivalence
@@ -161,11 +160,11 @@ func boundaryParams() Params {
 // stack and the period's deepest reference reaches about its size. One
 // reference in 16 is a cold miss on a page never seen before, so every
 // candidate size sees disk traffic across the period.
-func lightStream(p Params, reach []int) []Observation {
+func lightStream(p Params, reach []int) []batchObs {
 	rng := rand.New(rand.NewSource(int64(len(reach))))
 	s := lrusim.NewStackSim(1 << 20)
 	fresh := int64(1 << 40) // page ids past every working set
-	var out []Observation
+	var out []batchObs
 	t0 := simtime.Seconds(0)
 	for i, banks := range reach {
 		pages := int(int64(banks) * p.bankPages())
@@ -175,8 +174,8 @@ func lightStream(p Params, reach []int) []Observation {
 			s.Reference(int64(pg))
 		}
 		const refs = 4096
-		o := Observation{CacheAccesses: int64(refs), CoalesceFactor: 1.5,
-			PeriodStart: t0, PeriodEnd: t0 + p.Period}
+		o := batchObs{Observation: Observation{CacheAccesses: int64(refs), CoalesceFactor: 1.5,
+			PeriodStart: t0, PeriodEnd: t0 + p.Period}}
 		tm := t0
 		step := float64(p.Period) / float64(refs)
 		for j := 0; j < refs; j++ {

@@ -24,7 +24,7 @@ func pageRuns(log []lrusim.DepthRecord) []lrusim.DepthRun {
 // one-page runs in random chunk sizes, interleaved with single-record
 // Ingest calls, and strips the log like feedIncremental: the two entry
 // points must be interchangeable mid-period.
-func feedIncrementalBatch(m *Manager, o Observation, rng *rand.Rand) Observation {
+func feedIncrementalBatch(m *Manager, o batchObs, rng *rand.Rand) Observation {
 	runs := pageRuns(o.Log)
 	for off := 0; off < len(o.Log); {
 		n := 1 + rng.Intn(len(o.Log)-off)
@@ -36,8 +36,7 @@ func feedIncrementalBatch(m *Manager, o Observation, rng *rand.Rand) Observation
 		m.IngestBatch(runs[off : off+n])
 		off += n
 	}
-	o.Log = nil
-	return o
+	return o.Observation
 }
 
 // TestIngestBatchMatchesIngest: a manager fed whole periods through

@@ -70,7 +70,7 @@ func TestPricedLedgerSums(t *testing.T) {
 func TestPricedLedgerFallback(t *testing.T) {
 	p := testParams()
 	m, _ := NewManager(p)
-	d := m.Decide(Observation{}) // empty period
+	d := m.Decide(batchObs{}) // empty period
 	l := d.PricedLedger(p)
 	want := float64(p.MemSpec.NapPower()) * float64(d.Banks) * float64(p.Period)
 	if l.MemNapJ != want || l.DiskJ() != 0 || l.DelayS != 0 {

@@ -145,10 +145,7 @@ func candidateSummary(c Candidate) obs.CandidateSummary {
 // winning candidate with its Pareto fit and eq. 6 floor, and the top-k
 // runner-ups ranked by the same ordering Decide used, each annotated
 // with why it lost. Callers guard with sink.Enabled() so the disabled
-// path allocates nothing. logLen is passed explicitly because the
-// incremental path has no materialised log — it reports the histogram's
-// reference count, which equals len(o.Log) on the batch path, keeping
-// traces byte-identical across modes.
+// path allocates nothing. logLen is the period's reference count.
 func (m *Manager) emitTrace(o Observation, logLen int, d Decision, held bool) {
 	rec := obs.DecisionRecord{
 		Observation: obs.ObservationSummary{
@@ -211,16 +208,4 @@ func (m *Manager) emitEmptyTrace(o Observation, logLen int, d Decision) {
 			Feasible: true,
 		},
 	})
-}
-
-// delayCapCostSpinDown reports whether the eq. 6 floor is what priced
-// this candidate out of spinning down: spin-down at the floored timeout
-// loses to staying on, but at the unclamped t_o = α·t_be it would have
-// won. Only called when the rejected_delay counter is live — it costs a
-// second pass over the intervals.
-func delayCapCostSpinDown(intervals []float64, tc TimeoutChoice, T, pd, tbe float64) bool {
-	if !tc.Clamped {
-		return false
-	}
-	return empiricalPMPower(intervals, float64(tc.Unclamped), T, pd, tbe) < pd
 }

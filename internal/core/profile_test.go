@@ -168,14 +168,14 @@ func TestHysteresisHoldsForNoise(t *testing.T) {
 	// A mildly reusing workload where the optimum differs from 64 banks
 	// by less than 5% of total power (memory is micro-watts here).
 	log := synthLog(4*p.bankPages(), 2000, 0.3, p.PageSize)
-	d := m.Decide(Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64})
+	d := m.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64}})
 	if d.Banks != 64 {
 		t.Errorf("hysteresis moved from 64 to %d for a marginal gain", d.Banks)
 	}
 	// Disabling hysteresis moves.
 	p2 := testParams() // HysteresisFrac = -1
 	m2, _ := NewManager(p2)
-	d2 := m2.Decide(Observation{Log: log, CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64})
+	d2 := m2.Decide(batchObs{Log: log, Observation: Observation{CacheAccesses: 2000, CoalesceFactor: 1, CurrentBanks: 64}})
 	if d2.Banks == 64 {
 		t.Skip("optimum happens to be 64 banks; hysteresis indistinguishable")
 	}
@@ -185,7 +185,7 @@ func TestPredictedWaitShape(t *testing.T) {
 	p := testParams()
 	m, _ := NewManager(p)
 	log := synthLog(10*p.bankPages(), 3000, 0.05, p.PageSize)
-	obs := Observation{Log: log, CacheAccesses: 3000, CoalesceFactor: 1}
+	obs := batchObs{Log: log, Observation: Observation{CacheAccesses: 3000, CoalesceFactor: 1}}
 	// Smaller memory → more misses → higher utilization → longer
 	// predicted queueing wait.
 	small := m.evaluate(obs, 1, nil)

@@ -32,11 +32,10 @@ func TestRefillChargesGrowthOnly(t *testing.T) {
 		log = append(log, lrusim.DepthRecord{Time: simtime.Seconds(tm), Page: pg, Depth: d, Bytes: p.PageSize})
 		tm += 0.2
 	}
-	obs := Observation{
-		Log:           log,
+	obs := batchObs{Log: log, Observation: Observation{
 		CacheAccesses: 3000,
 		CurrentBanks:  2,
-	}
+	}}
 
 	atCurrent := m.evaluate(obs, 2, nil)
 	if atCurrent.RefillBytes != 0 {
@@ -97,7 +96,7 @@ func TestRefillDampsOscillation(t *testing.T) {
 		tm += 0.15
 	}
 
-	cold := Observation{Log: log, CacheAccesses: 4000, CurrentBanks: 4}
+	cold := batchObs{Log: log, Observation: Observation{CacheAccesses: 4000, CurrentBanks: 4}}
 	withRefill := m.Decide(cold)
 
 	m2, _ := NewManager(p)

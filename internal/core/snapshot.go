@@ -121,14 +121,8 @@ func MergeParams(base, o Params) Params {
 	if o.MaxCandidatesPerPass > 0 {
 		base.MaxCandidatesPerPass = o.MaxCandidatesPerPass
 	}
-	if o.EvalWorkers > 0 {
-		base.EvalWorkers = o.EvalWorkers
-	}
 	if o.RefitDriftFrac > 0 {
 		base.RefitDriftFrac = o.RefitDriftFrac
-	}
-	if o.SequentialReplay {
-		base.SequentialReplay = true
 	}
 	if o.FixedTimeout {
 		base.FixedTimeout = true

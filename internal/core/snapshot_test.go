@@ -11,19 +11,18 @@ import (
 // observations builds a deterministic sequence of period observations
 // with shifting working sets, so the manager's decisions actually move
 // (and hysteresis has something to hold against).
-func snapshotObservations(p Params, periods int) []Observation {
+func snapshotObservations(p Params, periods int) []batchObs {
 	bankPages := p.bankPages()
-	out := make([]Observation, 0, periods)
+	out := make([]batchObs, 0, periods)
 	for i := 0; i < periods; i++ {
 		ws := (int64(i%5) + 2) * 4 * bankPages
 		log := synthLog(ws, 2000, 0.2, p.PageSize)
-		out = append(out, Observation{
-			Log:            log,
+		out = append(out, batchObs{Log: log, Observation: Observation{
 			CacheAccesses:  int64(len(log)),
 			CoalesceFactor: 1,
 			PeriodStart:    simtime.Seconds(float64(i)) * p.Period,
 			PeriodEnd:      simtime.Seconds(float64(i+1)) * p.Period,
-		})
+		}})
 	}
 	return out
 }

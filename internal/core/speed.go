@@ -64,7 +64,7 @@ func (m *Manager) timeoutAtLevel(tc0 TimeoutChoice, tbe float64) TimeoutChoice {
 }
 
 // priceLevel re-prices one candidate at ladder level lvl, mirroring
-// price/priceStats arithmetic exactly with the level's constants: seeks
+// priceStats arithmetic exactly with the level's constants: seeks
 // keep the spec seek time, rotation and transfer slow with the platter,
 // idle/active powers drop quadratically/level-wise, and the spin-down
 // valuation runs against the level's break-even time. A candidate at a
@@ -231,27 +231,4 @@ func (m *Manager) refineSlateLevels(in *decideInput, banks []int, out []Candidat
 			}
 		}
 	}
-}
-
-// refineReplayLevels is the SequentialReplay/batch-evaluate counterpart
-// of refineSlateLevels: the same per-level valuation fed from
-// empiricalPMStats' chronological interval fold, so the two paths stay
-// bit-identical with the speed slate enabled just as they are without
-// it. tailTS/tailH are the level-0 fold results price already computed.
-func (m *Manager) refineReplayLevels(c Candidate, intervals []float64, tc TimeoutChoice, requests, refillReqs, T, tailTS float64, tailH int64) Candidate {
-	cur := m.curLevel()
-	if cur != 0 {
-		c = m.priceLevel(c, 0, cur, requests, refillReqs, T, tc, tailTS, tailH)
-	}
-	for lvl := 1; lvl < len(m.p.SpeedLevels); lvl++ {
-		pd := float64(m.p.SpeedLevels[lvl].IdlePower) - float64(m.p.DiskSpec.StandbyPower)
-		tbe := float64(m.p.DiskSpec.TransitionEnergy) / pd
-		tcl := m.timeoutAtLevel(tc, tbe)
-		ts, h := empiricalPMStats(intervals, float64(tcl.Timeout))
-		cl := m.priceLevel(c, lvl, cur, requests, refillReqs, T, tcl, ts, int64(h))
-		if m.betterLevel(cl, c) {
-			c = cl
-		}
-	}
-	return c
 }

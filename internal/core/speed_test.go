@@ -69,20 +69,19 @@ func TestSpeedSingleLevelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSpeedDecidePathsAgree pins the three decision kernels against each
-// other with the speed slate enabled: the multi-threshold sweep, the
-// retained sequential replay, and the incremental streaming path must
-// produce bit-identical (m, t_o, level) decisions — the speed refinement
-// has a per-kernel implementation (refineSlateLevels/refineReplayLevels)
-// and this is the proof they price identically.
+// TestSpeedDecidePathsAgree pins the three decision paths against each
+// other with the speed slate enabled: the batch oracle and the
+// incremental streaming path must produce bit-identical (m, t_o, level)
+// decisions, and every candidate they price must equal the retained
+// sequential replay's — the speed refinement has a per-kernel
+// implementation (refineSlateLevels/refineReplayLevels) and this is the
+// proof they price identically.
 func TestSpeedDecidePathsAgree(t *testing.T) {
 	p := speedParams(4)
 	p.HysteresisFrac = 0.05
-	pSeq := p
-	pSeq.SequentialReplay = true
 
 	sweep, _ := NewManager(p)
-	seq, _ := NewManager(pSeq)
+	seq, _ := NewManager(p)
 	inc, _ := NewManager(p)
 
 	t0 := simtime.Seconds(0)
@@ -94,12 +93,8 @@ func TestSpeedDecidePathsAgree(t *testing.T) {
 		t0 = o.PeriodEnd
 
 		dSweep := sweep.Decide(o)
-		dSeq := seq.Decide(o)
+		checkReplay(t, seq, o, dSweep)
 		dInc := inc.DecideIncremental(feedIncremental(inc, o))
-		if !reflect.DeepEqual(dSweep, dSeq) {
-			t.Fatalf("period %d: sweep vs sequential replay diverged\nsweep: %+v\nseq:   %+v",
-				period, dSweep, dSeq)
-		}
 		if !reflect.DeepEqual(dSweep, dInc) {
 			t.Fatalf("period %d: sweep vs incremental diverged\nsweep: %+v\nincr:  %+v",
 				period, dSweep, dInc)
@@ -257,10 +252,11 @@ func TestSpeedParamsValidate(t *testing.T) {
 	}
 }
 
-// BenchmarkDecideSpeed is BenchmarkDecide with a four-level ladder: the
-// paper-scale slate priced at every speed level. The alloc budget in
-// ci/alloc_budget.txt pins the refinement to the scratch-reuse design —
-// extra levels must cost folds, not allocations.
+// BenchmarkDecideSpeed is BenchmarkDecideIncremental with a four-level
+// ladder: the paper-scale slate priced at every speed level, from the
+// ingested period. The alloc budget in ci/alloc_budget.txt pins the
+// refinement to the scratch-reuse design — extra levels must cost folds,
+// not allocations.
 func BenchmarkDecideSpeed(b *testing.B) {
 	p := DefaultParams(64*simtime.KB, 16*simtime.MB, 8192, disk.Barracuda(), mem.RDRAM(16*simtime.MB))
 	p.HysteresisFrac = -1
@@ -271,10 +267,11 @@ func BenchmarkDecideSpeed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs := zipfObservation(p, 1<<18, 1<<20, 42)
+	inc := feedIncremental(m, zipfObservation(p, 1<<18, 1<<20, 42))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Decide(obs)
+		in := m.inputFromHist(&inc)
+		m.decideFrom(in)
 	}
 }

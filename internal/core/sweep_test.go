@@ -13,7 +13,7 @@ import (
 // zipfObservation builds a period observation with Zipf-skewed reuse over
 // enough distinct pages to span many banks, plus Pareto-ish idle gaps —
 // the shape a paper-scale server period produces.
-func zipfObservation(p Params, refs int, universe int, seed int64) Observation {
+func zipfObservation(p Params, refs int, universe int, seed int64) batchObs {
 	rng := stats.NewRNG(seed)
 	z := stats.NewZipf(stats.NewRNG(seed+1), universe, 0.9)
 	s := lrusim.NewStackSim(1 << 20)
@@ -27,18 +27,17 @@ func zipfObservation(p Params, refs int, universe int, seed int64) Observation {
 		})
 		tm += rng.Pareto(1.4, 0.02)
 	}
-	return Observation{
-		Log:            log,
+	return batchObs{Log: log, Observation: Observation{
 		CacheAccesses:  int64(refs),
 		CoalesceFactor: 1.3,
 		PeriodStart:    0,
 		PeriodEnd:      simtime.Seconds(tm) + 5,
-	}
+	}}
 }
 
 // TestDecideSweepMatchesReplay is the Decide-level equivalence property:
-// the multi-threshold sweep with parallel pricing must produce decisions
-// bit-identical to the retained per-size sequential replay path, across
+// every candidate the gap-log kernel prices in a decision must be
+// bit-identical to the per-size sequential replay of the log, across
 // randomized observations, with and without hysteresis/refill accounting.
 func TestDecideSweepMatchesReplay(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -52,16 +51,8 @@ func TestDecideSweepMatchesReplay(t *testing.T) {
 		}
 
 		swept, _ := NewManager(p)
-		pRef := p
-		pRef.SequentialReplay = true
-		replayed, _ := NewManager(pRef)
-
-		dSwept := swept.Decide(obs)
-		dReplayed := replayed.Decide(obs)
-		if !reflect.DeepEqual(dSwept, dReplayed) {
-			t.Errorf("seed %d: sweep and replay decisions differ:\nsweep:  %+v\nreplay: %+v",
-				seed, dSwept, dReplayed)
-		}
+		replayed, _ := NewManager(p)
+		checkReplay(t, replayed, obs, swept.Decide(obs))
 	}
 }
 
@@ -89,11 +80,10 @@ func TestEvaluateSlateMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestEvaluateSlateWorkerBounds covers the serial (EvalWorkers=1) and
-// degenerate slate shapes.
+// TestEvaluateSlateWorkerBounds covers degenerate slate shapes: an empty
+// slate and a sparse one.
 func TestEvaluateSlateWorkerBounds(t *testing.T) {
 	p := testParams()
-	p.EvalWorkers = 1
 	m, _ := NewManager(p)
 	obs := zipfObservation(p, 1000, 1<<10, 3)
 	if got := m.evaluateSlate(obs, nil, nil); len(got) != 0 {
@@ -101,10 +91,10 @@ func TestEvaluateSlateWorkerBounds(t *testing.T) {
 	}
 	got := m.evaluateSlate(obs, []int{1, 5, 9}, nil)
 	if len(got) != 3 || got[1].Banks != 5 {
-		t.Fatalf("serial slate mispriced: %+v", got)
+		t.Fatalf("sparse slate mispriced: %+v", got)
 	}
 	want := m.evaluate(obs, 5, nil)
 	if !reflect.DeepEqual(got[1], want) {
-		t.Errorf("serial slate candidate differs from evaluate")
+		t.Errorf("sparse slate candidate differs from evaluate")
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // GapStream maintains the slate-independent form of the idle-interval
-// sweep incrementally, one event at a time. Where EventSweeper.Sweep
-// reconstructs intervals for one candidate slate, GapStream runs the same
+// sweep incrementally, one event at a time. Where a direct slate sweep
+// (the test oracle's EventSweeper.Sweep) reconstructs intervals for one
+// candidate slate, GapStream runs the same
 // segment-stack algorithm over the full threshold axis 0..maxBanks — each
 // emission's [Lo, Hi) is a range of bank thresholds, not slate indices —
 // so the resulting gap log prices EVERY slate: a candidate of B banks is
@@ -75,7 +76,7 @@ func (g *GapStream) Reset(window simtime.Seconds, maxBanks int) {
 
 // Feed folds one finalized event into the sweep. Events must arrive in
 // time order and already deduplicated (see DepthHist.push) — feeding must
-// mirror the event stream the batch path builds, so the logs agree
+// mirror the event stream the batch oracle builds, so the logs agree
 // structurally, not just per candidate.
 func (g *GapStream) Feed(e SweepEvent) {
 	one := [1]SweepEvent{e}
@@ -179,16 +180,4 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 		}
 	}
 	return g.emits
-}
-
-// BuildGapLog runs the complete bank-space sweep over a finished event
-// stream in one call: the batch path's way of materialising the same gap
-// log an incrementally fed GapStream holds at period close. Using one
-// implementation for both modes makes the logs identical by construction.
-func BuildGapLog(g *GapStream, events []SweepEvent, maxBanks int, window, start, end simtime.Seconds) []Emission {
-	g.Reset(window, maxBanks)
-	for i := range events {
-		g.Feed(events[i])
-	}
-	return g.Finish(start, end)
 }

@@ -13,7 +13,7 @@ import (
 // manager's incremental Decide path. The invariant the whole file serves:
 // feeding every reference of a period into a DepthHist, as records or as
 // depth runs, must reproduce, bit for bit, the aggregates and gap log the
-// batch path computes from the full []DepthRecord log (see the
+// batch oracle computes from the full []DepthRecord log (see the
 // differential tests in hist_test.go and internal/core). Both paths tell
 // a page's first touch in the period from its depth alone, by the rule
 // stated on DepthHist.
@@ -72,7 +72,7 @@ type SweepEvent struct {
 //     same-time shallower event only splits a segment into parts carrying
 //     the same time, emitting nothing but zero-length gaps the window
 //     filter discards. With window == 0 those zero gaps ARE emitted by the
-//     batch path, so dedup must stay off to remain bit-identical.
+//     batch oracle, so dedup must stay off to remain bit-identical.
 //
 // Only the newest event is kept: with dedup on it may still deepen, so it
 // reaches the gap log once a later event (or FinishGaps) settles it.
@@ -120,7 +120,7 @@ type depthBucket struct {
 // the histograms); window is the idle-interval aggregation window, which
 // both filters the streaming gap log and (when positive) enables
 // same-timestamp event compression. With window == 0 zero-length gaps ARE
-// emitted by the batch path, so compression must stay off to remain
+// emitted by the batch oracle, so compression must stay off to remain
 // bit-identical — the histogram derives that itself.
 func NewDepthHist(bankPages int64, maxBanks, minKeepBanks int, window simtime.Seconds) *DepthHist {
 	if bankPages <= 0 || maxBanks < 1 {
@@ -378,16 +378,12 @@ type Emission struct {
 }
 
 // EventSweeper reconstructs idle-interval statistics for an ascending
-// candidate slate: the incremental counterpart of Sweeper, with the
-// per-candidate interval lists replaced by streaming reductions (count,
-// sum, min — everything a Pareto moment fit needs) plus a shared
-// slate-space emission log for later conditional passes (timeout
-// valuation). All buffers are reused across calls; returned slices are
-// invalidated by the next Sweep or SweepGaps.
+// candidate slate from a period's gap log, with per-candidate interval
+// lists replaced by streaming reductions (count, sum, min — everything a
+// Pareto moment fit needs) plus a shared slate-space emission log for
+// later conditional passes (timeout valuation). All buffers are reused
+// across calls; returned slices are invalidated by the next SweepGaps.
 type EventSweeper struct {
-	segT  []simtime.Seconds
-	segHi []int32
-
 	bound   []int32 // bound[b]: slate candidates a reference at bank depth b misses
 	cntDiff []int64 // per-emission boundary deltas; prefix-summed into Cnt
 
@@ -406,124 +402,14 @@ type EventSweeper struct {
 	gapHi    []Emission // ordered sub-log of emissions reaching past lane 31
 }
 
-// Sweep runs the multi-threshold idle reconstruction over events for the
-// ascending slate of bank counts. maxBank bounds the event bank indices
-// (installed banks; the cold sentinel is maxBank+1). window, start and end
-// have BoundedIdleIntervals semantics. After Sweep, Cnt/Sum/Min hold each
-// candidate's interval statistics and Emits the shared emission log.
-func (s *EventSweeper) Sweep(events []SweepEvent, slate []int32, maxBank int32, window, start, end simtime.Seconds) {
-	k := len(slate)
-	s.reset(slate)
-	s.asm = false
-
-	// bound[b] = number of slate entries with bank < b: the miss bound of
-	// a reference whose bank depth is b, precomputed so the per-event cost
-	// is one table load instead of a binary search.
-	boundTab := s.buildBound(slate, maxBank+1)
-
-	// The segment stack holds strictly decreasing segHi values top-down
-	// (every push first pops all entries ≤ its bound), so its depth never
-	// exceeds k+1: fixed-capacity arrays indexed by a local depth counter
-	// keep the per-event cost free of append bookkeeping.
-	segT, segHi := s.segT[:k+1], s.segHi[:k+1]
-	n := 0
-
-	// Emission records are written unconditionally and the log index
-	// advances by the sign bit of gap − window: an IEEE subtraction of
-	// distinct doubles never rounds to zero, so the sign bit is clear
-	// exactly when gap ≥ window. Filtering without a data-dependent
-	// branch keeps the event loop free of its worst misprediction source.
-	need := 2*len(events) + k + 2 // pops ≤ pushes ≤ len+1, partials ≤ len, end ≤ k+1
-	if cap(s.Emits) < need {
-		s.Emits = make([]Emission, need)
-	}
-	emits := s.Emits[:need]
-	cntDiff := s.cntDiff
-	idx := 0
-
-	// Boundary start covers every threshold: idle time before the first
-	// disk access counts from the period start.
-	if start >= 0 {
-		segT[0], segHi[0] = start, int32(k)
-		n = 1
-	}
-
-	for _, e := range events {
-		bound := boundTab[e.Bank]
-		if bound == 0 {
-			continue
-		}
-		t := e.T
-		low := int32(0)
-		for n > 0 && segHi[n-1] <= bound {
-			hi := segHi[n-1]
-			gap := float64(t - segT[n-1])
-			emits[idx] = Emission{Gap: gap, Lo: low, Hi: hi}
-			keep := int64(math.Float64bits(gap-float64(window))>>63) ^ 1
-			cntDiff[low] += keep
-			cntDiff[hi] -= keep
-			idx += int(keep)
-			low = hi
-			n--
-		}
-		// A surviving segment may still cover part of [low, bound): emit
-		// its gap for the covered prefix; the segment itself keeps
-		// representing [bound, hi) once the event is pushed.
-		if n > 0 && low < bound {
-			gap := float64(t - segT[n-1])
-			emits[idx] = Emission{Gap: gap, Lo: low, Hi: bound}
-			keep := int64(math.Float64bits(gap-float64(window))>>63) ^ 1
-			cntDiff[low] += keep
-			cntDiff[bound] -= keep
-			idx += int(keep)
-		}
-		segT[n], segHi[n] = t, bound
-		n++
-	}
-
-	// Boundary end: one trailing gap per threshold whose last access is
-	// strictly before end.
-	if end >= 0 {
-		low := int32(0)
-		for j := n - 1; j >= 0; j-- {
-			t := segT[j]
-			hi := segHi[j]
-			if end > t {
-				if gap := end - t; gap >= window {
-					emits[idx] = Emission{Gap: float64(gap), Lo: low, Hi: hi}
-					cntDiff[low]++
-					cntDiff[hi]--
-					idx++
-				}
-			}
-			low = hi
-		}
-	}
-	s.Emits = emits[:idx]
-
-	// Interval counts are order-free integers, so they accumulate as
-	// emission-boundary deltas and materialise in one exact prefix pass.
-	c := int64(0)
-	for i := 0; i < k; i++ {
-		c += s.cntDiff[i]
-		s.Cnt[i] = c
-	}
-
-	// Sum/min fold deferred out of the event loop: one linear pass over
-	// the emission log keeps the stack loop small and branch-light, and
-	// per candidate the emissions are folded in exactly the order they
-	// were appended — the chronological order a per-candidate interval
-	// list would have.
-	foldEmits(s.Emits, s.Sum, s.Min)
-}
-
 // SweepGaps prices an ascending slate from a finished bank-space gap log
 // (see GapStream) instead of re-sweeping the event stream: each logged
 // emission's threshold range [Lo, Hi) maps through the slate's bound
 // table to the contiguous slate-index range [bound[Lo], bound[Hi)), and
 // the per-candidate reductions fold exactly the gaps a dedicated slate
 // sweep would have emitted, in the same order — so Cnt/Sum/Min (and a
-// later TailStats) are bit-identical to Sweep over the same period.
+// later TailStats) are bit-identical to sweeping the period's event
+// stream for the slate directly.
 //
 // The remap runs once per call, into Emits, and drops the emissions that
 // cover no candidate; the folds and every TailStats call then work in
@@ -693,7 +579,7 @@ func (s *EventSweeper) reset(slate []int32) {
 			panic("lrusim: EventSweeper slate must be ascending")
 		}
 	}
-	if cap(s.segT) < k+1 {
+	if cap(s.Cnt) < k {
 		// Capacity rounded up to whole 32-lane blocks: the register-resident
 		// gap kernels load and store full accumulator blocks, so the backing
 		// arrays must own the complete width of every block the slate
@@ -703,15 +589,11 @@ func (s *EventSweeper) reset(slate []int32) {
 		s.Sum = make([]float64, k, kk)
 		s.Min = make([]float64, k, kk)
 		s.cntDiff = make([]int64, k+1, kk+1)
-		s.segT = make([]simtime.Seconds, k+1, kk+1)
-		s.segHi = make([]int32, k+1, kk+1)
 	}
 	s.Cnt = s.Cnt[:k]
 	s.Sum = s.Sum[:k]
 	s.Min = s.Min[:k]
 	s.cntDiff = s.cntDiff[:k+1]
-	s.segT = s.segT[:k+1]
-	s.segHi = s.segHi[:k+1]
 	inf := math.Inf(1)
 	for i := 0; i < k; i++ {
 		s.Cnt[i] = 0
@@ -721,36 +603,4 @@ func (s *EventSweeper) reset(slate []int32) {
 	}
 	s.cntDiff[k] = 0
 	s.Emits = s.Emits[:0]
-}
-
-// BuildEvents compresses a depth-annotated log into the SweepEvent stream
-// a DepthHist feeds its gap log: the batch path's half of the
-// incremental/batch equivalence. minKeepBanks and dedup must match the
-// histogram's configuration.
-func BuildEvents(dst []SweepEvent, log []DepthRecord, bankPages int64, maxBanks, minKeepBanks int, dedup bool) []SweepEvent {
-	cold := int32(maxBanks) + 1
-	for i := range log {
-		r := &log[i]
-		bank := cold
-		if r.Depth != Cold {
-			b := (int64(r.Depth)-1)/bankPages + 1
-			if b > int64(maxBanks)+1 {
-				b = int64(maxBanks) + 1
-			}
-			bank = int32(b)
-		}
-		if bank <= int32(minKeepBanks) {
-			continue
-		}
-		if dedup {
-			if n := len(dst); n > 0 && dst[n-1].T == r.Time {
-				if bank > dst[n-1].Bank {
-					dst[n-1].Bank = bank
-				}
-				continue
-			}
-		}
-		dst = append(dst, SweepEvent{T: r.Time, Bank: bank})
-	}
-	return dst
 }

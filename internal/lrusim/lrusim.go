@@ -56,24 +56,13 @@ const LookAhead = 16
 // DepthRun is a run of consecutive pages of one request that share a
 // stack depth: pages Page to Page+Pages-1, all referenced at Time, each
 // at Depth (or all Cold). Pages is at least 1. ReferenceRange reports a
-// request's depths as maximal runs, and AppendRecords expands runs into
-// the per-page depth stream one Reference call per page would produce.
+// request's depths as maximal runs; page by page they are the depth
+// stream one Reference call per page would produce.
 type DepthRun struct {
 	Time  simtime.Seconds
 	Page  int64
 	Pages int32
 	Depth int32
-}
-
-// AppendRecords appends the per-page records of runs to dst, each
-// carrying pageBytes.
-func AppendRecords(dst []DepthRecord, runs []DepthRun, pageBytes simtime.Bytes) []DepthRecord {
-	for _, r := range runs {
-		for k := int64(0); k < int64(r.Pages); k++ {
-			dst = append(dst, DepthRecord{Time: r.Time, Page: r.Page + k, Depth: int(r.Depth), Bytes: pageBytes})
-		}
-	}
-	return dst
 }
 
 // StackSim tracks LRU stack depths over a page reference stream.

@@ -142,6 +142,13 @@ type Memory struct {
 	banks  []bankState
 	energy Energy
 	faults FaultInjector
+
+	// Per-access constants, computed once: spec.NapPower(),
+	// spec.PDPower(), and spec.DynamicEnergy(dynBytes) for the last
+	// transfer size AddDynamic saw (callers pass one page size).
+	nap, pd  simtime.Watts
+	dynBytes simtime.Bytes
+	dynE     simtime.Joules
 }
 
 // New creates a memory with the given number of banks, all enabled and
@@ -150,7 +157,8 @@ func New(spec Spec, banks int, policy BankPolicy) *Memory {
 	if banks <= 0 {
 		panic("mem: need at least one bank")
 	}
-	m := &Memory{spec: spec, policy: policy, banks: make([]bankState, banks)}
+	m := &Memory{spec: spec, nap: spec.NapPower(), pd: spec.PDPower(),
+		dynE: spec.DynamicEnergy(0), policy: policy, banks: make([]bankState, banks)}
 	for i := range m.banks {
 		m.banks[i].enabled = true
 	}
@@ -189,15 +197,14 @@ func (m *Memory) settle(b int, t simtime.Seconds) {
 		s.settledTo = t
 		return
 	}
-	nap := m.spec.NapPower()
 	switch m.policy {
 	case AlwaysNap:
-		m.energy.Static += simtime.Energy(nap, t-s.settledTo)
+		m.energy.Static += simtime.Energy(m.nap, t-s.settledTo)
 	case TimeoutPowerDown:
 		// From the last touch the bank naps for PDTimeout, then powers
 		// down until the next touch. The segment [settledTo, t) may fall
 		// anywhere in that profile.
-		m.energy.Static += m.profileEnergy(s, t, m.spec.PDTimeout, m.spec.PDPower())
+		m.energy.Static += m.profileEnergy(s, t, m.spec.PDTimeout, m.pd)
 	case TimeoutDisable:
 		// Same profile with the disable timeout and zero floor. Data loss
 		// is handled by IdleDisabledAt/DisableIdleBanks, not here.
@@ -209,13 +216,12 @@ func (m *Memory) settle(b int, t simtime.Seconds) {
 // profileEnergy integrates the two-level power profile (nap until
 // lastTouch+timeout, then floor) over [settledTo, t).
 func (m *Memory) profileEnergy(s *bankState, t, timeout simtime.Seconds, floor simtime.Watts) simtime.Joules {
-	nap := m.spec.NapPower()
 	knee := s.lastTouch + timeout
 	lo, hi := s.settledTo, t
 	var e simtime.Joules
 	if lo < knee {
 		span := minSeconds(hi, knee) - lo
-		e += simtime.Energy(nap, span)
+		e += simtime.Energy(m.nap, span)
 	}
 	if hi > knee {
 		span := hi - maxSeconds(lo, knee)
@@ -242,7 +248,10 @@ func (m *Memory) Touch(b int, t simtime.Seconds) {
 
 // AddDynamic charges dynamic energy for moving the given bytes.
 func (m *Memory) AddDynamic(b simtime.Bytes) {
-	m.energy.Dynamic += m.spec.DynamicEnergy(b)
+	if b != m.dynBytes {
+		m.dynBytes, m.dynE = b, m.spec.DynamicEnergy(b)
+	}
+	m.energy.Dynamic += m.dynE
 }
 
 // SetEnabledBanks enables banks [0, n) and disables the rest at time t,

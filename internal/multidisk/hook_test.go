@@ -14,7 +14,7 @@ import (
 func TestPerDiskTimeoutsDiffer(t *testing.T) {
 	tr := arrayWorkload(t, 21)
 	decided := map[int]map[string]bool{}
-	debugHook = func(d, ni int, nd int64, tc core.TimeoutChoice, pm float64, to simtime.Seconds) {
+	debugHook = func(d, ni int, nd int64, tc core.TimeoutChoice, pm float64, to simtime.Seconds, _ int64) {
 		if decided[d] == nil {
 			decided[d] = map[string]bool{}
 		}

@@ -327,11 +327,10 @@ func Run(c Config) (*Result, error) {
 
 	var mgr *core.Manager
 	var stacks []*lrusim.StackSim
-	type record struct {
-		rec  lrusim.DepthRecord
-		disk int
-	}
-	var periodLog []record
+	// dlogs holds each spindle's depth log of the period: the per-disk
+	// timeouts and the partition sizing replay them. Joint's global
+	// sizing reads the manager's ingested state instead.
+	dlogs := make([][]lrusim.DepthRecord, cfg.Disks)
 	var runs []lrusim.DepthRun // the current request's depth runs
 	if cfg.Method == Joint || cfg.Method == Partitioned {
 		p := core.DefaultParams(pageSize, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
@@ -361,13 +360,12 @@ func Run(c Config) (*Result, error) {
 	}
 	var periodAccesses int64
 
-	// perDiskLog splits the period log by spindle.
-	perDiskLog := func() [][]lrusim.DepthRecord {
-		out := make([][]lrusim.DepthRecord, cfg.Disks)
-		for i := range periodLog {
-			out[periodLog[i].disk] = append(out[periodLog[i].disk], periodLog[i].rec)
+	// endPeriod resets the period's logs and access count.
+	endPeriod := func() {
+		for d := range dlogs {
+			dlogs[d] = dlogs[d][:0]
 		}
-		return out
+		periodAccesses = 0
 	}
 	// setDiskTimeout applies the Pareto-chosen timeout for one spindle,
 	// vetoed when spinning down cannot beat staying on.
@@ -380,7 +378,7 @@ func Run(c Config) (*Result, error) {
 			to = simtime.Seconds(math.Inf(1))
 		}
 		if debugHook != nil {
-			debugHook(d, len(intervals), nd, tc, pm, to)
+			debugHook(d, len(intervals), nd, tc, pm, to, pages)
 		}
 		disks[d].SetTimeout(t, to)
 	}
@@ -391,14 +389,13 @@ func Run(c Config) (*Result, error) {
 		}
 		memory.FinishTo(t)
 		if mgr == nil {
-			periodLog = periodLog[:0]
 			return
 		}
+		defer endPeriod()
 		if cfg.Method == Partitioned {
 			// PB-LRU-style allocation: per-disk energy estimates over a
 			// geometric size grid, then a multiple-choice knapsack over the
 			// full bank budget.
-			dlogs := perDiskLog()
 			grid := sizeGrid(totalBanks, 10)
 			costs := make([][]float64, cfg.Disks)
 			for d := range costs {
@@ -414,17 +411,10 @@ func Run(c Config) (*Result, error) {
 				setDiskTimeout(d, dlogs[d], int64(alloc[d])*pagesPerBank, t)
 			}
 			res.Partitions = alloc
-			periodLog = periodLog[:0]
-			periodAccesses = 0
 			return
 		}
-		// Global sizing from the combined log.
-		combined := make([]lrusim.DepthRecord, len(periodLog))
-		for i := range periodLog {
-			combined[i] = periodLog[i].rec
-		}
-		dec := mgr.Decide(core.Observation{
-			Log:            combined,
+		// Global sizing from the references the shared stack ingested.
+		dec := mgr.DecideIncremental(core.Observation{
 			CacheAccesses:  periodAccesses,
 			CoalesceFactor: 1,
 			PeriodStart:    t - cfg.Period,
@@ -434,12 +424,9 @@ func Run(c Config) (*Result, error) {
 		caches[0].Resize(dec.Pages)
 		memory.SetEnabledBanks(t, dec.Banks)
 		// Per-spindle timeouts from each disk's own idle reconstruction.
-		dlogs := perDiskLog()
 		for d := range disks {
 			setDiskTimeout(d, dlogs[d], dec.Pages, t)
 		}
-		periodLog = periodLog[:0]
-		periodAccesses = 0
 	}
 
 	nextBoundary := cfg.Period
@@ -471,12 +458,13 @@ func Run(c Config) (*Result, error) {
 				st = stacks[target]
 			}
 			runs = st.ReferenceRange(runs[:0], req.Time, req.FirstPage, int(req.Pages))
+			if cfg.Method == Joint {
+				mgr.IngestBatch(runs)
+			}
 			for _, r := range runs {
 				for k := int64(0); k < int64(r.Pages); k++ {
-					periodLog = append(periodLog, record{
-						rec:  lrusim.DepthRecord{Time: req.Time, Page: r.Page + k, Depth: int(r.Depth), Bytes: pageSize},
-						disk: target,
-					})
+					dlogs[target] = append(dlogs[target],
+						lrusim.DepthRecord{Time: req.Time, Page: r.Page + k, Depth: int(r.Depth), Bytes: pageSize})
 				}
 			}
 		}
@@ -537,5 +525,6 @@ func Run(c Config) (*Result, error) {
 	return res, nil
 }
 
-// debugHook, when set by tests, observes per-disk timeout decisions.
-var debugHook func(d, ni int, nd int64, tc core.TimeoutChoice, pm float64, to simtime.Seconds)
+// debugHook, when set by tests, observes per-disk timeout decisions and
+// the cache size (pages) each was taken at.
+var debugHook func(d, ni int, nd int64, tc core.TimeoutChoice, pm float64, to simtime.Seconds, pages int64)

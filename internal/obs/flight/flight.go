@@ -71,7 +71,6 @@ func (l *Ledger) Add(o Ledger) {
 type PeriodRecord struct {
 	Disk         string    `json:"disk,omitempty"`
 	Period       int64     `json:"period"`
-	Mode         string    `json:"mode,omitempty"` // "incremental" or "batch"
 	StartS       obs.Float `json:"start_s"`
 	EndS         obs.Float `json:"end_s"`
 	Refs         int64     `json:"refs"`

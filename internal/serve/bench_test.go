@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"jointpm/internal/core"
 	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
 	"jointpm/internal/workload"
@@ -30,7 +29,6 @@ func BenchmarkShardIngestBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv, err := New(Config{
-		Decide:       core.ModeIncremental,
 		PageSize:     64 * simtime.KB,
 		BankSize:     16 * simtime.MB,
 		InstalledMem: 128 * simtime.GB,

@@ -12,35 +12,8 @@ import (
 	"jointpm/internal/core"
 )
 
-// TestIncrementalDecisionStreamMatchesBatch is the daemon-level half of
-// the incremental-Decide equivalence proof: the same stream served in
-// batch and incremental observation mode must publish identical decision
-// sequences, with and without warmup periods (which exercise the
-// DiscardPeriod path in the shard).
-func TestIncrementalDecisionStreamMatchesBatch(t *testing.T) {
-	tr := testTrace(t, 31)
-	for _, warmup := range []int{0, 3} {
-		batchCfg := testConfig(nil)
-		batchCfg.WarmupPeriods = warmup
-		want := runUninterrupted(t, tr, batchCfg)
-		if len(want) < 10 {
-			t.Fatalf("warmup=%d: batch run closed only %d periods", warmup, len(want))
-		}
-
-		incCfg := testConfig(nil)
-		incCfg.WarmupPeriods = warmup
-		incCfg.Decide = core.ModeIncremental
-		got := runUninterrupted(t, tr, incCfg)
-
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("warmup=%d: incremental decision stream diverges from batch (got %d, want %d decisions)",
-				warmup, len(got), len(want))
-		}
-	}
-}
-
 // TestIncrementalWarmRestartParity replays the warm-restart acceptance
-// criterion in incremental mode: stopping at an arbitrary request (mid-
+// criterion: stopping at an arbitrary request (mid-
 // period included) and restarting from the checkpoint must reproduce the
 // uninterrupted incremental run's decision stream exactly. Mid-period
 // cuts force restore to rebuild the streaming histogram by replaying the
@@ -49,7 +22,6 @@ func TestIncrementalDecisionStreamMatchesBatch(t *testing.T) {
 func TestIncrementalWarmRestartParity(t *testing.T) {
 	tr := testTrace(t, 11)
 	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
 	want := runUninterrupted(t, tr, base)
 	if len(want) < 10 {
 		t.Fatalf("reference run closed only %d periods", len(want))
@@ -61,7 +33,6 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 
 		log1 := &decisionLog{}
 		cfg := testConfig(log1)
-		cfg.Decide = core.ModeIncremental
 		cfg.SnapshotPath = snap
 		srv1, err := New(cfg)
 		if err != nil {
@@ -82,7 +53,6 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 
 		log2 := &decisionLog{}
 		cfg2 := testConfig(log2)
-		cfg2.Decide = core.ModeIncremental
 		cfg2.SnapshotPath = snap
 		srv2, err := New(cfg2)
 		if err != nil {
@@ -115,22 +85,21 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 	}
 }
 
-// TestBatchSnapshotRestoresIntoIncremental covers the mode-migration
-// path: a checkpoint cut by a batch daemon restores into an
-// incremental-mode server, which rebuilds the histogram from the stored
-// partial-period log; the combined stream still matches an uninterrupted
-// incremental run (itself bit-identical to batch).
+// TestBatchSnapshotRestoresIntoIncremental covers snapshots cut by a
+// daemon that ran the retired batch path: they carry observation mode 0
+// and no ingested-reference count. A snapshot cut mid-period, rewritten
+// to that form, must still restore — the shard rebuilds its histogram
+// from the stored partial-period log, without the count check — and the
+// combined decision stream must match the uninterrupted run's.
 func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 	tr := testTrace(t, 11)
-	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
-	want := runUninterrupted(t, tr, base)
+	want := runUninterrupted(t, tr, testConfig(nil))
 
 	cut := len(tr.Requests) / 2
 	snap := filepath.Join(t.TempDir(), "daemon.snap")
 
 	log1 := &decisionLog{}
-	cfg := testConfig(log1) // batch mode
+	cfg := testConfig(log1)
 	cfg.SnapshotPath = snap
 	srv1, err := New(cfg)
 	if err != nil {
@@ -149,9 +118,24 @@ func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	states, err := readSnapshotFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range states {
+		st := &states[i]
+		if st.Mode != snapModeIncremental || st.IngestedRefs == 0 {
+			t.Fatalf("shard %s wrote mode %d with %d ingested refs, want mode %d mid-period",
+				st.Name, st.Mode, st.IngestedRefs, snapModeIncremental)
+		}
+		st.Mode, st.IngestedRefs = 0, 0
+	}
+	if _, err := writeSnapshotFile(snap, states); err != nil {
+		t.Fatal(err)
+	}
+
 	log2 := &decisionLog{}
 	cfg2 := testConfig(log2)
-	cfg2.Decide = core.ModeIncremental
 	cfg2.SnapshotPath = snap
 	srv2, err := New(cfg2)
 	if err != nil {
@@ -178,7 +162,7 @@ func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 
 	got := append(log1.list(), log2.list()...)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batch→incremental restore diverges (got %d, want %d decisions)", len(got), len(want))
+		t.Fatalf("mode-0 snapshot restore diverges (got %d, want %d decisions)", len(got), len(want))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"jointpm/internal/core"
 	"jointpm/internal/trace"
 )
 
@@ -74,60 +73,56 @@ func TestIngestBatchRejectsInvalidPageRange(t *testing.T) {
 	for tr.Requests[crossing].Time < 3*testConfig(nil).Period {
 		crossing++
 	}
-	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
-		for _, k := range []int{0, crossing, 2 * len(tr.Requests) / 3} {
-			for _, bad := range badPageRanges {
-				reqs := withRequest(tr, k, bad.first, bad.pages).Requests
+	for _, k := range []int{0, crossing, 2 * len(tr.Requests) / 3} {
+		for _, bad := range badPageRanges {
+			reqs := withRequest(tr, k, bad.first, bad.pages).Requests
 
-				refLog := &decisionLog{}
-				refCfg := testConfig(refLog)
-				refCfg.Decide = mode
-				refSrv, err := New(refCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := refSrv.Shard("d0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.IngestBatch(reqs[:k]); err != nil {
-					t.Fatal(err)
-				}
+			refLog := &decisionLog{}
+			refCfg := testConfig(refLog)
+			refSrv, err := New(refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := refSrv.Shard("d0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.IngestBatch(reqs[:k]); err != nil {
+				t.Fatal(err)
+			}
 
-				log := &decisionLog{}
-				cfg := testConfig(log)
-				cfg.Decide = mode
-				srv, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh, err := srv.Shard("d0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				other, err := srv.Shard("d1")
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = sh.IngestBatch(reqs)
-				if err == nil {
-					t.Fatalf("%s/%v/request %d: IngestBatch accepted first page %d with %d pages", bad.name, mode, k, bad.first, bad.pages)
-				}
-				if msg := err.Error(); !strings.Contains(msg, "disk d0") || !strings.Contains(msg, fmt.Sprintf("request %d:", k)) {
-					t.Fatalf("%s/%v/request %d: error %q does not name the disk and the stream index", bad.name, mode, k, msg)
-				}
-				if got, want := viewOf(sh), viewOf(ref); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%v/request %d: the requests before the rejected one were not served as a shard fed only them serves them", bad.name, mode, k)
-				}
-				if got, want := log.list(), refLog.list(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%v/request %d: %d decisions, a shard fed only the valid prefix publishes %d", bad.name, mode, k, len(got), len(want))
-				}
-				if err := other.IngestBatch(tr.Requests); err != nil {
-					t.Fatalf("%s/%v/request %d: the server's other shard stopped ingesting: %v", bad.name, mode, k, err)
-				}
-				if got := other.Consumed(); got != int64(len(tr.Requests)) {
-					t.Fatalf("%s/%v/request %d: other shard consumed %d of %d requests", bad.name, mode, k, got, len(tr.Requests))
-				}
+			log := &decisionLog{}
+			cfg := testConfig(log)
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := srv.Shard("d0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := srv.Shard("d1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sh.IngestBatch(reqs)
+			if err == nil {
+				t.Fatalf("%s/request %d: IngestBatch accepted first page %d with %d pages", bad.name, k, bad.first, bad.pages)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "disk d0") || !strings.Contains(msg, fmt.Sprintf("request %d:", k)) {
+				t.Fatalf("%s/request %d: error %q does not name the disk and the stream index", bad.name, k, msg)
+			}
+			if got, want := viewOf(sh), viewOf(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/request %d: the requests before the rejected one were not served as a shard fed only them serves them", bad.name, k)
+			}
+			if got, want := log.list(), refLog.list(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/request %d: %d decisions, a shard fed only the valid prefix publishes %d", bad.name, k, len(got), len(want))
+			}
+			if err := other.IngestBatch(tr.Requests); err != nil {
+				t.Fatalf("%s/request %d: the server's other shard stopped ingesting: %v", bad.name, k, err)
+			}
+			if got := other.Consumed(); got != int64(len(tr.Requests)) {
+				t.Fatalf("%s/request %d: other shard consumed %d of %d requests", bad.name, k, got, len(tr.Requests))
 			}
 		}
 	}
@@ -157,7 +152,6 @@ func TestServeStreamRejectsInvalidPageRange(t *testing.T) {
 	clean, tr := encodeTrace(t, testTrace(t, 54))
 	k := len(tr.Requests) / 2
 	cfg := testConfig(nil)
-	cfg.Decide = core.ModeIncremental
 	want := runUninterrupted(t, tr, cfg)
 	codecs := []struct {
 		name  string

@@ -53,14 +53,9 @@ type Config struct {
 	// slate single-speed and bit-identical to a build without the ladder.
 	SpeedLevels int
 
-	// Decide selects the manager's observation path: batch (the zero
-	// value) hands each closed period's depth log to core.Manager.Decide;
-	// incremental streams every reference through Manager.Ingest as it is
-	// served, so closing a period is core.Manager.DecideIncremental — an
-	// O(banks + events) query instead of an O(refs) replay. Decisions are
-	// bit-identical either way. The partial-period depth log is kept in
-	// both modes: it is what the snapshot persists, and what a restore
-	// replays through Ingest to rebuild the incremental state.
+	// Decide is deprecated and ignored: every shard streams its
+	// references through core.Manager.IngestBatch as it serves them and
+	// closes a period with core.Manager.DecideIncremental.
 	Decide core.DecideMode
 
 	// RefitDriftFrac, when positive, activates the steady-state refit

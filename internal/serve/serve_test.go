@@ -383,7 +383,6 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	tr := testTrace(t, 11)
 	dir := t.TempDir()
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	cfg.SnapshotPath = filepath.Join(dir, "good.snap")
 	srv, err := New(cfg)
 	if err != nil {

@@ -49,15 +49,10 @@ type Shard struct {
 	consumed     int64 // requests ingested since stream start
 	nextBoundary simtime.Seconds
 	periodLog    []lrusim.DepthRun
-	flushed      int   // periodLog prefix already fed to mgr (incremental mode)
 	cacheAcc     int64 // page references this period
 	misses       int64 // predicted misses this period
 	reqRuns      int64 // coalesced disk requests this period
 	refsTotal    int64 // lifetime page references served (not snapshotted)
-
-	// records is the period log page by page, expanded at the boundary
-	// for batch Decide and reused across periods.
-	records []lrusim.DepthRecord
 
 	curBanks int
 	curPages int64
@@ -216,21 +211,6 @@ func pagesValid(req *trace.Request) bool {
 	return req.Pages >= 0 && req.FirstPage >= 0 && (req.Pages == 0 || req.FirstPage <= math.MaxInt64-int64(req.Pages-1))
 }
 
-// flushIngest hands the period log's unflushed suffix to the incremental
-// manager in one block. Called with sh.mu held, before any boundary
-// close consumes the histogram and after every served run, so the
-// manager always sees exactly the period's log — just in blocks instead
-// of single records. No-op in batch mode.
-func (sh *Shard) flushIngest() {
-	if sh.srv.cfg.Decide != core.ModeIncremental {
-		return
-	}
-	if pend := sh.periodLog[sh.flushed:]; len(pend) > 0 {
-		sh.mgr.IngestBatch(pend)
-		sh.flushed = len(sh.periodLog)
-	}
-}
-
 // FinishTo closes every period boundary at or before t. The daemon
 // calls it when a stream ends (with the trace's duration) or on a
 // clock tick during idle stretches, so decisions keep flowing without
@@ -271,23 +251,24 @@ func (sh *Shard) dueCheckpoint(period int64) {
 }
 
 // serve runs one pass over a run of requests that all precede the next
-// period boundary, and hands the new runs to the incremental manager
-// (flushIngest). It references each request's pages through the stack
+// period boundary, and hands the new runs to the manager in one
+// IngestBatch. It references each request's pages through the stack
 // with one ReferenceRange call, prefetching the page-table slots of the
 // next lrusim.LookAhead requests first, and logs the depth runs it
 // returns. Then it predicts the disk traffic each request causes at the
 // currently applied memory size: a page hits iff its stack depth is
 // within the chosen resident capacity (Mattson's inclusion property),
 // and consecutive missing pages of a request coalesce into one disk
-// request, mirroring the simulator's run coalescing. The log is kept
-// even in incremental mode: it is the snapshot's replayable form of the
-// partial period (see restore).
+// request, mirroring the simulator's run coalescing. The manager keeps
+// only its streaming state, so the log is the snapshot's replayable form
+// of the partial period (see restore).
 func (sh *Shard) serve(run []trace.Request) {
 	var start time.Time
 	if sh.timed {
 		start = time.Now()
 	}
 	stack, log := sh.stack, sh.periodLog
+	first := len(log)
 	curPages := sh.curPages
 	misses, reqRuns, refs := sh.misses, sh.reqRuns, int64(0)
 	for g := run; len(g) > 0; g = g[min(lrusim.LookAhead, len(g)):] {
@@ -323,7 +304,7 @@ func (sh *Shard) serve(run []trace.Request) {
 	sh.refsTotal += refs
 	sh.cacheAcc += refs
 	sh.consumed += int64(len(run))
-	sh.flushIngest()
+	sh.mgr.IngestBatch(log[first:])
 	if sh.timed {
 		sh.ingestNs += time.Since(start).Nanoseconds()
 	}
@@ -363,9 +344,10 @@ func growLog(log []lrusim.DepthRun, need int) []lrusim.DepthRun {
 	return grown
 }
 
-// closePeriod ends the current period: during warmup the manager's held
-// default is republished; afterwards the manager decides from the period
-// log under the server's decide semaphore. Called with sh.mu held.
+// closePeriod ends the current period: during warmup the manager drops
+// the period's references and its held default is republished;
+// afterwards the manager decides from them under the server's decide
+// semaphore. Called with sh.mu held.
 //
 // With introspection enabled (sh.timed) the boundary is traced: Decide
 // wall time, per-reference ingest cost, and boundary-to-emit latency
@@ -376,10 +358,6 @@ func (sh *Shard) closePeriod() error {
 	if sh.srv.cfg.Injector.CrashAtPeriodBoundary(idx) {
 		return ErrCrashInjected
 	}
-	// Every served record must reach the manager before the histogram is
-	// consumed. The ingest paths flush after each run, so this is a
-	// no-op unless a caller served without flushing.
-	sh.flushIngest()
 	var boundaryStart time.Time
 	if sh.timed {
 		boundaryStart = time.Now()
@@ -388,7 +366,6 @@ func (sh *Shard) closePeriod() error {
 	start := end - sh.period
 	refs := sh.cacheAcc
 
-	incremental := sh.srv.cfg.Decide == core.ModeIncremental
 	warmup := idx <= int64(sh.srv.cfg.WarmupPeriods)
 	var dec core.Decision
 	var decideNs int64
@@ -409,13 +386,7 @@ func (sh *Shard) closePeriod() error {
 		if sh.timed {
 			decideStart = time.Now()
 		}
-		if incremental {
-			dec = sh.mgr.DecideIncremental(obs)
-		} else {
-			sh.records = lrusim.AppendRecords(sh.records[:0], sh.periodLog, sh.pageSize)
-			obs.Log = sh.records
-			dec = sh.mgr.Decide(obs)
-		}
+		dec = sh.mgr.DecideIncremental(obs)
 		if sh.timed {
 			decideNs = time.Since(decideStart).Nanoseconds()
 		}
@@ -423,16 +394,13 @@ func (sh *Shard) closePeriod() error {
 		sh.curBanks = dec.Banks
 		sh.curPages = dec.Pages
 	} else {
-		if incremental {
-			sh.mgr.DiscardPeriod()
-		}
+		sh.mgr.DiscardPeriod()
 		dec = sh.mgr.Last()
 	}
 
 	ingestNs := sh.ingestNs
 	sh.ingestNs = 0
 	sh.periodLog = sh.periodLog[:0]
-	sh.flushed = 0
 	sh.cacheAcc = 0
 	sh.misses = 0
 	sh.reqRuns = 0
@@ -464,7 +432,6 @@ func (sh *Shard) closePeriod() error {
 			rec := flight.PeriodRecord{
 				Disk:     sh.name,
 				Period:   idx,
-				Mode:     sh.srv.cfg.Decide.String(),
 				StartS:   obs.Float(start),
 				EndS:     obs.Float(end),
 				Refs:     refs,
@@ -521,12 +488,10 @@ func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
 		ReqRuns:      sh.reqRuns,
 		RefitDrift:   sh.mgr.Params().RefitDriftFrac,
 		BudgetW:      sh.budgetW,
+		Mode:         snapModeIncremental,
 	}
-	if sh.srv.cfg.Decide == core.ModeIncremental {
-		st.Mode = int64(core.ModeIncremental)
-		if h := sh.mgr.Hist(); h != nil {
-			st.IngestedRefs = h.Refs()
-		}
+	if h := sh.mgr.Hist(); h != nil {
+		st.IngestedRefs = h.Refs()
 	}
 	return st, append([]lrusim.DepthRun(nil), sh.periodLog...)
 }
@@ -640,23 +605,21 @@ func (sh *Shard) restore(st shardState) error {
 	sh.misses = st.Misses
 	sh.reqRuns = st.ReqRuns
 	sh.periodLog = appendRuns(sh.periodLog[:0], st.Log)
-	if sh.srv.cfg.Decide == core.ModeIncremental {
-		// Rebuild the streaming observation state by replaying the
-		// partial period — ingest is deterministic (and the block entry
-		// point is bit-identical to record-at-a-time), so the histogram
-		// and gap log land exactly where the checkpointed run had them.
-		// When the snapshot itself was cut in incremental mode, its
-		// recorded reference count must agree with the replay.
-		sh.mgr.IngestBatch(sh.periodLog)
-		sh.flushed = len(sh.periodLog)
-		if st.Mode == int64(core.ModeIncremental) {
-			var got int64
-			if h := sh.mgr.Hist(); h != nil {
-				got = h.Refs()
-			}
-			if got != st.IngestedRefs {
-				return fmt.Errorf("serve: shard %s: incremental state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
-			}
+	// Rebuild the streaming observation state by replaying the partial
+	// period — ingest is deterministic (and the block entry point is
+	// bit-identical to record-at-a-time), so the histogram and gap log
+	// land exactly where the checkpointed run had them. A snapshot cut
+	// while streaming recorded its reference count, which the replay must
+	// reproduce; one cut by a daemon running the retired batch path
+	// (mode 0) recorded none.
+	sh.mgr.IngestBatch(sh.periodLog)
+	if st.Mode == snapModeIncremental {
+		var got int64
+		if h := sh.mgr.Hist(); h != nil {
+			got = h.Refs()
+		}
+		if got != st.IngestedRefs {
+			return fmt.Errorf("serve: shard %s: incremental state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
 		}
 	}
 	return nil

@@ -41,9 +41,9 @@ const (
 
 	// snapshotVersion 2 added the per-shard incremental-decide section
 	// (observation mode + ingested reference count); version-1 files are
-	// still readable — they simply predate incremental mode, so the
-	// section decodes to its zero values and restore rebuilds any needed
-	// incremental state by replaying the stored partial-period log.
+	// still readable — they simply predate the section, so it decodes to
+	// its zero values and restore rebuilds the streaming state by
+	// replaying the stored partial-period log.
 	// Version 3 appends the shard's refit drift-hold fraction, so a warm
 	// restart keeps the mode the checkpointed daemon was running even if
 	// the new process's flags differ; older files decode it as -1 ("keep
@@ -57,6 +57,11 @@ const (
 	// chose; older files decode it as 0 (full speed).
 	snapshotVersion    = 5
 	snapshotVersionMin = 1
+
+	// snapModeIncremental is the observation mode every shard writes: it
+	// marks IngestedRefs as recorded. Daemons that ran the retired batch
+	// path wrote 0.
+	snapModeIncremental = 1
 
 	// maxSnapshotShards bounds the shard count a reader will believe, so
 	// a corrupt count cannot drive allocation.
@@ -92,11 +97,12 @@ type shardState struct {
 	Log          []logRecord
 
 	// Incremental-decide section (snapshot v2): the observation mode the
-	// shard was running and how many references its manager had ingested
-	// into the streaming depth histogram when the checkpoint was cut.
-	// The histogram itself is not serialised — the partial-period Log is
-	// its replayable form — so Mode/IngestedRefs exist to validate that a
-	// restore's replay reconstructed exactly the state the snapshot saw.
+	// shard was running (snapModeIncremental; 0 from a daemon that ran the
+	// retired batch path) and how many references its manager had
+	// ingested into the streaming depth histogram when the checkpoint was
+	// cut. The histogram itself is not serialised — the partial-period Log
+	// is its replayable form — so Mode/IngestedRefs exist to validate that
+	// a restore's replay reconstructed exactly the state the snapshot saw.
 	Mode         int64
 	IngestedRefs int64
 

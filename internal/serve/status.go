@@ -68,7 +68,6 @@ type Status struct {
 	// the daemon's uptime — the fleet-level throughput gauge.
 	RefsIngested int64   `json:"refs_ingested"`
 	RefsPerSec   float64 `json:"refs_per_sec"`
-	DecideMode   string  `json:"decide_mode"`
 	PeriodS      float64 `json:"period_s"`
 	FlightDepth  int     `json:"flight_depth"` // 0: recorders disabled
 	// SpeedLevels is the DRPM ladder size every shard prices against;
@@ -129,7 +128,6 @@ func (s *Server) shardList() []*Shard {
 func (s *Server) Status() Status {
 	st := Status{
 		UptimeS:     time.Since(s.started).Seconds(),
-		DecideMode:  s.cfg.Decide.String(),
 		PeriodS:     float64(s.cfg.Period),
 		FlightDepth: s.flightDepth,
 		Shards:      []ShardStatus{},

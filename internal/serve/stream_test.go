@@ -64,63 +64,60 @@ func runServeStream(t *testing.T, data []byte, cfg Config, opt StreamOptions) []
 // at a time (Shard.Ingest), in random-size blocks (Shard.IngestBatch),
 // or through the full ServeStream pipeline (block decode into a ring,
 // drained in blocks) — including a deliberately tiny ring that forces
-// constant producer backpressure. Both observation modes are covered;
-// incremental mode additionally exercises the flushed-watermark path.
+// constant producer backpressure.
 func TestServeBatchedIngestMatches(t *testing.T) {
 	data, tr := encodeTrace(t, testTrace(t, 51))
-	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
-		cfg := testConfig(nil)
-		cfg.Decide = mode
-		want := runUninterrupted(t, tr, cfg)
-		if len(want) < 10 {
-			t.Fatalf("mode %v: reference run closed only %d periods", mode, len(want))
-		}
+	cfg := testConfig(nil)
+	want := runUninterrupted(t, tr, cfg)
+	if len(want) < 10 {
+		t.Fatalf("reference run closed only %d periods", len(want))
+	}
 
-		// Random-size direct batches.
-		log := &decisionLog{}
-		cfg.OnDecision = log.add
-		srv, err := New(cfg)
-		if err != nil {
+	// Random-size direct batches.
+	log := &decisionLog{}
+	cfg.OnDecision = log.add
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := srv.Shard("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < len(tr.Requests); {
+		j := i + 1 + rng.Intn(97)
+		if j > len(tr.Requests) {
+			j = len(tr.Requests)
+		}
+		if err := sh.IngestBatch(tr.Requests[i:j]); err != nil {
 			t.Fatal(err)
 		}
-		sh, err := srv.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < len(tr.Requests); {
-			j := i + 1 + rng.Intn(97)
-			if j > len(tr.Requests) {
-				j = len(tr.Requests)
-			}
-			if err := sh.IngestBatch(tr.Requests[i:j]); err != nil {
-				t.Fatal(err)
-			}
-			i = j
-		}
-		if err := sh.FinishTo(tr.Duration); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := log.list(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: IngestBatch decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
+		i = j
+	}
+	if err := sh.FinishTo(tr.Duration); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.list(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("IngestBatch decision stream diverges (got %d, want %d decisions)", len(got), len(want))
+	}
 
-		if got := runServeStream(t, data, cfg, StreamOptions{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: ServeStream decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
-		tiny := StreamOptions{Ring: 8, Block: 3}
-		if got := runServeStream(t, data, cfg, tiny); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: ServeStream(tiny ring) decision stream diverges (got %d, want %d decisions)", mode, len(got), len(want))
-		}
+	if got := runServeStream(t, data, cfg, StreamOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ServeStream decision stream diverges (got %d, want %d decisions)", len(got), len(want))
+	}
+	tiny := StreamOptions{Ring: 8, Block: 3}
+	if got := runServeStream(t, data, cfg, tiny); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ServeStream(tiny ring) decision stream diverges (got %d, want %d decisions)", len(got), len(want))
 	}
 }
 
 // TestServeRunPassMatchesPerRequest checks the run pass's accounting
 // against an independent per-page model of the daemon's hit prediction —
-// a naive LRU list and the per-request run coalescing the simulator
+// a stack referenced one page at a time (lrusim's tests hold Reference to
+// the textbook LRU list) and the per-request run coalescing the simulator
 // uses. After every random-size block, the shard fed one request at a
 // time (Ingest), the shard fed the block whole (IngestBatch) and the
 // model must agree on the period's predicted misses, coalesced disk
@@ -133,92 +130,89 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 }
 
 func testServeRunPass(t *testing.T, tr *trace.Trace) {
-	for _, mode := range []core.DecideMode{core.ModeBatch, core.ModeIncremental} {
-		cfg := testConfig(&decisionLog{})
-		cfg.Decide = mode
-		shards := make([]*Shard, 2)
-		for i := range shards {
-			srv, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shards[i], err = srv.Shard("d0"); err != nil {
-				t.Fatal(err)
-			}
+	cfg := testConfig(&decisionLog{})
+	shards := make([]*Shard, 2)
+	for i := range shards {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		one, bat := shards[0], shards[1]
+		if shards[i], err = srv.Shard("d0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one, bat := shards[0], shards[1]
 
-		var (
-			naive                 = lrusim.NewNaiveStack(int(one.srv.installedPages))
-			boundary              = cfg.Period
-			log                   []lrusim.DepthRecord
-			misses, reqRuns, refs int64
-			runStart, runLen      int64 = -1, 0
-			// Totals over closed periods.
-			allMisses, allRuns, allRefs int64
-		)
-		flush := func() {
-			if runLen > 0 {
-				reqRuns++
-				runStart, runLen = -1, 0
-			}
+	var (
+		perPage               = lrusim.NewStackSim(int(one.srv.installedPages))
+		boundary              = cfg.Period
+		log                   []logRecord
+		misses, reqRuns, refs int64
+		runStart, runLen      int64 = -1, 0
+		// Totals over closed periods.
+		allMisses, allRuns, allRefs int64
+	)
+	flush := func() {
+		if runLen > 0 {
+			reqRuns++
+			runStart, runLen = -1, 0
 		}
-		rng := rand.New(rand.NewSource(int64(mode) + 9))
-		for i := 0; i < len(tr.Requests); {
-			j := min(i+1+rng.Intn(97), len(tr.Requests))
-			for _, req := range tr.Requests[i:j] {
-				if err := one.Ingest(req); err != nil {
-					t.Fatal(err)
-				}
-				for req.Time >= boundary {
-					allMisses, allRuns, allRefs = allMisses+misses, allRuns+reqRuns, allRefs+refs
-					log, misses, reqRuns, refs = log[:0], 0, 0, 0
-					boundary += cfg.Period
-				}
-				for k := int64(0); k < int64(req.Pages); k++ {
-					page := req.FirstPage + k
-					refs++
-					depth := naive.Reference(page)
-					log = append(log, lrusim.DepthRecord{Time: req.Time, Page: page, Depth: depth, Bytes: cfg.PageSize})
-					if depth != lrusim.Cold && int64(depth) <= one.curPages {
-						flush()
-						continue
-					}
-					misses++
-					if runLen > 0 && page == runStart+runLen {
-						runLen++
-					} else {
-						flush()
-						runStart, runLen = page, 1
-					}
-				}
-				flush()
-			}
-			if err := bat.IngestBatch(tr.Requests[i:j]); err != nil {
+	}
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < len(tr.Requests); {
+		j := min(i+1+rng.Intn(97), len(tr.Requests))
+		for _, req := range tr.Requests[i:j] {
+			if err := one.Ingest(req); err != nil {
 				t.Fatal(err)
 			}
-			i = j
-			for name, sh := range map[string]*Shard{"Ingest": one, "IngestBatch": bat} {
-				if sh.misses != misses || sh.reqRuns != reqRuns || sh.cacheAcc != refs {
-					t.Fatalf("mode %v after %d requests: %s misses/reqRuns/cacheAcc %d/%d/%d, model %d/%d/%d",
-						mode, i, name, sh.misses, sh.reqRuns, sh.cacheAcc, misses, reqRuns, refs)
+			for req.Time >= boundary {
+				allMisses, allRuns, allRefs = allMisses+misses, allRuns+reqRuns, allRefs+refs
+				log, misses, reqRuns, refs = log[:0], 0, 0, 0
+				boundary += cfg.Period
+			}
+			for k := int64(0); k < int64(req.Pages); k++ {
+				page := req.FirstPage + k
+				refs++
+				depth := perPage.Reference(page)
+				log = append(log, logRecord{Time: float64(req.Time), Page: page, Depth: int64(depth), Bytes: int64(cfg.PageSize)})
+				if depth != lrusim.Cold && int64(depth) <= one.curPages {
+					flush()
+					continue
 				}
-				if !reflect.DeepEqual(lrusim.AppendRecords([]lrusim.DepthRecord{}, sh.periodLog, cfg.PageSize), append([]lrusim.DepthRecord{}, log...)) {
-					t.Fatalf("mode %v after %d requests: %s period log differs from the model's", mode, i, name)
-				}
-				if sh.consumed != int64(i) {
-					t.Fatalf("mode %v: %s consumed %d of %d requests", mode, name, sh.consumed, i)
+				misses++
+				if runLen > 0 && page == runStart+runLen {
+					runLen++
+				} else {
+					flush()
+					runStart, runLen = page, 1
 				}
 			}
+			flush()
 		}
-		if one.periodIdx < 10 || one.periodIdx != bat.periodIdx {
-			t.Fatalf("mode %v: %d and %d periods closed", mode, one.periodIdx, bat.periodIdx)
+		if err := bat.IngestBatch(tr.Requests[i:j]); err != nil {
+			t.Fatal(err)
 		}
-		// Hits, misses and multi-page disk requests must all occur for the
-		// comparison to cover the coalescing.
-		if !(allRefs > allMisses && allMisses > allRuns && allRuns > 0) {
-			t.Fatalf("mode %v: %d refs, %d misses, %d disk requests: the stream does not exercise coalescing", mode, allRefs, allMisses, allRuns)
+		i = j
+		for name, sh := range map[string]*Shard{"Ingest": one, "IngestBatch": bat} {
+			if sh.misses != misses || sh.reqRuns != reqRuns || sh.cacheAcc != refs {
+				t.Fatalf("after %d requests: %s misses/reqRuns/cacheAcc %d/%d/%d, model %d/%d/%d",
+					i, name, sh.misses, sh.reqRuns, sh.cacheAcc, misses, reqRuns, refs)
+			}
+			if !reflect.DeepEqual(convertLog(sh.periodLog, cfg.PageSize), append([]logRecord{}, log...)) {
+				t.Fatalf("after %d requests: %s period log differs from the model's", i, name)
+			}
+			if sh.consumed != int64(i) {
+				t.Fatalf("%s consumed %d of %d requests", name, sh.consumed, i)
+			}
 		}
+	}
+	if one.periodIdx < 10 || one.periodIdx != bat.periodIdx {
+		t.Fatalf("%d and %d periods closed", one.periodIdx, bat.periodIdx)
+	}
+	// Hits, misses and multi-page disk requests must all occur for the
+	// comparison to cover the coalescing.
+	if !(allRefs > allMisses && allMisses > allRuns && allRuns > 0) {
+		t.Fatalf("%d refs, %d misses, %d disk requests: the stream does not exercise coalescing", allRefs, allMisses, allRuns)
 	}
 }
 
@@ -233,7 +227,6 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 func TestPeriodLogCapacityFollowsLength(t *testing.T) {
 	const pages = 2
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	var reqs []trace.Request
 	longest := 0
 	lengths := []int{90_000, 210_000, 120_000}
@@ -294,7 +287,6 @@ func TestPeriodLogCapacityFollowsLength(t *testing.T) {
 func TestWarmRestartBatchedParity(t *testing.T) {
 	data, tr := encodeTrace(t, testTrace(t, 52))
 	base := testConfig(nil)
-	base.Decide = core.ModeIncremental
 	want := runUninterrupted(t, tr, base)
 
 	for _, cut := range []int{1, len(tr.Requests) / 3, len(tr.Requests) - 1} {
@@ -367,7 +359,6 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 	tr := testTrace(t, 53)
 	run := func(drift float64, snap string) {
 		cfg := testConfig(&decisionLog{})
-		cfg.Decide = core.ModeIncremental
 		cfg.RefitDriftFrac = drift
 		cfg.SnapshotPath = snap
 		srv, err := New(cfg)
@@ -387,7 +378,6 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 	}
 	restart := func(drift float64, snap string) *Shard {
 		cfg := testConfig(&decisionLog{})
-		cfg.Decide = core.ModeIncremental
 		cfg.RefitDriftFrac = drift
 		cfg.SnapshotPath = snap
 		srv, err := New(cfg)
@@ -435,7 +425,6 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	// drift-configured server: the configured value must survive.
 	tr := testTrace(t, 54)
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +443,6 @@ func TestRefitDriftPreV3Sentinel(t *testing.T) {
 	old.RefitDrift = -1
 
 	cfg2 := testConfig(&decisionLog{})
-	cfg2.Decide = core.ModeIncremental
 	cfg2.RefitDriftFrac = 0.05
 	srv2, err := New(cfg2)
 	if err != nil {
@@ -480,7 +468,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 	tr := testTrace(t, 55)
 	snap := filepath.Join(t.TempDir(), "daemon.snap")
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	cfg.SnapshotPath = snap
 	srv, err := New(cfg)
 	if err != nil {
@@ -514,7 +501,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 	}
 
 	cfg2 := testConfig(&decisionLog{})
-	cfg2.Decide = core.ModeIncremental
 	cfg2.SnapshotPath = snap
 	srv2, err := New(cfg2)
 	if err != nil {
@@ -539,7 +525,6 @@ func TestCheckpointDuringIngest(t *testing.T) {
 func TestIngestorBackpressure(t *testing.T) {
 	tr := testTrace(t, 56)
 	cfg := testConfig(&decisionLog{})
-	cfg.Decide = core.ModeIncremental
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"jointpm/internal/core"
 	"jointpm/internal/obs"
 	"jointpm/internal/obs/flight"
 	"jointpm/internal/policy"
@@ -14,13 +13,13 @@ import (
 // TestFlightMeasuredLedger: the engine's flight records carry the
 // measured per-period energy split, and the split sums — across every
 // record and within each record — to what the power models actually
-// charged the run.
+// charged the run; detaching the recorder leaves the run's result
+// bit-identical.
 func TestFlightMeasuredLedger(t *testing.T) {
 	tr := testWorkload(t, float64(simtime.MB), 1800)
 	rec := flight.New(64)
 	reg := obs.NewRegistry()
 	cfg := testConfig(tr, policy.Joint(128*simtime.MB))
-	cfg.Decide = core.ModeIncremental
 	cfg.Flight = rec
 	cfg.Metrics = reg
 	res, err := Run(cfg)
@@ -36,8 +35,8 @@ func TestFlightMeasuredLedger(t *testing.T) {
 	}
 
 	// Every record: measured components are non-negative, standby floor
-	// and nap accrue every window, and spans were measured (incremental
-	// mode feeds both ingest and decide spans once traffic flows).
+	// and nap accrue every window, and spans were measured (both ingest
+	// and decide spans once traffic flows).
 	recs := rec.Last(0)
 	for i, r := range recs {
 		l := r.Energy
@@ -53,8 +52,8 @@ func TestFlightMeasuredLedger(t *testing.T) {
 		if l.DiskStandbyJ == 0 || l.MemNapJ == 0 {
 			t.Errorf("record %d: floor components empty: %+v", i, l)
 		}
-		if r.Mode != "incremental" || r.Disk != "sim" {
-			t.Errorf("record %d: mode %q disk %q", i, r.Mode, r.Disk)
+		if r.Disk != "sim" {
+			t.Errorf("record %d: disk %q", i, r.Disk)
 		}
 		if r.Refs > 0 && (r.IngestNs <= 0 || r.DecideNs <= 0) {
 			t.Errorf("record %d: spans ingest=%dns decide=%dns with %d refs", i, r.IngestNs, r.DecideNs, r.Refs)
@@ -95,31 +94,6 @@ func TestFlightMeasuredLedger(t *testing.T) {
 	coarseDisk := reg.Gauge("sim.period.disk_energy_j").Value()
 	if want := lastRec.Energy.DiskJ(); math.Abs(coarseDisk-want) > 1e-9*want {
 		t.Errorf("sim.period.disk_energy_j = %g, split disk = %g", coarseDisk, want)
-	}
-}
-
-// TestFlightBatchModeSpans: batch mode has no ingest spans (the log is
-// handed over whole) but still times Decide; disabling the recorder
-// leaves the run's result bit-identical.
-func TestFlightBatchModeSpans(t *testing.T) {
-	tr := testWorkload(t, float64(simtime.MB), 1800)
-	rec := flight.New(16)
-	cfg := testConfig(tr, policy.Joint(128*simtime.MB))
-	cfg.Flight = rec
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rec.Last(0) {
-		if r.IngestNs != 0 {
-			t.Errorf("record %d: batch mode accumulated ingest span %d ns", i, r.IngestNs)
-		}
-		if r.Refs > 0 && r.DecideNs <= 0 {
-			t.Errorf("record %d: no decide span", i)
-		}
-		if r.Mode != "batch" {
-			t.Errorf("record %d: mode %q", i, r.Mode)
-		}
 	}
 
 	bare, err := Run(testConfig(tr, policy.Joint(128*simtime.MB)))

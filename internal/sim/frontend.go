@@ -163,7 +163,7 @@ func (f *frontEnd) serve(req *trace.Request) {
 			}
 		}
 		if hit {
-			f.cache.Lookup(page) // LRU touch
+			f.cache.Promote(frame) // LRU touch
 			nOps += f.touch(f.cache.BankOf(frame), t)
 			flush()
 			continue

@@ -32,8 +32,6 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 		EnumUnit:             4 << 20,
 		MinBanks:             3,
 		MaxCandidatesPerPass: 9,
-		EvalWorkers:          5,
-		SequentialReplay:     true,
 		FixedTimeout:         true,
 		NoConstraintFloor:    true,
 		HysteresisFrac:       0.125,
@@ -51,8 +49,6 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 		"EnumUnit":             {got.EnumUnit, o.EnumUnit},
 		"MinBanks":             {got.MinBanks, o.MinBanks},
 		"MaxCandidatesPerPass": {got.MaxCandidatesPerPass, o.MaxCandidatesPerPass},
-		"EvalWorkers":          {got.EvalWorkers, o.EvalWorkers},
-		"SequentialReplay":     {got.SequentialReplay, o.SequentialReplay},
 		"FixedTimeout":         {got.FixedTimeout, o.FixedTimeout},
 		"NoConstraintFloor":    {got.NoConstraintFloor, o.NoConstraintFloor},
 		"HysteresisFrac":       {got.HysteresisFrac, o.HysteresisFrac},
@@ -77,7 +73,7 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 // every base field untouched.
 func TestMergeJointParamsZeroKeepsBase(t *testing.T) {
 	base := testJointBase()
-	base.SequentialReplay = true // non-zero flags must also survive
+	base.FixedTimeout = true // non-zero flags must also survive
 	base.HysteresisFrac = 0.07
 	got := mergeJointParams(base, core.Params{})
 	if !reflect.DeepEqual(got, base) {

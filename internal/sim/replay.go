@@ -126,7 +126,10 @@ func (b *backEnd) run() (*Result, error) {
 	}
 	b.addPeriodCounts(tail)
 	b.finish(b.rec.end)
-	return &b.res, nil
+	// A copy: a pointer into b would keep the back end and the recording
+	// reachable.
+	res := b.res
+	return &res, nil
 }
 
 // serve replays one client request: the coalesced miss runs against the

@@ -9,7 +9,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"jointpm/internal/cache"
 	"jointpm/internal/core"
@@ -48,15 +47,6 @@ type Config struct {
 	// Joint overrides selected core parameters; zero fields keep the
 	// defaults derived from this config.
 	Joint *core.Params
-
-	// Decide selects how the joint manager observes each period: batch
-	// (the default) collects the period's depth log and hands it to
-	// core.Manager.Decide at the boundary; incremental streams every
-	// reference through Manager.Ingest as it is served, so the boundary
-	// runs core.Manager.DecideIncremental — an O(banks + events) query.
-	// The two modes produce bit-identical decisions (and therefore
-	// bit-identical Results); see TestIncrementalModeMatchesBatch.
-	Decide core.DecideMode
 
 	// RefitDriftFrac, when positive, activates the joint manager's
 	// steady-state refit shortcut: a period whose re-priced previous
@@ -250,18 +240,15 @@ type engine struct {
 	disk  *disk.Disk
 	mem   *mem.Memory
 
-	adaptive    *policy.AdaptiveTimeout
-	manager     *core.Manager
-	incremental bool // stream refs through Ingest; decide via DecideIncremental
-	curBanks    int  // banks actually enabled (≠ decision under fault injection)
+	adaptive *policy.AdaptiveTimeout
+	manager  *core.Manager
+	curBanks int // banks actually enabled (≠ decision under fault injection)
 
 	zoned    *disk.ZonedDisk
 	lbaScale float64
 
-	stack     *lrusim.StackSim
-	runs      []lrusim.DepthRun // the current request's depth runs
-	periodLog []lrusim.DepthRecord
-	logBuf    *[]lrusim.DepthRecord // pooled backing array for periodLog
+	stack *lrusim.StackSim
+	runs  []lrusim.DepthRun // the current request's depth runs
 
 	obsm engineMetrics
 
@@ -399,16 +386,11 @@ func newEngine(cfg Config) (*engine, error) {
 			return nil, err
 		}
 		e.manager = mgr
-		e.incremental = cfg.Decide == core.ModeIncremental
 		e.curBanks = totalBanks
 		if installedFrames > lrusim.MaxWindow {
 			return nil, fmt.Errorf("sim: installed memory of %d pages exceeds the stack's limit of %d", installedFrames, lrusim.MaxWindow)
 		}
 		e.stack = lrusim.NewStackSim(int(installedFrames))
-		if !e.incremental {
-			e.logBuf = depthLogs.Get().(*[]lrusim.DepthRecord)
-			e.periodLog = (*e.logBuf)[:0]
-		}
 	}
 	e.res.Method = cfg.Method
 	return e, nil
@@ -441,20 +423,10 @@ func (e *engine) run() (*Result, error) {
 		nextBoundary += period
 	}
 	e.finish(end)
-	if e.logBuf != nil {
-		// The manager consumes each period's log synchronously inside
-		// Decide, so the backing array can go back to the pool.
-		*e.logBuf = e.periodLog[:0]
-		depthLogs.Put(e.logBuf)
-		e.logBuf, e.periodLog = nil, nil
-	}
-	return &e.res, nil
+	// A copy: a pointer into e would keep the whole engine reachable.
+	res := e.res
+	return &res, nil
 }
-
-// depthLogs pools the joint method's per-period depth-record buffer
-// across runs; a sweep reuses one grown array instead of re-growing it
-// for every method×point run.
-var depthLogs = sync.Pool{New: func() any { return new([]lrusim.DepthRecord) }}
 
 // serve plays one client request: page-by-page cache lookup with lazy
 // disable checks, miss-run coalescing into disk requests, and latency
@@ -490,17 +462,10 @@ func (e *engine) serve(req *trace.Request) {
 
 	if e.stack != nil {
 		// The stack and the manager see the request before the cache
-		// does; neither reads the cache, so the order is free.
+		// does; neither reads the cache, so the order is free. The
+		// manager charges its PageSize, the trace's, per page.
 		e.runs = e.stack.ReferenceRange(e.runs[:0], t, req.FirstPage, int(req.Pages))
-		if e.incremental {
-			for _, r := range e.runs {
-				for k := int64(0); k < int64(r.Pages); k++ {
-					e.manager.Ingest(lrusim.DepthRecord{Time: t, Page: r.Page + k, Depth: int(r.Depth), Bytes: e.pageSize})
-				}
-			}
-		} else {
-			e.periodLog = lrusim.AppendRecords(e.periodLog, e.runs, e.pageSize)
-		}
+		e.manager.IngestBatch(e.runs)
 	}
 	for k := int32(0); k < req.Pages; k++ {
 		page := req.FirstPage + int64(k)
@@ -556,7 +521,7 @@ func (e *engine) lookup(page int64, t simtime.Seconds) bool {
 		e.mem.MarkIdleDisabled(bank, t)
 		return false
 	}
-	e.cache.Lookup(page) // LRU touch
+	e.cache.Promote(frame) // LRU touch
 	e.mem.Touch(bank, t)
 	e.mem.AddDynamic(e.pageSize)
 	return true
@@ -621,13 +586,7 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 			PeriodEnd:      stat.End,
 			CurrentBanks:   e.curBanks,
 		}
-		var dec core.Decision
-		if e.incremental {
-			dec = e.manager.DecideIncremental(obs)
-		} else {
-			obs.Log = e.periodLog
-			dec = e.manager.Decide(obs)
-		}
+		dec := e.manager.DecideIncremental(obs)
 		stat.Decision = &dec
 		// Apply the memory half first: with fault injection a bank enable
 		// can fail, truncating the usable contiguous prefix, and the cache
@@ -643,9 +602,8 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 		e.curBanks = achieved
 		stat.Banks = achieved
 		stat.Timeout = dec.Timeout
-	} else if e.manager != nil && e.incremental {
-		// Warmup boundary: drop the ingested references unexamined, the
-		// incremental counterpart of clearing the period log below.
+	} else if e.manager != nil {
+		// Warmup boundary: drop the ingested references unexamined.
 		e.manager.DiscardPeriod()
 	}
 	// Measured energy-attribution ledger for the window: component
@@ -665,7 +623,6 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 		e.cfg.Flight.Record(flight.PeriodRecord{
 			Disk:     "sim",
 			Period:   int64(e.periodIdx) + 1,
-			Mode:     e.cfg.Decide.String(),
 			StartS:   obs.Float(stat.Start),
 			EndS:     obs.Float(stat.End),
 			Refs:     stat.CacheAccesses,
@@ -682,7 +639,6 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	e.lastTotalLatency = e.res.TotalLatency
 
 	e.obsm.periodBanks.Set(float64(stat.Banks))
-	e.periodLog = e.periodLog[:0]
 
 	if t > e.cfg.Warmup {
 		e.res.Periods = append(e.res.Periods, stat)
