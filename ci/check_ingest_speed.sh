@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Ingest-throughput smoke: the batched observation entry point exists to
-# make streaming references into the histogram cheaper per ref than the
-# record-at-a-time path, so CI fails if it ever stops being strictly
-# faster on the reference observation shape. A relative comparison
-# between two benchmarks in the same process is stable on shared
-# hardware where absolute ns/op thresholds would flake.
+# Ingest-throughput smoke: the manager queues depth runs and ingests them
+# in blocks to make streaming references into the histogram cheaper per
+# ref than one IngestBatch call per reference, so CI fails if blocks
+# (BenchmarkIngestBatch) ever stop being strictly faster than one call
+# per reference (BenchmarkIngest) on the reference observation shape. A
+# relative comparison between two benchmarks in the same process is
+# stable on shared hardware where absolute ns/op thresholds would flake.
 set -eu
 
 out="$(go test -run '^$' -bench '^BenchmarkIngest$|^BenchmarkIngestBatch$' \

@@ -17,6 +17,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of diffing against them")
 
+// goldenWorkload is the fixed quick-scale workload of the golden decision
+// trace: 1,500 s at quick scale, whose 600 s warmup is two 300 s periods.
+func goldenWorkload(t *testing.T) (experiments.Scale, *Trace) {
+	t.Helper()
+	s := experiments.QuickScale(900)
+	tr, err := GenerateWorkload(WorkloadConfig{
+		DataSetBytes: 4 * s.Unit,
+		PageSize:     s.PageSize,
+		Rate:         5 * s.RateUnit,
+		Popularity:   0.1,
+		Duration:     s.Horizon + s.Warmup,
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tr
+}
+
 // TestDecisionTraceGolden replays a fixed quick-scale workload through
 // the joint manager's incremental Decide with a decision-trace sink
 // attached and compares the JSONL journal byte-for-byte against the
@@ -30,18 +49,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files instead of d
 //
 //	go test -run TestDecisionTraceGolden -update .
 func TestDecisionTraceGolden(t *testing.T) {
-	s := experiments.QuickScale(900)
-	tr, err := GenerateWorkload(WorkloadConfig{
-		DataSetBytes: 4 * s.Unit,
-		PageSize:     s.PageSize,
-		Rate:         5 * s.RateUnit,
-		Popularity:   0.1,
-		Duration:     s.Horizon + s.Warmup,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, tr := goldenWorkload(t)
 
 	runTrace := func(t *testing.T) []byte {
 		t.Helper()

@@ -139,6 +139,9 @@ func DefaultParams(pageSize, bankSize simtime.Bytes, totalBanks int, dspec disk.
 
 func (p Params) bankPages() int64 { return int64(p.BankSize / p.PageSize) }
 
+// stackWindow is the extended-LRU stack's window: every installed page.
+func (p Params) stackWindow() int { return int(int64(p.TotalBanks) * p.bankPages()) }
+
 // refillAmortizePeriods spreads the one-time cost of re-populating a
 // grown cache over this many future periods when pricing candidates.
 // Charging it all to one period would make useful growth look worse than
@@ -169,6 +172,10 @@ func (p Params) Validate() error {
 	case p.MaxCandidatesPerPass < 2:
 		// A pass spans its range in MaxCandidatesPerPass-1 steps.
 		return fmt.Errorf("core: MaxCandidatesPerPass %d must be at least 2", p.MaxCandidatesPerPass)
+	case int64(p.TotalBanks) > lrusim.MaxWindow/p.bankPages():
+		// The extended-LRU stack tracks every installed page.
+		return fmt.Errorf("core: installed memory of %d banks of %d pages exceeds the stack's limit of %d pages",
+			p.TotalBanks, p.bankPages(), lrusim.MaxWindow)
 	}
 	if len(p.SpeedLevels) > 0 {
 		if p.SpeedTransitionPerRPM < 0 || math.IsNaN(float64(p.SpeedTransitionPerRPM)) {
@@ -187,9 +194,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Observation is what the manager is handed at a period boundary besides
-// the period's references, which it has already ingested (see
-// Manager.IngestBatch): the measured calibration inputs.
+// Observation is what DecideIncremental is handed at a period boundary
+// besides the period's references, which the manager has already
+// ingested: the measured calibration inputs. Close assembles it from the
+// period's end, its ingested reference count and the host's two
+// measurements.
 type Observation struct {
 	CacheAccesses int64 // N: all accesses to the disk cache in the period
 	// CoalesceFactor is pages-per-disk-request measured last period (≥ 1);
@@ -285,17 +294,21 @@ type Decision struct {
 	Level int
 }
 
-// Manager evaluates observations into decisions. It is deterministic and
-// stateless between periods apart from remembering its last decision and
-// the depth histogram the period's references are ingested into. A
-// Manager owns reusable decision scratch and must not be driven from
-// multiple goroutines concurrently.
+// Manager is the paper's period loop (Section IV): it keeps the extended
+// LRU list, runs each request through it (Reference), folds the depths
+// into the period's streaming observation, and turns the period into one
+// (m, t_o) decision at its boundary (Close). It is deterministic; across
+// periods it carries the stack and its last decision. A Manager owns
+// reusable decision scratch and must not be driven from multiple
+// goroutines concurrently.
 type Manager struct {
 	p    Params
 	last Decision
 	met  coreMetrics
 
-	hist    *lrusim.DepthHist // incremental observation state; nil until Ingest
+	stack   *lrusim.StackSim  // the extended LRU list
+	queue   []lrusim.DepthRun // depth runs referenced but not yet ingested (see Reference)
+	hist    *lrusim.DepthHist // incremental observation state; nil until the first ingest
 	scratch decideScratch
 
 	// budgetW is the fleet coordinator's per-shard power budget in watts;
@@ -303,7 +316,7 @@ type Manager struct {
 	budgetW float64
 
 	// ingestNs accumulates the current period's ingest span wall time;
-	// only touched when p.SpanHook is set (see Ingest/flushIngestSpan).
+	// only touched when p.SpanHook is set (see IngestBatch/flushIngestSpan).
 	ingestNs int64
 }
 
@@ -314,7 +327,12 @@ func NewManager(p Params) (*Manager, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Manager{p: p, met: newCoreMetrics(p.Metrics)}
+	m := &Manager{
+		p:     p,
+		met:   newCoreMetrics(p.Metrics),
+		stack: lrusim.NewStackSim(p.stackWindow()),
+		queue: make([]lrusim.DepthRun, 0, ingestBlock),
+	}
 	m.last = Decision{
 		Banks:   p.TotalBanks,
 		Pages:   int64(p.TotalBanks) * p.bankPages(),

@@ -39,11 +39,13 @@ func TestWriteDecideBenchSummary(t *testing.T) {
 	z := stats.NewZipf(stats.NewRNG(43), universe, 0.9)
 	sim := lrusim.NewStackSim(1 << 20)
 	log := make([]lrusim.DepthRecord, 0, refs)
+	runs := make([]lrusim.DepthRun, 0, refs)
 	tm := 0.0
 	for i := 0; i < refs; i++ {
 		page := int64(z.Next())
 		d := sim.Reference(page)
 		log = append(log, lrusim.DepthRecord{Time: simtime.Seconds(tm), Page: page, Depth: d, Bytes: p.PageSize})
+		runs = append(runs, lrusim.DepthRun{Time: simtime.Seconds(tm), Page: page, Pages: 1, Depth: int32(d)})
 		tm += rng.Pareto(1.4, 0.02)
 	}
 	obs := core.Observation{
@@ -71,9 +73,7 @@ func TestWriteDecideBenchSummary(t *testing.T) {
 	}
 	var incTotal time.Duration
 	for i := 0; i <= iters; i++ {
-		for j := range log {
-			incMgr.Ingest(log[j])
-		}
+		incMgr.IngestBatch(runs)
 		start := time.Now()
 		dec := incMgr.DecideIncremental(obs)
 		if i > 0 { // iteration 0 warms the buffers

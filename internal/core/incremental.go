@@ -10,10 +10,11 @@ import (
 	"jointpm/internal/simtime"
 )
 
-// This file is the manager's decision path: the streaming observation
-// API (Ingest / IngestBatch / DecideIncremental / DiscardPeriod), the
-// gap-log pricing kernel, and the persistent per-manager scratch that
-// makes the hot path allocation-free.
+// This file is the manager's period loop and decision path: the stack
+// and its ingest queue (Reference / Flush), the period boundary (Close),
+// the streaming observation underneath them (IngestBatch /
+// DecideIncremental / DiscardPeriod), the gap-log pricing kernel, and the
+// persistent per-manager scratch that makes the hot path allocation-free.
 //
 // The period's references accumulate in lrusim.DepthHist's per-bank
 // buckets and gap stream as they are ingested; at the boundary the
@@ -68,33 +69,79 @@ type decideScratch struct {
 	all   []Candidate
 }
 
-// Ingest streams one depth-annotated reference into the incremental
-// observation state. Records must arrive in time order. The accumulated
-// state is consumed (and cleared) by the next DecideIncremental or
-// DiscardPeriod call.
-//
-// With a SpanHook configured, Ingest accumulates its wall time into the
-// period's "ingest" span, flushed to the hook at the boundary that
-// consumes the references; without one it takes no clock readings.
-func (m *Manager) Ingest(rec lrusim.DepthRecord) {
-	if m.hist == nil {
-		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
+// ingestBlock is how many depth runs Reference queues for IngestBatch:
+// enough to amortise its per-call work, few enough that the queue stays
+// a few KB per manager, which a daemon pays once per shard.
+const ingestBlock = 256
+
+// Reference runs one request of n pages from first, made at time t,
+// through the extended-LRU stack and returns its depth runs
+// (lrusim.StackSim.ReferenceRange) for the host's own hit model, valid
+// until the next Reference, Flush or Close. It queues them for
+// IngestBatch, which it calls first when the request might not fit in
+// the queue: ingestBlock runs, or a larger request's. Requests must
+// arrive in time order.
+func (m *Manager) Reference(t simtime.Seconds, first int64, n int) []lrusim.DepthRun {
+	if len(m.queue)+n > cap(m.queue) {
+		m.Flush()
 	}
-	if m.p.SpanHook == nil {
-		m.hist.Observe(rec)
-		return
+	k := len(m.queue)
+	m.queue = m.stack.ReferenceRange(m.queue, t, first, n)
+	return m.queue[k:]
+}
+
+// Prefetch loads the stack's page-table slot of page, the first page of
+// a request about to be referenced (lrusim.StackSim.Prefetch), so that
+// a host prefetching the next lrusim.LookAhead requests overlaps their
+// cache misses.
+func (m *Manager) Prefetch(page int64) { m.stack.Prefetch(page) }
+
+// Flush ingests the queued depth runs. A host that hands the manager a
+// block of requests at a time may flush at the end of the block, so the
+// block's ingest is done within it.
+func (m *Manager) Flush() {
+	m.IngestBatch(m.queue)
+	m.queue = m.queue[:0]
+}
+
+// Close ends the period that ends at end, one Period after it began: it
+// ingests the queued runs, then drops the period unexamined when the
+// host's warmup verdict says so, returning the decision in force, or
+// decides from the period's references. The host passes what only it
+// measures: coalesce, pages per disk request, and curBanks, the banks
+// enabled while the period ran (see Observation).
+func (m *Manager) Close(end simtime.Seconds, warmup bool, coalesce float64, curBanks int) Decision {
+	m.Flush()
+	if warmup {
+		m.DiscardPeriod()
+		return m.last
 	}
-	start := time.Now()
-	m.hist.Observe(rec)
-	m.ingestNs += time.Since(start).Nanoseconds()
+	var refs int64
+	if m.hist != nil {
+		refs = m.hist.Refs()
+	}
+	return m.DecideIncremental(Observation{
+		CacheAccesses:  refs,
+		CoalesceFactor: coalesce,
+		PeriodStart:    end - m.p.Period,
+		PeriodEnd:      end,
+		CurrentBanks:   curBanks,
+	})
 }
 
 // IngestBatch streams a time-ordered block of depth runs, each page of
-// which moved PageSize bytes, into the incremental observation state:
-// Ingest with the per-call nil and hook checks hoisted out of the loop,
-// and the per-page work done once per run (see
+// which moved PageSize bytes, into the incremental observation state,
+// with the per-page work done once per run (see
 // lrusim.DepthHist.ObserveRuns). The resulting state is bit-identical to
-// ingesting the runs' pages one record at a time.
+// ingesting the runs' pages one at a time, in any split into blocks. The
+// accumulated state is consumed (and cleared) by the next
+// DecideIncremental or DiscardPeriod call. Reference and Close call it;
+// a host calls it directly only to replay a checkpointed period into a
+// restored manager, whose stack already holds those references.
+//
+// With a SpanHook configured, IngestBatch accumulates its wall time into
+// the period's "ingest" span, flushed to the hook at the boundary that
+// consumes the references; without one it takes no clock readings.
 func (m *Manager) IngestBatch(runs []lrusim.DepthRun) {
 	if len(runs) == 0 {
 		return
@@ -120,10 +167,6 @@ func (m *Manager) flushIngestSpan() {
 	}
 }
 
-// Hist exposes the incremental observation state for snapshot validation;
-// nil until the first Ingest.
-func (m *Manager) Hist() *lrusim.DepthHist { return m.hist }
-
 // DiscardPeriod drops the references ingested since the last decision
 // without deciding: how a host skips a warmup period unexamined.
 func (m *Manager) DiscardPeriod() {
@@ -133,7 +176,7 @@ func (m *Manager) DiscardPeriod() {
 	m.flushIngestSpan()
 }
 
-// DecideIncremental evaluates the references streamed through Ingest or
+// DecideIncremental evaluates the references streamed through
 // IngestBatch since the previous period boundary, with the scalar
 // calibration inputs o carries (CacheAccesses, CoalesceFactor, period
 // bounds, CurrentBanks), and returns the sizing and timeout for the next

@@ -28,19 +28,21 @@ func shiftObservation(o batchObs, t0 simtime.Seconds) batchObs {
 	return o
 }
 
-// feedIncremental streams one period's log into the manager and strips
-// the log from the returned observation, the way an incremental host
-// hands over only the scalar calibration inputs.
+// feedIncremental streams one period's log into the manager, one
+// one-page run per IngestBatch call, and strips the log from the returned
+// observation, the way an incremental host hands over only the scalar
+// calibration inputs.
 func feedIncremental(m *Manager, o batchObs) Observation {
-	for i := range o.Log {
-		m.Ingest(o.Log[i])
+	runs := pageRuns(o.Log)
+	for i := range runs {
+		m.IngestBatch(runs[i : i+1])
 	}
 	return o.Observation
 }
 
 // TestDecideIncrementalMatchesBatch is the manager-level equivalence
 // proof: a batch manager deciding from full period logs and an
-// incremental twin ingesting the same records one at a time must produce
+// incremental twin ingesting the same records one page at a time must produce
 // bit-identical decisions period after period — including the carried
 // state the next period's decision depends on (hysteresis reference,
 // refill accounting, last decision). Exercised across parameter shapes
@@ -114,7 +116,7 @@ func TestDecideIncrementalMatchesBatch(t *testing.T) {
 			want := batch.Decide(o)
 			io := feedIncremental(inc, o)
 			installed := int64(p.TotalBanks) * p.bankPages()
-			if d := inc.Hist().MaxDepth(); d*100 < installed*4 || d*100 > installed*21 {
+			if d := inc.hist.MaxDepth(); d*100 < installed*4 || d*100 > installed*21 {
 				t.Fatalf("period %d reaches %d of %d pages, outside 4-21%%", period, d, installed)
 			}
 			got := inc.DecideIncremental(io)
@@ -245,9 +247,7 @@ func TestDiscardPeriodMatchesWarmupSkip(t *testing.T) {
 	inc, _ := NewManager(p)
 
 	warm := zipfObservation(p, 2000, 1<<14, 3)
-	for i := range warm.Log {
-		inc.Ingest(warm.Log[i])
-	}
+	inc.IngestBatch(pageRuns(warm.Log))
 	inc.DiscardPeriod() // batch twin: the log is simply dropped
 
 	o := zipfObservation(p, 3000, 1<<14, 4)

@@ -21,17 +21,15 @@ func pageRuns(log []lrusim.DepthRecord) []lrusim.DepthRun {
 }
 
 // feedIncrementalBatch streams one period's log through IngestBatch, as
-// one-page runs in random chunk sizes, interleaved with single-record
-// Ingest calls, and strips the log like feedIncremental: the two entry
-// points must be interchangeable mid-period.
+// one-page runs in random chunk sizes, interleaved with single-run calls,
+// and strips the log like feedIncremental: any split of the period into
+// blocks must ingest alike.
 func feedIncrementalBatch(m *Manager, o batchObs, rng *rand.Rand) Observation {
 	runs := pageRuns(o.Log)
 	for off := 0; off < len(o.Log); {
 		n := 1 + rng.Intn(len(o.Log)-off)
 		if rng.Intn(4) == 0 {
-			m.Ingest(o.Log[off])
-			off++
-			continue
+			n = 1
 		}
 		m.IngestBatch(runs[off : off+n])
 		off += n
@@ -40,10 +38,9 @@ func feedIncrementalBatch(m *Manager, o batchObs, rng *rand.Rand) Observation {
 }
 
 // TestIngestBatchMatchesIngest: a manager fed whole periods through
-// IngestBatch (in arbitrary chunk sizes, mixed with single-record
-// Ingest) must produce decisions bit-identical to a twin fed one record
-// at a time — including across an empty period and the carried state the
-// next period depends on.
+// IngestBatch in arbitrary chunk sizes must produce decisions
+// bit-identical to a twin fed one reference per call — including across
+// an empty period and the carried state the next period depends on.
 func TestIngestBatchMatchesIngest(t *testing.T) {
 	p := testParams()
 	p.HysteresisFrac = 0.05

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"jointpm/internal/lrusim"
-	"jointpm/internal/simtime"
 )
 
 // TestPricedLedgerSums pins the attribution invariant: for a
@@ -107,9 +106,7 @@ func TestSpanHook(t *testing.T) {
 	}
 
 	got = nil
-	for i := range obs.Log {
-		m.Ingest(obs.Log[i])
-	}
+	m.IngestBatch(pageRuns(obs.Log))
 	m.DecideIncremental(Observation{
 		CacheAccesses:  obs.CacheAccesses,
 		CoalesceFactor: obs.CoalesceFactor,
@@ -125,7 +122,7 @@ func TestSpanHook(t *testing.T) {
 
 	// DiscardPeriod flushes the accumulated ingest span too.
 	got = nil
-	m.Ingest(lrusim.DepthRecord{Time: 0, Page: 1, Depth: lrusim.Cold, Bytes: simtime.KB})
+	m.IngestBatch([]lrusim.DepthRun{{Time: 0, Page: 1, Pages: 1, Depth: lrusim.Cold}})
 	m.DiscardPeriod()
 	if len(got) != 1 || got[0].name != SpanIngest {
 		t.Fatalf("DiscardPeriod spans = %v, want one %q", got, SpanIngest)

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math"
 
+	"jointpm/internal/lrusim"
 	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
 )
 
-// State is the portable mutable state of a Manager: everything Decide
-// reads across period boundaries, plus the lifetime decision counters.
-// The extended-LRU stack itself lives with the caller that feeds the
-// manager (the simulator's engine or a daemon shard) and is checkpointed
-// alongside this — see internal/serve.
+// State is the portable mutable state of a Manager between periods:
+// everything Decide reads across period boundaries, the extended-LRU
+// stack, and the lifetime decision counters. The open period's
+// observation is not part of it; a host that checkpoints mid-period
+// keeps the period's depth runs and replays them through IngestBatch
+// after Restore (see internal/serve).
 //
 // Decision parity depends only on Banks/Pages/Timeout: hysteresis
 // compares candidate sizes against Banks, and the fallback ladder holds
@@ -30,6 +32,11 @@ type State struct {
 	// Counters carries the core.decide.* counter values so telemetry
 	// survives a restart; nil when the manager runs without a registry.
 	Counters map[string]int64
+	// StackPages is the extended-LRU stack in recency order, least
+	// recently used first (lrusim.StackSim.SnapshotPages), and StackRefs
+	// and StackColds its lifetime reference and cold-reference counters.
+	StackPages            []int64
+	StackRefs, StackColds int64
 }
 
 // Snapshot captures the manager's restorable state.
@@ -41,6 +48,8 @@ func (m *Manager) Snapshot() State {
 		Fallback: m.last.Fallback,
 		Level:    m.last.Level,
 	}
+	st.StackPages = m.stack.SnapshotPages()
+	st.StackRefs, st.StackColds = m.stack.Counters()
 	m.met.eachCounter(func(name string, c *obs.Counter) {
 		if v := c.Value(); v != 0 {
 			if st.Counters == nil {
@@ -53,8 +62,9 @@ func (m *Manager) Snapshot() State {
 }
 
 // Restore rehydrates a manager from a State captured by Snapshot on a
-// manager with the same Params. It validates the state against the
-// current configuration and leaves the manager untouched on error.
+// manager with the same Params, rebuilding the stack from its page list.
+// It validates the state against the current configuration and leaves
+// the manager untouched on error.
 func (m *Manager) Restore(st State) error {
 	if st.Banks < m.p.MinBanks || st.Banks > m.p.TotalBanks {
 		return fmt.Errorf("core: restore: banks %d outside [%d, %d]", st.Banks, m.p.MinBanks, m.p.TotalBanks)
@@ -78,6 +88,12 @@ func (m *Manager) Restore(st State) error {
 	if st.Level < 0 || st.Level >= maxLevel {
 		return fmt.Errorf("core: restore: speed level %d outside ladder of %d", st.Level, maxLevel)
 	}
+	for i, p := range st.StackPages {
+		if p < 0 {
+			return fmt.Errorf("core: restore: stack page %d: negative page id %d", i, p)
+		}
+	}
+	m.stack = lrusim.RestoreStackSim(m.p.stackWindow(), st.StackPages, st.StackRefs, st.StackColds)
 	m.last = Decision{
 		Banks:    st.Banks,
 		Pages:    st.Pages,

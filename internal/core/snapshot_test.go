@@ -124,13 +124,14 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		{Banks: 1, Pages: int64(p.TotalBanks)*m.p.bankPages() + 1, Timeout: 1},
 		{Banks: 1, Pages: 0, Timeout: -1},
 		{Banks: 1, Pages: 0, Timeout: 1, Counters: map[string]int64{"core.decide.calls": -4}},
+		{Banks: 1, Pages: 0, Timeout: 1, StackPages: []int64{3, -1}},
 	}
 	for i, st := range bad {
 		if err := m.Restore(st); err == nil {
 			t.Errorf("state %d accepted: %+v", i, st)
 		}
 	}
-	if !reflect.DeepEqual(m.Last(), before) {
+	if !reflect.DeepEqual(m.Last(), before) || m.stack.Len() != 0 {
 		t.Error("failed restore mutated manager state")
 	}
 }

@@ -2,8 +2,7 @@
 // splits one configurable global power cap fairly across the daemon's
 // shards, FastCap-style (Liu et al.), at shard rather than core
 // granularity. Each epoch the coordinator collects one Summary per
-// shard — the priced flight-recorder ledger split, the ingest rate, a
-// qmodel delayed-ratio estimate, and the current (m, t_o) — and solves
+// shard — its fairness floor and its priced power demand — and solves
 // a max-min fair ("water-filling") reallocation of the cap into
 // per-shard budgets, which internal/serve pushes down into each shard's
 // core.Manager as an extra constraint on the candidate slate
@@ -11,10 +10,10 @@
 //
 // The solver is deterministic and depends only on each shard's fairness
 // floor and power demand, both of which a warm restart restores
-// bit-identically from the snapshot; the rest of the Summary is
-// diagnostic. Fault tolerance: a shard whose summary is dropped or
-// arrives late (fault.FleetPlan) is solved from its last-known summary,
-// so budgets degrade gracefully while the sum never exceeds the cap.
+// bit-identically from the snapshot. Fault tolerance: a shard whose
+// summary is dropped or arrives late (fault.FleetPlan) is solved from its
+// last-known summary, so budgets degrade gracefully while the sum never
+// exceeds the cap.
 package fleet
 
 import (
@@ -22,9 +21,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"jointpm/internal/obs/flight"
-	"jointpm/internal/qmodel"
 )
 
 // Summary is one shard's per-epoch report to the coordinator.
@@ -40,16 +36,6 @@ type Summary struct {
 	// The solver never budgets a shard above max(FloorW, DemandW) plus
 	// its equal share of any surplus.
 	DemandW float64 `json:"demand_w"`
-	// Diagnostics carried for /debug/fleet; the solver ignores them.
-	RefsPerSec   float64 `json:"refs_per_s"`
-	DelayedRatio float64 `json:"delayed_ratio"`
-	Banks        int     `json:"banks"`
-	TimeoutS     float64 `json:"timeout_s"`
-	// Level is the DRPM speed level of the shard's last decision; omitted
-	// (0, full speed) on single-speed shards. A capped fleet reads it as
-	// the "ran slower instead of infeasible" diagnostic.
-	Level  int           `json:"level,omitempty"`
-	Energy flight.Ledger `json:"energy"`
 }
 
 // Assignment is one shard's budget out of a Reallocate solve.
@@ -240,31 +226,6 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// PredictDelayedRatio estimates the fraction of a period a request
-// spends queue-delayed beyond the long-latency threshold: the M/G/1
-// mean wait at the shard's observed arrival rate and service time,
-// normalised by the threshold and clamped to [0, 1]. Zero traffic
-// (lambda ≤ 0 or es ≤ 0) predicts zero; an unstable queue (ρ ≥ 1)
-// predicts one. This is the qmodel path the coordinator's summaries
-// ride, covered by the table-driven tests in internal/qmodel.
-func PredictDelayedRatio(lambda, es, scv, longLatencyS float64) float64 {
-	if longLatencyS <= 0 || math.IsNaN(longLatencyS) {
-		return 0
-	}
-	w, err := qmodel.MG1WaitSCV(lambda, es, scv)
-	if err != nil {
-		return 1 // unstable: every request is effectively delayed
-	}
-	r := w / longLatencyS
-	if math.IsNaN(r) || r < 0 {
-		return 0
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
 }
 
 // Coordinator runs the epoch protocol: Observe fresh summaries as they

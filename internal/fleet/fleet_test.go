@@ -282,34 +282,3 @@ func TestJainIndex(t *testing.T) {
 		t.Fatalf("JainIndex(one-dominates) = %g, want 0.25", got)
 	}
 }
-
-func TestPredictDelayedRatio(t *testing.T) {
-	cases := []struct {
-		name                     string
-		lambda, es, scv, longLat float64
-		want                     float64
-		upTo                     bool // want is an upper bound, not exact
-	}{
-		{"zero-traffic", 0, 0.01, 1, 0.2, 0, false},
-		{"zero-service", 10, 0, 1, 0.2, 0, false},
-		{"zero-threshold", 10, 0.01, 1, 0, 0, false},
-		{"unstable", 200, 0.01, 1, 0.2, 1, false},
-		{"light-load", 1, 0.01, 1, 0.2, 0.01, true},
-		{"clamped-high", 99, 0.01, 1, 1e-6, 1, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := PredictDelayedRatio(tc.lambda, tc.es, tc.scv, tc.longLat)
-			if got < 0 || got > 1 {
-				t.Fatalf("ratio %g outside [0,1]", got)
-			}
-			if tc.upTo {
-				if got > tc.want {
-					t.Fatalf("ratio = %g, want ≤ %g", got, tc.want)
-				}
-			} else if !almost(got, tc.want) {
-				t.Fatalf("ratio = %g, want %g", got, tc.want)
-			}
-		})
-	}
-}

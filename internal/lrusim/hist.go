@@ -11,10 +11,11 @@ import (
 // dense per-bank depth histogram maintained reference-by-reference, plus
 // the compressed event stream and the slate sweeper that run the joint
 // manager's incremental Decide path. The invariant the whole file serves:
-// feeding every reference of a period into a DepthHist, as records or as
-// depth runs, must reproduce, bit for bit, the aggregates and gap log the
-// batch oracle computes from the full []DepthRecord log (see the
-// differential tests in hist_test.go and internal/core). Both paths tell
+// feeding every reference of a period into a DepthHist as depth runs must
+// reproduce, bit for bit, the aggregates and gap log the batch oracle
+// computes from the full []DepthRecord log (see the differential tests in
+// hist_test.go and internal/core, and the per-record Observe reference in
+// oracle_test.go). Both paths tell
 // a page's first touch in the period from its depth alone, by the rule
 // stated on DepthHist.
 
@@ -41,8 +42,8 @@ type SweepEvent struct {
 //   - the bank-space gap log (GapStream) that reconstructs idle intervals,
 //     fed from the compressed SweepEvent stream as it is produced.
 //
-// The references — records through Observe, or runs through ObserveRuns,
-// read page by page — must be the complete depth stream of one StackSim
+// The references — the runs ObserveRuns is fed, read page by page — must
+// be the complete depth stream of one StackSim
 // over the period, in reference order, because first-access bytes are
 // read off the depths: a non-cold reference is the page's first touch in
 // the period iff its depth exceeds D, the number of cold and first-touch
@@ -138,36 +139,6 @@ func NewDepthHist(bankPages int64, maxBanks, minKeepBanks int, window simtime.Se
 	return h
 }
 
-// Observe folds one depth-annotated reference into the histogram. Records
-// must arrive in time order, exactly as they would appear in a period log.
-func (h *DepthHist) Observe(r DepthRecord) {
-	h.refs++
-	if r.Depth == Cold {
-		h.coldCount++
-		h.coldBytes += r.Bytes
-		h.touched++ // a cold miss is the page's first touch
-		h.push(r.Time, int32(h.maxBanks)+1)
-		return
-	}
-	d := int64(r.Depth)
-	if d > h.maxDepth {
-		h.maxDepth = d
-	}
-	bank := (d-1)/h.bankPages + 1
-	kb := min(bank, int64(h.maxBanks)+1)
-	h.buckets[kb-1].count++
-	bb := &h.buckets[min(bank, int64(h.maxBanks))-1]
-	bb.bytes += r.Bytes
-	h.nonCold += r.Bytes
-	if d > h.touched {
-		h.touched++
-		bb.first += r.Bytes
-	}
-	if kb > int64(h.minKeep) {
-		h.push(r.Time, int32(kb))
-	}
-}
-
 // ObserveRuns folds a time-ordered block of depth runs, each page of
 // which moved pageBytes, into the histogram: the same state as one
 // Observe call per page of each run, with the per-reference work done
@@ -178,7 +149,8 @@ func (h *DepthHist) Observe(r DepthRecord) {
 // event, or n with dedup off, where n same-time events stay distinct.
 // Integer bucket sums commute, so the resulting state — buckets,
 // counters, gap log — is bit-identical to the page-at-a-time path (see
-// TestObserveRunsMatchesObserve).
+// TestObserveRunsMatchesObserve, against the per-record Observe of
+// oracle_test.go).
 func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 	if len(runs) == 0 {
 		return
@@ -267,21 +239,6 @@ func (h *DepthHist) ObserveRuns(runs []DepthRun, pageBytes simtime.Bytes) {
 		h.pending, h.hasPending = events[n-1], true
 	}
 	h.block = events
-}
-
-func (h *DepthHist) push(t simtime.Seconds, bank int32) {
-	if h.hasPending {
-		if h.dedup && h.pending.T == t {
-			if bank > h.pending.Bank {
-				h.pending.Bank = bank
-			}
-			return
-		}
-		// Only a same-time event under dedup could still deepen the
-		// pending one: this one settles it.
-		h.gaps.Feed(h.pending)
-	}
-	h.pending, h.hasPending = SweepEvent{T: t, Bank: bank}, true
 }
 
 // Refs returns how many references this period has observed.

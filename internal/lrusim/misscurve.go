@@ -2,7 +2,6 @@ package lrusim
 
 import (
 	"fmt"
-	"sort"
 
 	"jointpm/internal/simtime"
 )
@@ -99,19 +98,15 @@ func (c *MissCurve) String() string {
 		c.total, c.colds, max, c.Misses(max))
 }
 
-// IdleIntervals reconstructs the disk idle intervals that would have been
-// observed with resident capacity mPages, from a depth-record log
-// (paper Fig. 4: removing or adding disk accesses merges or splits idle
-// intervals). Intervals shorter than the aggregation window are dropped,
-// mirroring the paper's filtering of unusably short idleness. The records
-// must be time-ordered. It returns the interval lengths and the number of
-// disk accesses.
-func IdleIntervals(log []DepthRecord, mPages int64, window simtime.Seconds) (intervals []float64, diskAccesses int64) {
-	return BoundedIdleIntervals(log, mPages, window, -1, -1)
-}
-
-// BoundedIdleIntervals is IdleIntervals with explicit observation bounds:
-// the gap from start to the first disk access and from the last disk
+// BoundedIdleIntervals reconstructs the disk idle intervals that would
+// have been observed with resident capacity mPages, from a depth-record
+// log (paper Fig. 4: removing or adding disk accesses merges or splits
+// idle intervals). Intervals shorter than the aggregation window are
+// dropped, mirroring the paper's filtering of unusably short idleness.
+// The records must be time-ordered. It returns the interval lengths and
+// the number of disk accesses.
+//
+// The gap from start to the first disk access and from the last disk
 // access to end are included as idle intervals (they are disk idleness
 // just as real as inter-access gaps, and ignoring them starves the
 // Pareto fit exactly for the memory sizes that eliminate most misses).
@@ -141,10 +136,4 @@ func BoundedIdleIntervals(log []DepthRecord, mPages int64, window, start, end si
 		}
 	}
 	return intervals, diskAccesses
-}
-
-// SortRecords time-orders a depth log in place; the simulator emits them
-// in order already, but transformed or merged logs may need it.
-func SortRecords(log []DepthRecord) {
-	sort.Slice(log, func(i, j int) bool { return log[i].Time < log[j].Time })
 }

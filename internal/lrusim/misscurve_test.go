@@ -111,7 +111,7 @@ func TestIdleIntervalsSplitAndMerge(t *testing.T) {
 
 	// 4 pages (the paper's configuration): 8 disk accesses — the six colds
 	// plus the two depth-5 reloads — at t = 0,1,2,3,20,21,30,31.
-	iv4, nd4 := IdleIntervals(log, 4, 0.5)
+	iv4, nd4 := BoundedIdleIntervals(log, 4, 0.5, -1, -1)
 	if nd4 != 8 {
 		t.Fatalf("nd(4) = %d, want 8", nd4)
 	}
@@ -121,7 +121,7 @@ func TestIdleIntervalsSplitAndMerge(t *testing.T) {
 
 	// 2 pages: the depth-3 and depth-4 accesses become misses too,
 	// splitting the 17 s interval (Fig. 4(b)).
-	iv2, nd2 := IdleIntervals(log, 2, 0.5)
+	iv2, nd2 := BoundedIdleIntervals(log, 2, 0.5, -1, -1)
 	if nd2 != 10 {
 		t.Fatalf("nd(2) = %d, want 10", nd2)
 	}
@@ -131,7 +131,7 @@ func TestIdleIntervalsSplitAndMerge(t *testing.T) {
 
 	// 5 pages: the depth-5 accesses become hits, merging trailing idle
 	// (Fig. 4(c)); only the six colds remain.
-	iv5, nd5 := IdleIntervals(log, 5, 0.5)
+	iv5, nd5 := BoundedIdleIntervals(log, 5, 0.5, -1, -1)
 	if nd5 != 6 {
 		t.Fatalf("nd(5) = %d, want 6", nd5)
 	}
@@ -144,7 +144,7 @@ func TestIdleIntervalsWindowFilter(t *testing.T) {
 	times := []float64{0, 0.05, 10}
 	depths := []int{Cold, Cold, Cold}
 	log := recordsFromSeq(times, depths)
-	iv, nd := IdleIntervals(log, 1, 0.1)
+	iv, nd := BoundedIdleIntervals(log, 1, 0.1, -1, -1)
 	if nd != 3 {
 		t.Fatalf("nd = %d", nd)
 	}
@@ -155,16 +155,16 @@ func TestIdleIntervalsWindowFilter(t *testing.T) {
 }
 
 func TestIdleIntervalsEmptyAndAllHits(t *testing.T) {
-	if iv, nd := IdleIntervals(nil, 4, 0.1); len(iv) != 0 || nd != 0 {
+	if iv, nd := BoundedIdleIntervals(nil, 4, 0.1, -1, -1); len(iv) != 0 || nd != 0 {
 		t.Error("empty log mishandled")
 	}
 	log := recordsFromSeq([]float64{1, 2, 3}, []int{1, 1, 1})
-	if iv, nd := IdleIntervals(log, 4, 0.1); len(iv) != 0 || nd != 0 {
+	if iv, nd := BoundedIdleIntervals(log, 4, 0.1, -1, -1); len(iv) != 0 || nd != 0 {
 		t.Error("all-hit log produced disk accesses")
 	}
 }
 
-// Property: the number of disk accesses from IdleIntervals matches
+// Property: the number of disk accesses from BoundedIdleIntervals matches
 // MissCurve.Misses for the same capacity, and intervals shrink in count
 // as memory grows (misses are nested).
 func TestQuickIdleIntervalsConsistency(t *testing.T) {
@@ -181,7 +181,7 @@ func TestQuickIdleIntervalsConsistency(t *testing.T) {
 			log = append(log, DepthRecord{Time: simtime.Seconds(tm), Depth: d, Bytes: 1})
 		}
 		for _, m := range []int64{1, 4, 16, 32} {
-			_, nd := IdleIntervals(log, m, 0)
+			_, nd := BoundedIdleIntervals(log, m, 0, -1, -1)
 			if nd != c.Misses(m) {
 				return false
 			}
@@ -190,13 +190,5 @@ func TestQuickIdleIntervalsConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortRecords(t *testing.T) {
-	log := recordsFromSeq([]float64{3, 1, 2}, []int{1, 2, 3})
-	SortRecords(log)
-	if log[0].Time != 1 || log[2].Time != 3 {
-		t.Errorf("not sorted: %v", log)
 	}
 }

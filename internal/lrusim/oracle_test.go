@@ -7,10 +7,10 @@ import (
 )
 
 // This file holds the test oracles for the stack and the gap-log
-// machinery: the textbook LRU stack, the per-record depth log and its
-// event stream, the one-call gap-log build, and the two direct
-// multi-threshold sweeps (over a depth log and over an event stream)
-// that the streaming gap log must reproduce.
+// machinery: the textbook LRU stack, the per-record depth log, its
+// per-record histogram ingest and its event stream, the one-call gap-log
+// build, and the two direct multi-threshold sweeps (over a depth log and
+// over an event stream) that the streaming gap log must reproduce.
 
 // NaiveStack is the textbook O(n)-per-reference LRU stack used as the
 // differential-testing oracle for StackSim and as the baseline in the
@@ -62,6 +62,54 @@ func AppendRecords(dst []DepthRecord, runs []DepthRun, pageBytes simtime.Bytes) 
 		}
 	}
 	return dst
+}
+
+// Observe folds one depth-annotated reference into the histogram, the
+// per-record reference ObserveRuns must reproduce. Records must arrive in
+// time order, exactly as they would appear in a period log.
+func (h *DepthHist) Observe(r DepthRecord) {
+	h.refs++
+	if r.Depth == Cold {
+		h.coldCount++
+		h.coldBytes += r.Bytes
+		h.touched++ // a cold miss is the page's first touch
+		h.push(r.Time, int32(h.maxBanks)+1)
+		return
+	}
+	d := int64(r.Depth)
+	if d > h.maxDepth {
+		h.maxDepth = d
+	}
+	bank := (d-1)/h.bankPages + 1
+	kb := min(bank, int64(h.maxBanks)+1)
+	h.buckets[kb-1].count++
+	bb := &h.buckets[min(bank, int64(h.maxBanks))-1]
+	bb.bytes += r.Bytes
+	h.nonCold += r.Bytes
+	if d > h.touched {
+		h.touched++
+		bb.first += r.Bytes
+	}
+	if kb > int64(h.minKeep) {
+		h.push(r.Time, int32(kb))
+	}
+}
+
+// push makes (t, bank) the histogram's newest event, feeding the previous
+// one to the gap log unless dedup folds the two.
+func (h *DepthHist) push(t simtime.Seconds, bank int32) {
+	if h.hasPending {
+		if h.dedup && h.pending.T == t {
+			if bank > h.pending.Bank {
+				h.pending.Bank = bank
+			}
+			return
+		}
+		// Only a same-time event under dedup could still deepen the
+		// pending one: this one settles it.
+		h.gaps.Feed(h.pending)
+	}
+	h.pending, h.hasPending = SweepEvent{T: t, Bank: bank}, true
 }
 
 // BuildEvents compresses a depth-annotated log into the SweepEvent stream
@@ -252,7 +300,7 @@ type Sweeper struct {
 // list of page capacities), exactly what BoundedIdleIntervals(log,
 // thresholds[i], window, start, end) would return: the idle-interval
 // lengths (with window-w aggregation and period-boundary gaps) and the
-// disk-access count. The log must be time-ordered (see SortRecords);
+// disk-access count. The log must be time-ordered;
 // Sweep panics on a descending threshold list.
 //
 // The returned slices are owned by the Sweeper and are overwritten by the

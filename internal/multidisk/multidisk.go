@@ -326,6 +326,8 @@ func Run(c Config) (*Result, error) {
 	}
 
 	var mgr *core.Manager
+	// stacks are Partitioned's per-disk stacks; Joint runs every request
+	// through the manager's one stack.
 	var stacks []*lrusim.StackSim
 	// dlogs holds each spindle's depth log of the period: the per-disk
 	// timeouts and the partition sizing replay them. Joint's global
@@ -340,12 +342,7 @@ func Run(c Config) (*Result, error) {
 		if mgr, err = core.NewManager(p); err != nil {
 			return nil, err
 		}
-		if frames > lrusim.MaxWindow {
-			return nil, fmt.Errorf("multidisk: installed memory of %d pages exceeds the stack's limit of %d", frames, lrusim.MaxWindow)
-		}
-		if cfg.Method == Joint {
-			stacks = []*lrusim.StackSim{lrusim.NewStackSim(int(frames))}
-		} else {
+		if cfg.Method == Partitioned {
 			stacks = make([]*lrusim.StackSim, cfg.Disks)
 			for d := range stacks {
 				stacks[d] = lrusim.NewStackSim(int(frames))
@@ -413,14 +410,8 @@ func Run(c Config) (*Result, error) {
 			res.Partitions = alloc
 			return
 		}
-		// Global sizing from the references the shared stack ingested.
-		dec := mgr.DecideIncremental(core.Observation{
-			CacheAccesses:  periodAccesses,
-			CoalesceFactor: 1,
-			PeriodStart:    t - cfg.Period,
-			PeriodEnd:      t,
-			CurrentBanks:   mgr.Last().Banks,
-		})
+		// Global sizing from the references the manager's stack took in.
+		dec := mgr.Close(t, false, 1, mgr.Last().Banks)
 		caches[0].Resize(dec.Pages)
 		memory.SetEnabledBanks(t, dec.Banks)
 		// Per-spindle timeouts from each disk's own idle reconstruction.
@@ -452,14 +443,11 @@ func Run(c Config) (*Result, error) {
 			}
 			runLen = 0
 		}
-		if stacks != nil {
-			st := stacks[0]
-			if len(stacks) > 1 {
-				st = stacks[target]
-			}
-			runs = st.ReferenceRange(runs[:0], req.Time, req.FirstPage, int(req.Pages))
-			if cfg.Method == Joint {
-				mgr.IngestBatch(runs)
+		if mgr != nil {
+			if stacks != nil {
+				runs = stacks[target].ReferenceRange(runs[:0], req.Time, req.FirstPage, int(req.Pages))
+			} else {
+				runs = mgr.Reference(req.Time, req.FirstPage, int(req.Pages))
 			}
 			for _, r := range runs {
 				for k := int64(0); k < int64(r.Pages); k++ {

@@ -81,7 +81,7 @@ type PeriodRecord struct {
 	Banks        int       `json:"banks"`
 	TimeoutS     obs.Float `json:"timeout_s"` // null: spin-down disabled
 	Fallback     bool      `json:"fallback,omitempty"`
-	Warmup       bool      `json:"warmup,omitempty"`
+	Warmup       bool      `json:"warmup,omitempty"` // the manager discarded the period unexamined
 	Energy       Ledger    `json:"energy"`
 
 	// Fleet power-cap accounting, all zero (and omitted from JSON) when

@@ -108,9 +108,8 @@ func TestMoments(t *testing.T) {
 }
 
 // TestMG1WaitSCVPredictorPaths walks every branch of the M/G/1 form the
-// fleet coordinator's delayed-ratio predictor rides
-// (fleet.PredictDelayedRatio → MG1WaitSCV): degenerate zero traffic,
-// negative-SCV clamping, saturation, and the analytic interior.
+// joint manager's predicted wait rides (MG1WaitSCV): degenerate zero
+// traffic, negative-SCV clamping, saturation, and the analytic interior.
 func TestMG1WaitSCVPredictorPaths(t *testing.T) {
 	cases := []struct {
 		name            string

@@ -177,11 +177,11 @@ func TestSnapshotV1Read(t *testing.T) {
 		NextBoundary: 480,
 		CurBanks:     64,
 		CurPages:     1024,
-		Core:         core.State{Banks: 64, Pages: 1024, Timeout: 5},
-		StackPages:   []int64{9, 4, 7},
-		StackRefs:    120,
-		StackColds:   10,
-		Log:          []logRecord{{Time: 361.5, Page: 7, Depth: -1, Bytes: 65536}},
+		Core: core.State{
+			Banks: 64, Pages: 1024, Timeout: 5,
+			StackPages: []int64{9, 4, 7}, StackRefs: 120, StackColds: 10,
+		},
+		Log: []logRecord{{Time: 361.5, Page: 7, Depth: -1, Bytes: 65536}},
 	}}
 	v1 := encodePayload(states, 1)
 

@@ -49,34 +49,15 @@ func (sh *Shard) fleetEpochLocked() {
 }
 
 // fleetSummary snapshots the shard's per-epoch report: the fairness
-// floor, the last decision's priced power as the demand, and the
-// diagnostic columns (ingest rate, qmodel delayed-ratio estimate,
-// current (m, t_o), cumulative priced ledger).
+// floor and, as the demand, the last decision's priced power.
 func (sh *Shard) fleetSummary(floorW float64) fleet.Summary {
 	sh.mu.Lock()
 	last := sh.mgr.Last()
-	periods := sh.periodIdx
-	refs := sh.refsTotal
 	sh.mu.Unlock()
 
-	sum := fleet.Summary{
-		Disk:     sh.name,
-		FloorW:   floorW,
-		DemandW:  floorW,
-		Banks:    last.Banks,
-		TimeoutS: float64(last.Timeout),
-		Level:    last.Level,
-		Energy:   sh.rec.Sum(),
-	}
+	sum := fleet.Summary{Disk: sh.name, FloorW: floorW, DemandW: floorW}
 	if w := float64(last.Chosen.TotalPower); w > floorW {
 		sum.DemandW = w
-	}
-	p := sh.srv.params
-	if span := float64(periods) * float64(p.Period); span > 0 {
-		sum.RefsPerSec = float64(refs) / span
-		lambda := float64(last.Chosen.DiskAccesses) / float64(p.Period)
-		es := float64(p.DiskSpec.ServiceTime(p.PageSize))
-		sum.DelayedRatio = fleet.PredictDelayedRatio(lambda, es, 1, float64(p.LongLatency))
 	}
 	return sum
 }

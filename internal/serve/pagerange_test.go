@@ -52,7 +52,7 @@ func viewOf(sh *Shard) shardView {
 	v := shardView{
 		Consumed: sh.consumed, Periods: sh.periodIdx, CacheAcc: sh.cacheAcc,
 		Misses: sh.misses, ReqRuns: sh.reqRuns, RefsTotal: sh.refsTotal,
-		Stack: sh.stack.SnapshotPages(),
+		Stack: sh.mgr.Snapshot().StackPages,
 	}
 	for _, r := range sh.periodLog {
 		v.Log = append(v.Log, r)

@@ -27,7 +27,6 @@ import (
 	"jointpm/internal/drpm"
 	"jointpm/internal/fault"
 	"jointpm/internal/fleet"
-	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
 	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
@@ -53,9 +52,9 @@ type Config struct {
 	// slate single-speed and bit-identical to a build without the ladder.
 	SpeedLevels int
 
-	// Decide is deprecated and ignored: every shard streams its
-	// references through core.Manager.IngestBatch as it serves them and
-	// closes a period with core.Manager.DecideIncremental.
+	// Decide is deprecated and ignored: every shard runs its requests
+	// through core.Manager.Reference as it serves them and closes a
+	// period with core.Manager.Close.
 	Decide core.DecideMode
 
 	// RefitDriftFrac, when positive, activates the steady-state refit
@@ -156,13 +155,12 @@ func (c Config) withDefaults() (Config, error) {
 
 // Server hosts the per-disk shards and owns the checkpoint lifecycle.
 type Server struct {
-	cfg            Config
-	params         core.Params
-	installedPages int64
-	sem            chan struct{}
-	met            serveMetrics
-	started        time.Time
-	flightDepth    int // >0: per-shard flight recorders of this depth
+	cfg         Config
+	params      core.Params
+	sem         chan struct{}
+	met         serveMetrics
+	started     time.Time
+	flightDepth int // >0: per-shard flight recorders of this depth
 
 	// coord is the fleet power-cap coordinator; nil when PowerCapW leaves
 	// the server uncapped. fleetMu serialises reallocation epochs (any
@@ -218,17 +216,13 @@ func New(cfg Config) (*Server, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if pages := cfg.InstalledMem / cfg.PageSize; pages > lrusim.MaxWindow {
-		return nil, fmt.Errorf("serve: installed memory of %d pages exceeds the stack's limit of %d", pages, lrusim.MaxWindow)
-	}
 	s := &Server{
-		cfg:            cfg,
-		params:         p,
-		installedPages: int64(cfg.InstalledMem / cfg.PageSize),
-		sem:            make(chan struct{}, cfg.Workers),
-		met:            newServeMetrics(cfg.Metrics),
-		started:        time.Now(),
-		shards:         make(map[string]*Shard),
+		cfg:     cfg,
+		params:  p,
+		sem:     make(chan struct{}, cfg.Workers),
+		met:     newServeMetrics(cfg.Metrics),
+		started: time.Now(),
+		shards:  make(map[string]*Shard),
 	}
 	if cfg.FlightRecorder > 0 {
 		s.flightDepth = cfg.FlightRecorder

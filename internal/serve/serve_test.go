@@ -283,16 +283,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		CurPages:     3072,
 		Core: core.State{
 			Banks: 12, Pages: 3072,
-			Timeout:  simtime.Seconds(math.Inf(1)),
-			Fallback: true,
-			Counters: map[string]int64{"core.decide.calls": 7},
+			Timeout:    simtime.Seconds(math.Inf(1)),
+			Fallback:   true,
+			Counters:   map[string]int64{"core.decide.calls": 7},
+			StackPages: []int64{5, 9, 1, 0, 42},
+			StackRefs:  999,
+			StackColds: 40,
 		},
-		StackPages: []int64{5, 9, 1, 0, 42},
-		StackRefs:  999,
-		StackColds: 40,
-		CacheAcc:   17,
-		Misses:     3,
-		ReqRuns:    2,
+		CacheAcc: 17,
+		Misses:   3,
+		ReqRuns:  2,
 		Log: []logRecord{
 			{Time: 841.0000000000001, Page: 42, Depth: -1, Bytes: 65536},
 			{Time: 842.5, Page: 43, Depth: 17, Bytes: 65536},
@@ -311,8 +311,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Normalize empty-vs-nil slices the decoder materializes.
 	for i := range out {
-		if len(out[i].StackPages) == 0 {
-			out[i].StackPages = nil
+		if len(out[i].Core.StackPages) == 0 {
+			out[i].Core.StackPages = nil
 		}
 		if len(out[i].Log) == 0 {
 			out[i].Log = nil
@@ -404,7 +404,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good) != 1 || len(good[0].Log) < 2 || len(good[0].StackPages) < 2 {
+	if len(good) != 1 || len(good[0].Log) < 2 || len(good[0].Core.StackPages) < 2 {
 		t.Fatalf("checkpoint holds %d shards; want one with a partial period and a stack", len(good))
 	}
 	mutations := []struct {
@@ -413,7 +413,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	}{
 		{"log-depth-0", func(st *shardState) { st.Log[1].Depth = 0 }},
 		{"log-depth-negative", func(st *shardState) { st.Log[1].Depth = -7 }},
-		{"stack-page-negative", func(st *shardState) { st.StackPages[1] = -3 }},
+		{"stack-page-negative", func(st *shardState) { st.Core.StackPages[1] = -3 }},
 		{"log-bytes", func(st *shardState) { st.Log[1].Bytes = int64(cfg.PageSize) / 2 }},
 		{"log-page-negative", func(st *shardState) { st.Log[1].Page = -1 }},
 	}
@@ -421,7 +421,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			st := good[0]
 			st.Log = append([]logRecord(nil), st.Log...)
-			st.StackPages = append([]int64(nil), st.StackPages...)
+			st.Core.StackPages = append([]int64(nil), st.Core.StackPages...)
 			m.edit(&st)
 			cfg2 := cfg
 			cfg2.SnapshotPath = filepath.Join(t.TempDir(), "bad.snap")
@@ -445,8 +445,8 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sh2.Consumed() != 0 || sh2.Periods() != 0 || sh2.stack.Len() != 0 {
-				t.Fatalf("a rejected restore changed the shard: consumed %d, periods %d, stack %d", sh2.Consumed(), sh2.Periods(), sh2.stack.Len())
+			if stack := sh2.mgr.Snapshot().StackPages; sh2.Consumed() != 0 || sh2.Periods() != 0 || len(stack) != 0 {
+				t.Fatalf("a rejected restore changed the shard: consumed %d, periods %d, stack %d", sh2.Consumed(), sh2.Periods(), len(stack))
 			}
 		})
 	}

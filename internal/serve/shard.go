@@ -28,11 +28,12 @@ type Decision struct {
 	Decision core.Decision
 }
 
-// Shard is the online controller for one disk: the extended-LRU stack,
-// the current period's depth runs, and the manager deciding (m, t_o) at
-// each period boundary. One goroutine ingests; the server's checkpoint
-// path locks the shard between requests, so a snapshot always lands on
-// a request boundary (never mid-request).
+// Shard is the online controller for one disk: the manager, which keeps
+// the extended-LRU stack and decides (m, t_o) at each period boundary,
+// the current period's depth runs when the server checkpoints, and the
+// hit model's counters. One goroutine ingests; the server's checkpoint
+// path locks the shard between requests, so a snapshot always lands on a
+// request boundary (never mid-request).
 type Shard struct {
 	name string
 	srv  *Server
@@ -40,9 +41,11 @@ type Shard struct {
 	mu  sync.Mutex
 	mgr *core.Manager
 
-	stack    *lrusim.StackSim
 	pageSize simtime.Bytes
 	period   simtime.Seconds
+	// keepLog: the period log's one reader is the checkpoint, so a
+	// server without a snapshot path keeps no log.
+	keepLog bool
 
 	// Mutable stream state, all covered by the snapshot.
 	periodIdx    int64 // periods closed so far
@@ -98,9 +101,9 @@ func newShard(name string, srv *Server) (*Shard, error) {
 		name:         name,
 		srv:          srv,
 		mgr:          mgr,
-		stack:        lrusim.NewStackSim(int(srv.installedPages)),
 		pageSize:     srv.params.PageSize,
 		period:       srv.params.Period,
+		keepLog:      srv.cfg.SnapshotPath != "",
 		nextBoundary: srv.params.Period,
 		curBanks:     mgr.Last().Banks,
 		curPages:     mgr.Last().Pages,
@@ -251,41 +254,44 @@ func (sh *Shard) dueCheckpoint(period int64) {
 }
 
 // serve runs one pass over a run of requests that all precede the next
-// period boundary, and hands the new runs to the manager in one
-// IngestBatch. It references each request's pages through the stack
-// with one ReferenceRange call, prefetching the page-table slots of the
-// next lrusim.LookAhead requests first, and logs the depth runs it
-// returns. Then it predicts the disk traffic each request causes at the
-// currently applied memory size: a page hits iff its stack depth is
-// within the chosen resident capacity (Mattson's inclusion property),
-// and consecutive missing pages of a request coalesce into one disk
-// request, mirroring the simulator's run coalescing. The manager keeps
-// only its streaming state, so the log is the snapshot's replayable form
-// of the partial period (see restore).
+// period boundary. It runs each request through the manager's stack
+// (Reference), prefetching the page-table slots of the next
+// lrusim.LookAhead requests first, and logs the depth runs it returns
+// if it keeps a log.
+// Then it predicts the disk traffic each request causes at the currently
+// applied memory size: a page hits iff its stack depth is within the
+// chosen resident capacity (Mattson's inclusion property), and
+// consecutive missing pages of a request coalesce into one disk request,
+// mirroring the simulator's run coalescing. It flushes the manager's
+// ingest queue at the end, so the pass's ingest is done within it. The
+// manager keeps only its streaming state, so the log is the snapshot's
+// replayable form of the partial period (see restore).
 func (sh *Shard) serve(run []trace.Request) {
 	var start time.Time
 	if sh.timed {
 		start = time.Now()
 	}
-	stack, log := sh.stack, sh.periodLog
-	first := len(log)
+	mgr, log, keep := sh.mgr, sh.periodLog, sh.keepLog
 	curPages := sh.curPages
 	misses, reqRuns, refs := sh.misses, sh.reqRuns, int64(0)
 	for g := run; len(g) > 0; g = g[min(lrusim.LookAhead, len(g)):] {
 		group := g[:min(lrusim.LookAhead, len(g))]
 		for k := range group {
-			stack.Prefetch(group[k].FirstPage)
+			mgr.Prefetch(group[k].FirstPage)
 		}
 		for k := range group {
 			req := &group[k]
 			n := int(req.Pages)
-			if len(log)+n > cap(log) {
+			if keep && len(log)+n > cap(log) {
 				log = growLog(log, len(log)+n)
 			}
-			from := len(log)
-			log = stack.ReferenceRange(log, req.Time, req.FirstPage, n)
 			inRun := false // the previous run of this request missed
-			for _, r := range log[from:] {
+			for _, r := range mgr.Reference(req.Time, req.FirstPage, n) {
+				if keep {
+					// One append per run: requests are mostly one run and
+					// the capacity is there, so this beats a copy call.
+					log = append(log, r)
+				}
 				if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
 					inRun = false
 					continue
@@ -304,7 +310,7 @@ func (sh *Shard) serve(run []trace.Request) {
 	sh.refsTotal += refs
 	sh.cacheAcc += refs
 	sh.consumed += int64(len(run))
-	sh.mgr.IngestBatch(log[first:])
+	mgr.Flush()
 	if sh.timed {
 		sh.ingestNs += time.Since(start).Nanoseconds()
 	}
@@ -369,33 +375,25 @@ func (sh *Shard) closePeriod() error {
 	warmup := idx <= int64(sh.srv.cfg.WarmupPeriods)
 	var dec core.Decision
 	var decideNs int64
-	if !warmup {
+	if warmup {
+		dec = sh.mgr.Close(end, true, 0, 0)
+	} else {
 		coalesce := 1.0
 		if sh.reqRuns > 0 {
 			coalesce = float64(sh.misses) / float64(sh.reqRuns)
-		}
-		obs := core.Observation{
-			CacheAccesses:  sh.cacheAcc,
-			CoalesceFactor: coalesce,
-			PeriodStart:    start,
-			PeriodEnd:      end,
-			CurrentBanks:   sh.curBanks,
 		}
 		sh.srv.acquire()
 		var decideStart time.Time
 		if sh.timed {
 			decideStart = time.Now()
 		}
-		dec = sh.mgr.DecideIncremental(obs)
+		dec = sh.mgr.Close(end, false, coalesce, sh.curBanks)
 		if sh.timed {
 			decideNs = time.Since(decideStart).Nanoseconds()
 		}
 		sh.srv.release()
 		sh.curBanks = dec.Banks
 		sh.curPages = dec.Pages
-	} else {
-		sh.mgr.DiscardPeriod()
-		dec = sh.mgr.Last()
 	}
 
 	ingestNs := sh.ingestNs
@@ -469,9 +467,9 @@ func (sh *Shard) closePeriod() error {
 // runs; the caller expands it page by page into the snapshot's record
 // form outside the lock (convertLog), so an ingesting connection is
 // stalled for a memcpy, not an element-wise conversion, while a
-// checkpoint marks the shard.
+// checkpoint marks the shard. Every pass flushes its ingest, so the
+// manager has ingested every page of the log.
 func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
-	refs, colds := sh.stack.Counters()
 	st := shardState{
 		Name:         sh.name,
 		PeriodIdx:    sh.periodIdx,
@@ -480,9 +478,6 @@ func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
 		CurBanks:     int64(sh.curBanks),
 		CurPages:     sh.curPages,
 		Core:         sh.mgr.Snapshot(),
-		StackPages:   sh.stack.SnapshotPages(),
-		StackRefs:    refs,
-		StackColds:   colds,
 		CacheAcc:     sh.cacheAcc,
 		Misses:       sh.misses,
 		ReqRuns:      sh.reqRuns,
@@ -490,8 +485,8 @@ func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
 		BudgetW:      sh.budgetW,
 		Mode:         snapModeIncremental,
 	}
-	if h := sh.mgr.Hist(); h != nil {
-		st.IngestedRefs = h.Refs()
+	for _, r := range sh.periodLog {
+		st.IngestedRefs += int64(r.Pages)
 	}
 	return st, append([]lrusim.DepthRun(nil), sh.periodLog...)
 }
@@ -539,9 +534,11 @@ func appendRuns(dst []lrusim.DepthRun, log []logRecord) []lrusim.DepthRun {
 
 // validate checks a snapshot payload for values the shard cannot hold,
 // before restore changes anything: negative counters, a non-positive
-// boundary, negative page ids, depths that are neither Cold nor in
-// [1, 2^31), and log records whose bytes are not the page size (the run
-// log stores none of its own).
+// boundary, negative log page ids, depths that are neither Cold nor in
+// [1, 2^31), log records whose bytes are not the page size (the run log
+// stores none of its own), and a streaming snapshot whose log does not
+// hold the references it recorded as ingested. core.Manager.Restore
+// checks the manager's own state, the stack included.
 func (sh *Shard) validate(st *shardState) error {
 	if st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 {
 		return fmt.Errorf("serve: shard %s: negative counters in snapshot", st.Name)
@@ -549,10 +546,11 @@ func (sh *Shard) validate(st *shardState) error {
 	if !(simtime.Seconds(st.NextBoundary) > 0) {
 		return fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
 	}
-	for i, p := range st.StackPages {
-		if p < 0 {
-			return fmt.Errorf("serve: shard %s: stack page %d: negative page id %d", st.Name, i, p)
-		}
+	// A snapshot cut while streaming recorded its ingested reference
+	// count, which replaying the log must reproduce; one cut by a daemon
+	// running the retired batch path (mode 0) recorded none.
+	if st.Mode == snapModeIncremental && int64(len(st.Log)) != st.IngestedRefs {
+		return fmt.Errorf("serve: shard %s: incremental state mismatch: the log replays %d refs, snapshot recorded %d", st.Name, len(st.Log), st.IngestedRefs)
 	}
 	for i, r := range st.Log {
 		switch {
@@ -595,7 +593,6 @@ func (sh *Shard) restore(st shardState) error {
 		sh.budgetW = st.BudgetW
 		sh.mgr.SetPowerBudget(st.BudgetW)
 	}
-	sh.stack = lrusim.RestoreStackSim(int(sh.srv.installedPages), st.StackPages, st.StackRefs, st.StackColds)
 	sh.periodIdx = st.PeriodIdx
 	sh.consumed = st.Consumed
 	sh.nextBoundary = simtime.Seconds(st.NextBoundary)
@@ -606,21 +603,10 @@ func (sh *Shard) restore(st shardState) error {
 	sh.reqRuns = st.ReqRuns
 	sh.periodLog = appendRuns(sh.periodLog[:0], st.Log)
 	// Rebuild the streaming observation state by replaying the partial
-	// period — ingest is deterministic (and the block entry point is
-	// bit-identical to record-at-a-time), so the histogram and gap log
-	// land exactly where the checkpointed run had them. A snapshot cut
-	// while streaming recorded its reference count, which the replay must
-	// reproduce; one cut by a daemon running the retired batch path
-	// (mode 0) recorded none.
+	// period into the manager, whose restored stack already holds its
+	// references — ingest is deterministic and independent of how the
+	// runs are split, so the histogram and gap log land exactly where the
+	// checkpointed run had them.
 	sh.mgr.IngestBatch(sh.periodLog)
-	if st.Mode == snapModeIncremental {
-		var got int64
-		if h := sh.mgr.Hist(); h != nil {
-			got = h.Refs()
-		}
-		if got != st.IngestedRefs {
-			return fmt.Errorf("serve: shard %s: incremental state mismatch: replayed %d refs, snapshot recorded %d", st.Name, got, st.IngestedRefs)
-		}
-	}
 	return nil
 }

@@ -5,8 +5,8 @@
 //	magic "JPMS" | version u8 | payloadLen u64 | payload | crc32(payload) u32
 //
 // The payload is a shard count followed by one self-contained record per
-// shard: identity and stream position, the manager's core.State, the
-// extended-LRU stack (page list in recency order plus lifetime
+// shard: identity and stream position, the manager's core.State (with the
+// extended-LRU stack: page list in recency order plus lifetime
 // counters), and the partial period in progress — its depth log with
 // times stored as raw float64 bits so the restored observation is
 // bit-identical to the one the uninterrupted run would have built.
@@ -87,10 +87,7 @@ type shardState struct {
 	NextBoundary float64
 	CurBanks     int64
 	CurPages     int64
-	Core         core.State
-	StackPages   []int64
-	StackRefs    int64
-	StackColds   int64
+	Core         core.State // the manager's state, the extended-LRU stack included
 	CacheAcc     int64
 	Misses       int64
 	ReqRuns      int64
@@ -178,12 +175,12 @@ func encodePayload(states []shardState, version byte) []byte {
 			w.uv(uint64(st.Core.Counters[k]))
 		}
 
-		w.uv(uint64(len(st.StackPages)))
-		for _, p := range st.StackPages {
+		w.uv(uint64(len(st.Core.StackPages)))
+		for _, p := range st.Core.StackPages {
 			w.uv(uint64(p))
 		}
-		w.uv(uint64(st.StackRefs))
-		w.uv(uint64(st.StackColds))
+		w.uv(uint64(st.Core.StackRefs))
+		w.uv(uint64(st.Core.StackColds))
 
 		w.uv(uint64(st.CacheAcc))
 		w.uv(uint64(st.Misses))
@@ -348,15 +345,15 @@ func decodeShard(r *payloadReader, version byte) (shardState, error) {
 	if np > 1<<32 {
 		return st, fmt.Errorf("stack size %d exceeds limit", np)
 	}
-	st.StackPages = make([]int64, np)
-	for j := range st.StackPages {
+	st.Core.StackPages = make([]int64, np)
+	for j := range st.Core.StackPages {
 		v, err := r.uv()
 		if err != nil {
 			return st, err
 		}
-		st.StackPages[j] = int64(v)
+		st.Core.StackPages[j] = int64(v)
 	}
-	for _, p := range []*int64{&st.StackRefs, &st.StackColds, &st.CacheAcc, &st.Misses, &st.ReqRuns} {
+	for _, p := range []*int64{&st.Core.StackRefs, &st.Core.StackColds, &st.CacheAcc, &st.Misses, &st.ReqRuns} {
 		v, err := r.uv()
 		if err != nil {
 			return st, err

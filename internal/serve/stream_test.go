@@ -131,6 +131,7 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 
 func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	cfg := testConfig(&decisionLog{})
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "log.snap") // a shard logs its period only to checkpoint it
 	shards := make([]*Shard, 2)
 	for i := range shards {
 		srv, err := New(cfg)
@@ -144,7 +145,7 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	one, bat := shards[0], shards[1]
 
 	var (
-		perPage               = lrusim.NewStackSim(int(one.srv.installedPages))
+		perPage               = lrusim.NewStackSim(int(cfg.InstalledMem / cfg.PageSize))
 		boundary              = cfg.Period
 		log                   []logRecord
 		misses, reqRuns, refs int64
@@ -223,10 +224,12 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 // a two-page range whole (or is its cold first reference), so it logs
 // one run; serve makes room for a run per page before each request, so
 // the capacity is the ladder step of the longest period's runs plus one,
-// within a quarter of its length.
+// within a quarter of its length. A shard that never checkpoints keeps
+// no log at all.
 func TestPeriodLogCapacityFollowsLength(t *testing.T) {
 	const pages = 2
 	cfg := testConfig(&decisionLog{})
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "log.snap") // a shard logs its period only to checkpoint it
 	var reqs []trace.Request
 	longest := 0
 	lengths := []int{90_000, 210_000, 120_000}
@@ -275,6 +278,23 @@ func TestPeriodLogCapacityFollowsLength(t *testing.T) {
 	}
 	if longest <= logSmoothCap || 4*want > 5*longest {
 		t.Fatalf("a longest period of %d runs takes capacity %d: not above %d runs, or more than a quarter of slack", longest, want, logSmoothCap)
+	}
+
+	// Without a snapshot path nothing reads the log, and none is kept.
+	cfg.SnapshotPath = ""
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := srv.Shard("d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.IngestBatch(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sh.periodLog) != 0 {
+		t.Fatalf("a shard that never checkpoints holds a period log of %d runs", cap(sh.periodLog))
 	}
 }
 

@@ -105,3 +105,29 @@ func TestFlightMeasuredLedger(t *testing.T) {
 		t.Error("attaching a flight recorder changed the simulation result")
 	}
 }
+
+// TestFlightWarmupMeansDiscarded: a record's warmup flag means the
+// manager discarded the period unexamined, as it does in the daemon. With
+// a two-period warmup the manager discards the first period and decides
+// from the second, the one that ends at Warmup, so only the first record
+// is warmup, and it alone carries no decide span.
+func TestFlightWarmupMeansDiscarded(t *testing.T) {
+	tr := testWorkload(t, float64(simtime.MB), 600)
+	rec := flight.New(16)
+	cfg := testConfig(tr, policy.Joint(128*simtime.MB))
+	cfg.Warmup = 2 * cfg.Period
+	cfg.Flight = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	recs := rec.Last(0)
+	if len(recs) < 3 {
+		t.Fatalf("recorder cut %d records, want ≥ 3", len(recs))
+	}
+	if r := recs[0]; !r.Warmup || r.DecideNs != 0 {
+		t.Errorf("record 1: warmup %v, decide_ns %d; want a discarded period with no decide span", r.Warmup, r.DecideNs)
+	}
+	if r := recs[1]; r.Warmup || r.DecideNs <= 0 {
+		t.Errorf("record 2: warmup %v, decide_ns %d; want the first decided period", r.Warmup, r.DecideNs)
+	}
+}

@@ -12,11 +12,12 @@ import (
 	"jointpm/internal/trace"
 )
 
-// TestJointIngestsEveryReference: the JOINT engine hands the manager
-// every depth run of every request, so each decision's journaled
-// reference count equals the period's cache accesses. Every fourth
-// request is lengthened by a page the stack has not seen, so those
-// requests come back from ReferenceRange as several runs.
+// TestJointIngestsEveryReference: the JOINT engine runs every request
+// through the manager, which ingests every depth run, so each decision's
+// journaled reference count and cache accesses equal the period's pages
+// summed from the trace. Every fourth request is lengthened by a page the
+// stack has not seen, so those requests come back from ReferenceRange as
+// several runs.
 func TestJointIngestsEveryReference(t *testing.T) {
 	base := testWorkload(t, float64(simtime.MB), 1800)
 	tr := *base
@@ -54,8 +55,15 @@ func TestJointIngestsEveryReference(t *testing.T) {
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-		if o := rec.Observation; int64(o.LogLen) != o.CacheAccesses {
-			t.Fatalf("decision %d: manager ingested %d references of the period's %d", n+1, o.LogLen, o.CacheAccesses)
+		o := rec.Observation
+		var pages int64
+		for _, r := range tr.Requests {
+			if r.Time >= simtime.Seconds(o.PeriodStart) && r.Time < simtime.Seconds(o.PeriodEnd) {
+				pages += int64(r.Pages)
+			}
+		}
+		if int64(o.LogLen) != pages || o.CacheAccesses != pages {
+			t.Fatalf("decision %d: manager ingested %d references (cache accesses %d) of the period's %d pages", n+1, o.LogLen, o.CacheAccesses, pages)
 		}
 	}
 	if n < 10 {

@@ -17,8 +17,8 @@ func testJointBase() core.Params {
 
 // TestMergeJointParamsOverlaysEveryField sets every overridable field of
 // core.Params to a distinctive non-zero value and checks each one lands
-// in the merged result. Built with reflection over the override struct so
-// a field added to the overlay list without a merge line fails here.
+// in the params the engine builds from Config.Joint (core.MergeParams
+// over the derived defaults).
 func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 	base := testJointBase()
 	reg := obs.NewRegistry()
@@ -38,7 +38,7 @@ func TestMergeJointParamsOverlaysEveryField(t *testing.T) {
 		Metrics:              reg,
 		DecisionTrace:        sink,
 	}
-	got := mergeJointParams(base, o)
+	got := core.MergeParams(base, o)
 
 	checks := map[string]struct{ got, want any }{
 		"Period":               {got.Period, o.Period},
@@ -75,7 +75,7 @@ func TestMergeJointParamsZeroKeepsBase(t *testing.T) {
 	base := testJointBase()
 	base.FixedTimeout = true // non-zero flags must also survive
 	base.HysteresisFrac = 0.07
-	got := mergeJointParams(base, core.Params{})
+	got := core.MergeParams(base, core.Params{})
 	if !reflect.DeepEqual(got, base) {
 		t.Errorf("zero overlay changed params:\nbase: %+v\ngot:  %+v", base, got)
 	}

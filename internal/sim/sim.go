@@ -14,7 +14,6 @@ import (
 	"jointpm/internal/core"
 	"jointpm/internal/disk"
 	"jointpm/internal/drpm"
-	"jointpm/internal/lrusim"
 	"jointpm/internal/mem"
 	"jointpm/internal/obs"
 	"jointpm/internal/obs/flight"
@@ -247,9 +246,6 @@ type engine struct {
 	zoned    *disk.ZonedDisk
 	lbaScale float64
 
-	stack *lrusim.StackSim
-	runs  []lrusim.DepthRun // the current request's depth runs
-
 	obsm engineMetrics
 
 	res Result
@@ -352,7 +348,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.disk.SetSpeedLevels(lad.Levels, lad.TransitionPerRPM)
 		}
 		if cfg.Joint != nil {
-			p = mergeJointParams(p, *cfg.Joint)
+			p = core.MergeParams(p, *cfg.Joint)
 		}
 		if cfg.RefitDriftFrac > 0 {
 			p.RefitDriftFrac = cfg.RefitDriftFrac
@@ -387,18 +383,9 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 		e.manager = mgr
 		e.curBanks = totalBanks
-		if installedFrames > lrusim.MaxWindow {
-			return nil, fmt.Errorf("sim: installed memory of %d pages exceeds the stack's limit of %d", installedFrames, lrusim.MaxWindow)
-		}
-		e.stack = lrusim.NewStackSim(int(installedFrames))
 	}
 	e.res.Method = cfg.Method
 	return e, nil
-}
-
-// mergeJointParams overlays non-zero fields of o onto base.
-func mergeJointParams(base, o core.Params) core.Params {
-	return core.MergeParams(base, o)
 }
 
 func (e *engine) run() (*Result, error) {
@@ -460,12 +447,11 @@ func (e *engine) serve(req *trace.Request) {
 		runStart, runLen = -1, 0
 	}
 
-	if e.stack != nil {
-		// The stack and the manager see the request before the cache
-		// does; neither reads the cache, so the order is free. The
-		// manager charges its PageSize, the trace's, per page.
-		e.runs = e.stack.ReferenceRange(e.runs[:0], t, req.FirstPage, int(req.Pages))
-		e.manager.IngestBatch(e.runs)
+	if e.manager != nil {
+		// The manager's stack sees the request before the cache does;
+		// it does not read the cache, so the order is free. The manager
+		// charges its PageSize, the trace's, per page.
+		e.manager.Reference(t, req.FirstPage, int(req.Pages))
 	}
 	for k := int32(0); k < req.Pages; k++ {
 		page := req.FirstPage + int64(k)
@@ -573,38 +559,32 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 	// cold-fill-dominated logs show almost no deep reuse, and deciding
 	// from them shrinks the cache right before the reuse arrives, paying
 	// a staircase of refill storms to climb back. The paper's system
-	// manages an already-warm server.
-	if e.manager != nil && t >= e.cfg.Warmup {
+	// manages an already-warm server. The period that ends at Warmup is
+	// the first it decides from.
+	warmup := t < e.cfg.Warmup
+	if e.manager != nil {
 		coalesce := 1.0
 		if w.Requests > 0 {
 			coalesce = float64(stat.DiskAccesses) / float64(w.Requests)
 		}
-		obs := core.Observation{
-			CacheAccesses:  e.periodCacheAcc,
-			CoalesceFactor: coalesce,
-			PeriodStart:    stat.Start,
-			PeriodEnd:      stat.End,
-			CurrentBanks:   e.curBanks,
+		if dec := e.manager.Close(t, warmup, coalesce, e.curBanks); !warmup {
+			stat.Decision = &dec
+			// Apply the memory half first: with fault injection a bank
+			// enable can fail, truncating the usable contiguous prefix, and
+			// the cache must size to what the memory model actually
+			// achieved.
+			achieved := e.mem.SetEnabledBanks(t, dec.Banks)
+			pages := dec.Pages
+			if achieved != dec.Banks {
+				pages = int64(achieved) * e.pagesPerBank
+			}
+			e.obsm.resizeEvicted.Add(e.cache.Resize(pages))
+			e.disk.SetTimeout(t, dec.Timeout)
+			e.disk.SetSpeedLevel(t, dec.Level) // no-op without a ladder
+			e.curBanks = achieved
+			stat.Banks = achieved
+			stat.Timeout = dec.Timeout
 		}
-		dec := e.manager.DecideIncremental(obs)
-		stat.Decision = &dec
-		// Apply the memory half first: with fault injection a bank enable
-		// can fail, truncating the usable contiguous prefix, and the cache
-		// must size to what the memory model actually achieved.
-		achieved := e.mem.SetEnabledBanks(t, dec.Banks)
-		pages := dec.Pages
-		if achieved != dec.Banks {
-			pages = int64(achieved) * e.pagesPerBank
-		}
-		e.obsm.resizeEvicted.Add(e.cache.Resize(pages))
-		e.disk.SetTimeout(t, dec.Timeout)
-		e.disk.SetSpeedLevel(t, dec.Level) // no-op without a ladder
-		e.curBanks = achieved
-		stat.Banks = achieved
-		stat.Timeout = dec.Timeout
-	} else if e.manager != nil {
-		// Warmup boundary: drop the ingested references unexamined.
-		e.manager.DiscardPeriod()
 	}
 	// Measured energy-attribution ledger for the window: component
 	// deltas straight from the power models, not the manager's priced
@@ -631,7 +611,7 @@ func (e *engine) closePeriod(t simtime.Seconds) {
 			Banks:    stat.Banks,
 			TimeoutS: obs.Float(stat.Timeout),
 			Fallback: stat.Decision != nil && stat.Decision.Fallback,
-			Warmup:   t <= e.cfg.Warmup,
+			Warmup:   warmup,
 			Energy:   led,
 		})
 	}
