@@ -28,11 +28,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func writeTestTrace(t *testing.T, path string) {
+func writeTestTrace(t *testing.T, path string, pageSize simtime.Bytes) {
 	t.Helper()
 	tr, err := workload.Generate(workload.Config{
 		DataSetBytes: 64 * simtime.MB,
-		PageSize:     64 * simtime.KB,
+		PageSize:     pageSize,
 		Rate:         0.5 * float64(simtime.MB),
 		Popularity:   0.1,
 		Duration:     1800,
@@ -63,7 +63,7 @@ func TestInterruptFlushesJournal(t *testing.T) {
 	dir := t.TempDir()
 	trPath := filepath.Join(dir, "w.trc")
 	journal := filepath.Join(dir, "joint.jsonl")
-	writeTestTrace(t, trPath)
+	writeTestTrace(t, trPath, 64*simtime.KB)
 
 	cmd := exec.Command(os.Args[0],
 		"-trace", trPath, "-method", "JOINT",
@@ -142,5 +142,26 @@ func TestInterruptFlushesJournal(t *testing.T) {
 	}
 	if rec.Seq != int64(len(lines)) {
 		t.Fatalf("last record seq %d, want %d (no records lost before it)", rec.Seq, len(lines))
+	}
+}
+
+// TestRejectsMemoryPastFrameLimit: installed memory of 2^31 pages or
+// more (32768 GB of 16 KB pages is exactly 2^31) makes pmsim exit 1 with
+// an error naming the page cache's limit, for a fixed-size and for the
+// joint method, where it used to exit 2 on a panic.
+func TestRejectsMemoryPastFrameLimit(t *testing.T) {
+	trPath := filepath.Join(t.TempDir(), "w.trc")
+	writeTestTrace(t, trPath, 16*simtime.KB)
+	for _, method := range []string{"ALWAYS-ON", "JOINT"} {
+		cmd := exec.Command(os.Args[0], "-trace", trPath, "-method", method, "-mem", "32768GB", "-bank", "16MB")
+		cmd.Env = append(os.Environ(), "PMSIM_BE_PMSIM=1")
+		out, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Fatalf("%s: err = %v, want exit status 1\n%s", method, err, out)
+		}
+		if !strings.Contains(string(out), "at most 2147483647") || strings.Contains(string(out), "panic") {
+			t.Errorf("%s: output does not name the frame limit:\n%s", method, out)
+		}
 	}
 }

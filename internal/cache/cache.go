@@ -17,12 +17,24 @@
 //
 // The implementation is flat-array based: residency is an open-addressed
 // page→frame table (internal/intmap), the LRU list is a pair of
-// frame-indexed prev/next arrays, and free frames sit in an inline int32
-// min-heap — no per-page heap allocation and no container/heap boxing on
-// the per-access path.
+// frame-indexed prev/next arrays, and free frames sit in a bitmap tree
+// whose lowest set bit is the next frame to fill — no per-page heap
+// allocation on the per-access path, and allocating or freeing a frame
+// costs at most one word per tree level (⌈log64 frames⌉ ≤ 6), however
+// many frames are installed or free.
 package cache
 
-import "jointpm/internal/intmap"
+import (
+	"math"
+	"math/bits"
+
+	"jointpm/internal/intmap"
+)
+
+// MaxFrames is the largest installed frame count New accepts: frame
+// indices are int32. Callers that size a cache from configuration check
+// against it and report an error instead of reaching New's panic.
+const MaxFrames = 1<<31 - 1
 
 // nilFrame terminates the LRU list and marks free frames in the
 // frame-indexed arrays.
@@ -38,7 +50,7 @@ type PageCache struct {
 	pages []int64     // frame -> resident page, nilFrame when free
 	prev  []int32     // frame -> more-recently-used neighbour
 	next  []int32     // frame -> less-recently-used neighbour
-	free  frameHeap   // free frame indices, min-heap
+	free  freeSet     // free frame indices
 	head  int32       // MRU frame
 	tail  int32       // LRU frame
 	count int64
@@ -50,7 +62,7 @@ func New(totalFrames, pagesPerBank int64) *PageCache {
 	if totalFrames <= 0 || pagesPerBank <= 0 {
 		panic("cache: sizes must be positive")
 	}
-	if totalFrames >= 1<<31 {
+	if totalFrames > MaxFrames {
 		panic("cache: frame count exceeds int32 frame index range")
 	}
 	c := &PageCache{
@@ -61,13 +73,12 @@ func New(totalFrames, pagesPerBank int64) *PageCache {
 		pages:        make([]int64, totalFrames),
 		prev:         make([]int32, totalFrames),
 		next:         make([]int32, totalFrames),
-		free:         make(frameHeap, totalFrames),
+		free:         newFreeSet(totalFrames),
 		head:         nilFrame,
 		tail:         nilFrame,
 	}
-	for f := int64(0); f < totalFrames; f++ {
+	for f := range c.pages {
 		c.pages[f] = nilFrame
-		c.free[f] = int32(f) // ascending order is already a valid min-heap
 	}
 	return c
 }
@@ -244,47 +255,76 @@ func (c *PageCache) moveToFront(f int32) {
 	c.pushFront(f)
 }
 
-// frameHeap is an inline min-heap of free frame indices; pop always
-// returns the lowest free frame, which is what keeps occupancy packed
-// into low-numbered banks.
-type frameHeap []int32
-
-func (h *frameHeap) push(f int32) {
-	s := append(*h, f)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
+// freeSet is the set of free frames as a bitmap tree: levels[0] holds
+// one bit per frame, set while the frame is free, and each level above
+// holds one bit per word of the level below, set while that word is
+// nonzero, up to a single root word. The lowest free frame is kept in
+// min, so pop hands it out at once — lowest-first is what keeps
+// occupancy packed into low-numbered banks — and then finds the next
+// one by climbing only until a word stays nonzero and descending along
+// lowest set bits; push climbs only while a word turns nonzero.
+type freeSet struct {
+	levels [][]uint64
+	min    int32 // lowest free frame; math.MaxInt32 while the set is empty
 }
 
-func (h *frameHeap) pop() int32 {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+// newFreeSet returns a set holding every frame in [0, n).
+func newFreeSet(n int64) freeSet {
+	var s freeSet
+	for size := n; ; {
+		words := (size + 63) >> 6
+		lv := make([]uint64, words)
+		for i := range lv {
+			lv[i] = ^uint64(0)
 		}
-		min := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			min = r
+		if r := size & 63; r != 0 {
+			lv[words-1] = 1<<r - 1
 		}
-		if s[i] <= s[min] {
-			break
+		s.levels = append(s.levels, lv)
+		if words == 1 {
+			return s
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		size = words
 	}
-	*h = s
-	return top
+}
+
+// push marks frame f free.
+func (s *freeSet) push(f int32) {
+	if f < s.min {
+		s.min = f
+	}
+	i := uint(f)
+	for _, lv := range s.levels {
+		w := lv[i>>6]
+		lv[i>>6] = w | 1<<(i&63)
+		if w != 0 {
+			return
+		}
+		i >>= 6
+	}
+}
+
+// pop removes and returns the lowest free frame; the set must not be
+// empty.
+func (s *freeSet) pop() int32 {
+	f := s.min
+	i := uint(f)
+	for k, lv := range s.levels {
+		w := lv[i>>6] &^ (1 << (i & 63))
+		lv[i>>6] = w
+		if w == 0 {
+			i >>= 6
+			continue
+		}
+		// Every bit left in this word lies above bit i, since f was the
+		// lowest free frame, so the next lowest free frame is the one
+		// reached by descending from this word's lowest set bit.
+		for i >>= 6; k >= 0; k-- {
+			i = i<<6 | uint(bits.TrailingZeros64(s.levels[k][i]))
+		}
+		s.min = int32(i)
+		return f
+	}
+	s.min = math.MaxInt32
+	return f
 }

@@ -284,6 +284,10 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.BankSize%pageSize != 0 || cfg.MemBytes%cfg.BankSize != 0 {
 		return nil, fmt.Errorf("drpm: page/bank/memory sizes misaligned")
 	}
+	if frames := int64(cfg.MemBytes / pageSize); frames > cache.MaxFrames {
+		return nil, fmt.Errorf("drpm: memory %v is %d pages of %v; the page cache holds at most %d (2^31-1)",
+			cfg.MemBytes, frames, pageSize, int64(cache.MaxFrames))
+	}
 
 	pc := cache.New(int64(cfg.MemBytes/pageSize), int64(cfg.BankSize/pageSize))
 	memory := mem.New(cfg.MemSpec, int(cfg.MemBytes/cfg.BankSize), mem.AlwaysNap)

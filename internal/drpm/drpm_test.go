@@ -3,6 +3,7 @@ package drpm
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jointpm/internal/disk"
@@ -138,6 +139,17 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
+	}
+}
+
+// TestRejectsMemoryPastFrameLimit: a memory of 2^31 or more pages is
+// refused with an error naming the page cache's limit instead of
+// reaching the cache constructor's panic.
+func TestRejectsMemoryPastFrameLimit(t *testing.T) {
+	cfg := drpmWorkload(t, 1000)
+	cfg.MemBytes, cfg.BankSize = 32768*simtime.GB, 16*simtime.MB
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+		t.Errorf("err = %v, want the frame limit", err)
 	}
 }
 

@@ -117,7 +117,7 @@ func checkExtents(t *testing.T, s *StackSim, where string) {
 // TestReferenceRangeMatchesNaive drives ReferenceRange with rangeTraffic
 // against a naive LRU list referenced page by page. The windows lie
 // below, at and above the working set, so evictions land inside
-// requests, and mid-stream the stack is cut by DropDeepest or by a
+// requests, and mid-stream the stack is cut by dropDeepest or by a
 // snapshot restored into a smaller window. Every page's depth must match
 // the list's, and every 50 requests the extent structure must hold.
 func TestReferenceRangeMatchesNaive(t *testing.T) {
@@ -132,7 +132,7 @@ func TestReferenceRangeMatchesNaive(t *testing.T) {
 		{"window-above", 2, nil},
 		{"drop-deepest", 2, func(rng *rand.Rand, s *StackSim, n *NaiveStack) *StackSim {
 			keep := rng.Intn(s.Len() + 1)
-			s.DropDeepest(keep)
+			dropDeepest(s, keep)
 			n.pages = n.pages[:keep]
 			return s
 		}},

@@ -56,11 +56,10 @@ type SweepEvent struct {
 //     the top D entries: their depths are at most D, and a tracked page
 //     last touched before the period lies below them, at depth D+1 or more;
 //   - eviction takes the least recently used page, so the stack loses a
-//     page touched in the period (past the window, by DropDeepest, or by a
-//     restore into a smaller window) only once no older page is left. From
-//     then on every tracked page was touched in the period, every non-cold
-//     depth is at most Len ≤ D, and the rule answers "not first", which is
-//     the truth.
+//     page touched in the period (past the window, or by a restore into a
+//     smaller window) only once no older page is left. From then on every
+//     tracked page was touched in the period, every non-cold depth is at
+//     most Len ≤ D, and the rule answers "not first", which is the truth.
 //
 // Two stream reductions keep the event stream small without changing any
 // downstream result:

@@ -187,7 +187,7 @@ func TestDepthHistMatchesNaiveReplay(t *testing.T) {
 // page of a range that slides by a quarter per period, so it opens on pages
 // tracked from earlier periods and on new ones. The cases put the tracked
 // window below, at and above the period's distinct pages, and evict pages
-// touched in the period by DropDeepest or by a restore into a smaller
+// touched in the period by dropDeepest or by a restore into a smaller
 // window in the middle of a period.
 func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 	const (
@@ -207,7 +207,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 		{"window-at", distinct, nil},
 		{"window-above", 2 * distinct, nil},
 		{"drop-deepest", 2 * distinct, func(rng *rand.Rand, s *StackSim) *StackSim {
-			s.DropDeepest(rng.Intn(s.Len() + 1))
+			dropDeepest(s, rng.Intn(s.Len()+1))
 			return s
 		}},
 		{"restore-smaller", 2 * distinct, func(rng *rand.Rand, s *StackSim) *StackSim {
@@ -297,7 +297,7 @@ func TestDepthHistFirstTouchMatchesSetOracle(t *testing.T) {
 }
 
 // TestStackSimDropDeepestSnapshotRestore pins the interaction of the three
-// stack mutators that rewrite position state: DropDeepest evictions,
+// stack mutators that rewrite position state: dropDeepest evictions,
 // position compaction (forced by a small tracked window under thousands of
 // references), and SnapshotPages/RestoreStackSim. After a drop and a
 // snapshot round-trip, the restored stack must report depths identical to
@@ -312,9 +312,9 @@ func TestStackSimDropDeepestSnapshotRestore(t *testing.T) {
 		a.Reference(int64(rng.Intn(64)))
 	}
 
-	a.DropDeepest(10)
+	dropDeepest(a, 10)
 	if a.Len() != 10 {
-		t.Fatalf("DropDeepest(10) left %d tracked pages", a.Len())
+		t.Fatalf("dropDeepest(10) left %d tracked pages", a.Len())
 	}
 
 	refs, colds := a.Counters()

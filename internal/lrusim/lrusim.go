@@ -546,12 +546,6 @@ func (s *StackSim) compact() {
 // Len returns the number of tracked pages (resident + ghost).
 func (s *StackSim) Len() int { return s.count }
 
-// Refs returns the total number of references seen.
-func (s *StackSim) Refs() int64 { return s.refs }
-
-// Colds returns the number of cold (untracked) references seen.
-func (s *StackSim) Colds() int64 { return s.colds }
-
 // SnapshotPages returns the tracked pages in recency order, least
 // recently used first. The result is independent of internal position
 // renumbering (compact), so it is a stable serialization of the stack:
@@ -585,15 +579,4 @@ func RestoreStackSim(maxTracked int, pages []int64, refs, colds int64) *StackSim
 	s.refs = refs
 	s.colds = colds
 	return s
-}
-
-// DropDeepest removes tracked pages deeper than keep, modelling a memory
-// shrink in which both resident and ghost history beyond the new tracked
-// window are forgotten. It is not used by the joint manager (which keeps
-// the ghost region across resizes precisely so growth can be predicted)
-// but supports policies that truly discard state.
-func (s *StackSim) DropDeepest(keep int) {
-	for s.count > keep {
-		s.evictOldest()
-	}
 }

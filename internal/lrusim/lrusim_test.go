@@ -23,8 +23,8 @@ func TestPaperExample(t *testing.T) {
 			t.Fatalf("access %d (page %d): depth %d, want %d", i, p, got, want[i])
 		}
 	}
-	if s.Refs() != 10 || s.Colds() != 6 {
-		t.Errorf("refs=%d colds=%d, want 10/6", s.Refs(), s.Colds())
+	if refs, colds := s.Counters(); refs != 10 || colds != 6 {
+		t.Errorf("refs=%d colds=%d, want 10/6", refs, colds)
 	}
 	if s.Len() != 6 {
 		t.Errorf("tracked %d pages, want 6", s.Len())
@@ -101,14 +101,25 @@ func TestQuickDifferential(t *testing.T) {
 	}
 }
 
+// dropDeepest removes tracked pages deeper than keep, modelling a memory
+// shrink in which both resident and ghost history beyond the new tracked
+// window are forgotten. Nothing outside the tests shrinks a stack (the
+// joint manager keeps the ghost region across resizes precisely so growth
+// can be predicted); the tests use it to cut a stack mid-stream.
+func dropDeepest(s *StackSim, keep int) {
+	for s.count > keep {
+		s.evictOldest()
+	}
+}
+
 func TestDropDeepest(t *testing.T) {
 	s := NewStackSim(10)
 	for p := int64(0); p < 8; p++ {
 		s.Reference(p)
 	}
-	s.DropDeepest(3)
+	dropDeepest(s, 3)
 	if s.Len() != 3 {
-		t.Fatalf("Len = %d after DropDeepest(3)", s.Len())
+		t.Fatalf("Len = %d after dropDeepest(3)", s.Len())
 	}
 	// The three most recent (5, 6, 7) survive.
 	if got := s.Reference(7); got != 1 {
@@ -234,9 +245,11 @@ func TestReferenceRangeMatchesReference(t *testing.T) {
 			if p != first+int64(n) {
 				t.Fatalf("window %d request %d: runs cover %d of %d pages", c.window, req, p-first, n)
 			}
-			if rng.Len() != one.Len() || rng.Refs() != one.Refs() || rng.Colds() != one.Colds() {
+			rr, rc := rng.Counters()
+			or, oc := one.Counters()
+			if rng.Len() != one.Len() || rr != or || rc != oc {
 				t.Fatalf("window %d request %d: range Len/Refs/Colds %d/%d/%d, Reference %d/%d/%d",
-					c.window, req, rng.Len(), rng.Refs(), rng.Colds(), one.Len(), one.Refs(), one.Colds())
+					c.window, req, rng.Len(), rr, rc, one.Len(), or, oc)
 			}
 		}
 	}

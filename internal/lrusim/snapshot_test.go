@@ -29,8 +29,8 @@ func TestSnapshotRestoreDepthParity(t *testing.T) {
 		if r.Len() != s.Len() {
 			t.Fatalf("i=%d: restored Len %d, want %d", i, r.Len(), s.Len())
 		}
-		if r.Refs() != s.Refs() || r.Colds() != s.Colds() {
-			t.Fatalf("i=%d: restored counters (%d,%d), want (%d,%d)", i, r.Refs(), r.Colds(), s.Refs(), s.Colds())
+		if rr, rc := r.Counters(); rr != refs || rc != colds {
+			t.Fatalf("i=%d: restored counters (%d,%d), want (%d,%d)", i, rr, rc, refs, colds)
 		}
 		// Drive both with the same tail and compare observable depths.
 		tailRng := rand.New(rand.NewSource(int64(i)))
@@ -97,8 +97,8 @@ func TestSnapshotRestoreAcrossCompaction(t *testing.T) {
 		pages := s.SnapshotPages()
 		refs, colds := s.Counters()
 		r := RestoreStackSim(tracked, pages, refs, colds)
-		if r.Len() != s.Len() || r.Refs() != s.Refs() || r.Colds() != s.Colds() {
-			t.Fatalf("restored Len/Refs/Colds %d/%d/%d, want %d/%d/%d", r.Len(), r.Refs(), r.Colds(), s.Len(), s.Refs(), s.Colds())
+		if rr, rc := r.Counters(); r.Len() != s.Len() || rr != refs || rc != colds {
+			t.Fatalf("restored Len/Refs/Colds %d/%d/%d, want %d/%d/%d", r.Len(), rr, rc, s.Len(), refs, colds)
 		}
 		if !reflect.DeepEqual(r.SnapshotPages(), pages) {
 			t.Fatal("restored snapshot differs from the original's")

@@ -20,6 +20,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"jointpm/internal/simtime"
 )
@@ -137,11 +138,12 @@ type bankState struct {
 
 // Memory meters a set of banks under one policy.
 type Memory struct {
-	spec   Spec
-	policy BankPolicy
-	banks  []bankState
-	energy Energy
-	faults FaultInjector
+	spec    Spec
+	policy  BankPolicy
+	banks   []bankState
+	enabled int // banks with enabled set
+	energy  Energy
+	faults  FaultInjector
 
 	// Per-access constants, computed once: spec.NapPower(),
 	// spec.PDPower(), and spec.DynamicEnergy(dynBytes) for the last
@@ -158,7 +160,7 @@ func New(spec Spec, banks int, policy BankPolicy) *Memory {
 		panic("mem: need at least one bank")
 	}
 	m := &Memory{spec: spec, nap: spec.NapPower(), pd: spec.PDPower(),
-		dynE: spec.DynamicEnergy(0), policy: policy, banks: make([]bankState, banks)}
+		dynE: spec.DynamicEnergy(0), policy: policy, banks: make([]bankState, banks), enabled: banks}
 	for i := range m.banks {
 		m.banks[i].enabled = true
 	}
@@ -176,15 +178,7 @@ func (m *Memory) SetFaults(f FaultInjector) { m.faults = f }
 func (m *Memory) Banks() int { return len(m.banks) }
 
 // EnabledBanks returns how many banks are currently enabled.
-func (m *Memory) EnabledBanks() int {
-	n := 0
-	for i := range m.banks {
-		if m.banks[i].enabled {
-			n++
-		}
-	}
-	return n
-}
+func (m *Memory) EnabledBanks() int { return m.enabled }
 
 // settle accounts bank b's static energy from settledTo through t, using
 // the policy to decompose the idle gap.
@@ -239,6 +233,7 @@ func (m *Memory) Touch(b int, t simtime.Seconds) {
 	if !s.enabled {
 		// Re-enable on demand (resize growth or disable-policy refill).
 		s.enabled = true
+		m.enabled++
 		s.deadByIdle = false
 	} else if m.policy == TimeoutPowerDown && t-s.lastTouch > m.spec.PDTimeout {
 		m.energy.Transition += m.spec.PDExitEnergy
@@ -252,6 +247,87 @@ func (m *Memory) AddDynamic(b simtime.Bytes) {
 		m.dynBytes, m.dynE = b, m.spec.DynamicEnergy(b)
 	}
 	m.energy.Dynamic += m.dynE
+}
+
+// AddDynamicN charges dynamic energy for n transfers of the given bytes.
+// The total is the exact float that n successive AddDynamic(b) calls
+// produce, at a cost that grows with the binades the total crosses, not
+// with n (see addRepeated).
+func (m *Memory) AddDynamicN(b simtime.Bytes, n int64) {
+	if n <= 0 {
+		return
+	}
+	if b != m.dynBytes {
+		m.dynBytes, m.dynE = b, m.spec.DynamicEnergy(b)
+	}
+	m.energy.Dynamic = simtime.Joules(addRepeated(float64(m.energy.Dynamic), float64(m.dynE), n))
+}
+
+// addRepeated returns the float64 that n successive additions acc += e
+// produce under round-to-nearest-even.
+//
+// While acc stays in one binade it is M·u for an integer significand M
+// in [2^52, 2^53) and the binade's ulp u (below 2^-1021 the subnormals
+// and the first normal binade share u = 2^-1074, with M in [0, 2^53)).
+// Adding an e no larger than the binade rounds the exact M + e/u to an
+// integer, and where e/u sits between two integers that rounding is the
+// same step every time. On a tie (e/u ends in exactly one half) the step
+// is the one that makes M even, which is also the same step every time
+// once M is even. So each binade is crossed in one integer step
+// M += t·step, and only the addition that leaves a binade, the one that
+// makes M even, and any e larger than acc's binade are done one at a
+// time. Non-finite or negative operands are added one at a time too;
+// an addition that leaves acc unchanged ends the loop, since every later
+// one would as well.
+func addRepeated(acc, e float64, n int64) float64 {
+	const (
+		fracBits = 52
+		expInf   = 0x7ff // biased exponent of Inf and NaN; the sign bit sits above it
+		sigEnd   = 1 << (fracBits + 1)
+	)
+	for n > 0 {
+		ab, eb := math.Float64bits(acc), math.Float64bits(e)
+		ae, ee := max(ab>>fracBits, 1), max(eb>>fracBits, 1)
+		if ab>>fracBits < expInf && eb>>fracBits < expInf && eb != 0 && ee <= ae {
+			// acc = m·2^(ae−1075) and e = em·2^(ee−1075), so e/u = em/2^sh.
+			m := ab - (ae-1)<<fracBits
+			em := eb - (ee-1)<<fracBits
+			sh := ae - ee
+			step, tie := em, false
+			if sh >= 64 {
+				step = 0 // e < u/2: no addition moves acc
+			} else if sh > 0 {
+				rem, half := em&(1<<sh-1), uint64(1)<<(sh-1)
+				step = em >> sh
+				if rem > half {
+					step++
+				}
+				tie = rem == half
+			}
+			if !tie || m&1 == 0 {
+				if tie {
+					step += step & 1 // the even multiple keeps M even
+				}
+				if step == 0 {
+					return acc
+				}
+				if k := (sigEnd - 1 - m) / step; k > 0 {
+					t := min(uint64(n), k)
+					m += t * step
+					n -= int64(t)
+					acc = math.Float64frombits((ae-1)<<fracBits + m)
+					continue
+				}
+			}
+		}
+		next := acc + e
+		n--
+		if math.Float64bits(next) == math.Float64bits(acc) {
+			return acc
+		}
+		acc = next
+	}
+	return acc
 }
 
 // SetEnabledBanks enables banks [0, n) and disables the rest at time t,
@@ -284,8 +360,10 @@ func (m *Memory) SetEnabledBanks(t simtime.Seconds, n int) int {
 		m.settle(b, t)
 		s.enabled = want
 		if want {
+			m.enabled++
 			s.lastTouch = t
 		} else {
+			m.enabled--
 			s.disabledAt = t
 			s.deadByIdle = false
 		}
@@ -328,6 +406,7 @@ func (m *Memory) MarkIdleDisabled(b int, t simtime.Seconds) {
 	}
 	m.settle(b, t)
 	s.enabled = false
+	m.enabled--
 	s.deadByIdle = true
 	expiry := s.lastTouch + m.spec.DisableTimeout
 	if expiry < t {
@@ -354,11 +433,28 @@ func (m *Memory) SweepIdleDisabled(t simtime.Seconds) []int {
 	return out
 }
 
-// FinishTo settles every bank's static energy through t.
+// FinishTo settles every bank's static energy through t. Under
+// AlwaysNap the banks are settled in one pass into a local accumulator:
+// the same additions in the same bank order as settle makes.
 func (m *Memory) FinishTo(t simtime.Seconds) {
-	for b := range m.banks {
-		m.settle(b, t)
+	if m.policy != AlwaysNap {
+		for b := range m.banks {
+			m.settle(b, t)
+		}
+		return
 	}
+	static := m.energy.Static
+	for b := range m.banks {
+		s := &m.banks[b]
+		if t <= s.settledTo {
+			continue
+		}
+		if s.enabled {
+			static += simtime.Energy(m.nap, t-s.settledTo)
+		}
+		s.settledTo = t
+	}
+	m.energy.Static = static
 }
 
 // Energy returns the cumulative energy breakdown. Call FinishTo first to

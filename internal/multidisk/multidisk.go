@@ -142,6 +142,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.BankSize%cfg.Trace.PageSize != 0 || cfg.InstalledMem%cfg.BankSize != 0 {
 		return cfg, fmt.Errorf("multidisk: page/bank/memory sizes misaligned")
 	}
+	if frames := int64(cfg.InstalledMem / cfg.Trace.PageSize); frames > cache.MaxFrames {
+		return cfg, fmt.Errorf("multidisk: installed memory %v is %d pages of %v; the page cache holds at most %d (2^31-1)",
+			cfg.InstalledMem, frames, cfg.Trace.PageSize, int64(cache.MaxFrames))
+	}
 	return cfg, nil
 }
 

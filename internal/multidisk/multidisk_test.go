@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"jointpm/internal/core"
@@ -343,5 +344,20 @@ func TestJointIngestsEveryReference(t *testing.T) {
 	}
 	if n < 10 {
 		t.Fatalf("%d decisions journaled, want ≥ 10", n)
+	}
+}
+
+// TestRejectsMemoryPastFrameLimit: an installed memory of 2^31 or more
+// pages is refused with an error naming the page cache's limit, before
+// any cache is sized per frame (only over-limit sizes are tried; one
+// just under the limit would allocate tens of GB).
+func TestRejectsMemoryPastFrameLimit(t *testing.T) {
+	tr := arrayWorkload(t, 8)
+	for _, m := range []DiskMethod{AlwaysOn, Joint, Partitioned} {
+		cfg := arrayConfig(tr, 2, Striped, m)
+		cfg.InstalledMem, cfg.BankSize = 32768*simtime.GB, 16*simtime.MB
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+			t.Errorf("%v: err = %v, want the frame limit", m, err)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func runUntilCrash(t *testing.T, tr *trace.Trace, cfg Config) []Decision {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests {
-		if err := sh.Ingest(tr.Requests[i]); err != nil {
+		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			if errors.Is(err, ErrCrashInjected) {
 				return log.list()
 			}
@@ -88,7 +88,7 @@ func TestCrashRecoveryConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
-			if err := sh2.Ingest(tr.Requests[i]); err != nil {
+			if err := sh2.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatalf("seed %d: replay: %v", seed, err)
 			}
 		}
@@ -158,7 +158,7 @@ func TestConcurrentIngestAndCheckpoint(t *testing.T) {
 	feed := func(sh *Shard, tr *trace.Trace) {
 		defer wg.Done()
 		for i := range tr.Requests {
-			if err := sh.Ingest(tr.Requests[i]); err != nil {
+			if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Error(err)
 				return
 			}

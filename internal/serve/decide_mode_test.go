@@ -43,7 +43,7 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < cut; i++ {
-			if err := sh1.Ingest(tr.Requests[i]); err != nil {
+			if err := sh1.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -66,7 +66,7 @@ func TestIncrementalWarmRestartParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
-			if err := sh2.Ingest(tr.Requests[i]); err != nil {
+			if err := sh2.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,7 +110,7 @@ func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < cut; i++ {
-		if err := sh1.Ingest(tr.Requests[i]); err != nil {
+		if err := sh1.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestBatchSnapshotRestoresIntoIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
-		if err := sh2.Ingest(tr.Requests[i]); err != nil {
+		if err := sh2.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -105,7 +105,7 @@ func runUninterrupted(t testing.TB, tr *trace.Trace, cfg Config) []Decision {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests {
-		if err := sh.Ingest(tr.Requests[i]); err != nil {
+		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func testWarmRestartDecisionParity(t *testing.T, tr *trace.Trace) {
 			t.Fatal(err)
 		}
 		for i := 0; i < cut; i++ {
-			if err := sh1.Ingest(tr.Requests[i]); err != nil {
+			if err := sh1.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,7 +188,7 @@ func testWarmRestartDecisionParity(t *testing.T, tr *trace.Trace) {
 			t.Fatalf("cut %d: checkpoint consumed %d", cut, skip)
 		}
 		for i := skip; i < int64(len(tr.Requests)); i++ {
-			if err := sh2.Ingest(tr.Requests[i]); err != nil {
+			if err := sh2.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,12 +238,12 @@ func TestMultiDiskCheckpoint(t *testing.T) {
 	shA, _ := srv.Shard("a")
 	shB, _ := srv.Shard("b")
 	for i := 0; i < 200; i++ {
-		if err := shA.Ingest(trA.Requests[i]); err != nil {
+		if err := shA.IngestBatch(trA.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 137; i++ {
-		if err := shB.Ingest(trB.Requests[i]); err != nil {
+		if err := shB.IngestBatch(trB.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range tr.Requests[:len(tr.Requests)/3] {
-		if err := sh.Ingest(req); err != nil {
+		if err := sh.IngestBatch([]trace.Request{req}); err != nil {
 			t.Fatal(err)
 		}
 	}

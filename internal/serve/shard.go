@@ -15,7 +15,7 @@ import (
 	"jointpm/internal/trace"
 )
 
-// ErrCrashInjected is returned by Ingest/FinishTo when the fault plan
+// ErrCrashInjected is returned by IngestBatch/FinishTo when the fault plan
 // scripts a daemon crash at the period boundary being closed. The
 // crash-recovery harness treats it as the process dying mid-period:
 // everything since the last checkpoint is lost.
@@ -137,19 +137,11 @@ func (sh *Shard) Periods() int64 {
 	return sh.periodIdx
 }
 
-// Ingest feeds one request, closing any period boundaries the request's
-// timestamp crosses first. Requests must arrive in time order. It is
-// IngestBatch with a one-request block.
-func (sh *Shard) Ingest(req trace.Request) error {
-	one := [1]trace.Request{req}
-	return sh.IngestBatch(one[:])
-}
-
 // IngestBatch feeds a time-ordered block of requests under ONE lock
 // acquisition: the ring drain's entry point. Period boundaries are
 // closed exactly where the request timestamps cross them — each request
 // lands in the same period, and each period sees the same log, as
-// one-at-a-time Ingest would produce, so the decision stream is
+// one-request blocks would produce, so the decision stream is
 // bit-identical (see TestServeBatchedIngestMatches). Each run of
 // requests between boundaries is served in one pass (serve) and reaches
 // the incremental manager through one IngestBatch.

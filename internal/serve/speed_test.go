@@ -66,7 +66,7 @@ func TestSpeedWarmRestartParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < cut; i++ {
-			if err := sh1.Ingest(tr.Requests[i]); err != nil {
+			if err := sh1.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func TestSpeedWarmRestartParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := sh2.Consumed(); i < int64(len(tr.Requests)); i++ {
-			if err := sh2.Ingest(tr.Requests[i]); err != nil {
+			if err := sh2.IngestBatch(tr.Requests[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests {
-		if err := sh.Ingest(tr.Requests[i]); err != nil {
+		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		sh.mu.Lock()

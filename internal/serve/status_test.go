@@ -40,7 +40,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests {
-		if err := sh.Ingest(tr.Requests[i]); err != nil {
+		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestFlightDisabledSurfacesStayUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tr.Requests[:len(tr.Requests)/4] {
-		if err := sh.Ingest(tr.Requests[i]); err != nil {
+		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestFlightRecorderConcurrency(t *testing.T) {
 		go func(sh *Shard) {
 			defer writers.Done()
 			for i := range tr.Requests {
-				if err := sh.Ingest(tr.Requests[i]); err != nil {
+				if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
 					t.Error(err)
 					return
 				}

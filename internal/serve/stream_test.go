@@ -61,7 +61,7 @@ func runServeStream(t *testing.T, data []byte, cfg Config, opt StreamOptions) []
 
 // TestServeBatchedIngestMatches is the batched-pipeline differential:
 // the decision stream must be bit-identical whether requests arrive one
-// at a time (Shard.Ingest), in random-size blocks (Shard.IngestBatch),
+// at a time (one-request IngestBatch blocks), in random-size blocks,
 // or through the full ServeStream pipeline (block decode into a ring,
 // drained in blocks) — including a deliberately tiny ring that forces
 // constant producer backpressure.
@@ -163,7 +163,7 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	for i := 0; i < len(tr.Requests); {
 		j := min(i+1+rng.Intn(97), len(tr.Requests))
 		for _, req := range tr.Requests[i:j] {
-			if err := one.Ingest(req); err != nil {
+			if err := one.IngestBatch([]trace.Request{req}); err != nil {
 				t.Fatal(err)
 			}
 			for req.Time >= boundary {

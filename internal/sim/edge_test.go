@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"jointpm/internal/disk"
@@ -209,5 +210,28 @@ func TestZonedEngineOption(t *testing.T) {
 	// Power-side structure is inherited: always-on never transitions.
 	if zres.DiskEnergy.Transition != 0 {
 		t.Error("zoned always-on paid transitions")
+	}
+}
+
+// TestRejectsMemoryPastFrameLimit: an installed memory of 2^31 or more
+// pages is refused with an error naming the page cache's limit, by Run
+// (fixed-size and joint methods) and by Record, before anything is
+// sized per frame. Only over-limit sizes are tried: a size just under
+// the limit would allocate tens of GB of frame tables.
+func TestRejectsMemoryPastFrameLimit(t *testing.T) {
+	for _, installed := range []simtime.Bytes{32768 * simtime.GB, 1 << 50} {
+		for _, m := range []policy.Method{policy.AlwaysOn(installed), policy.Joint(installed)} {
+			cfg := edgeConfig(singleRequestTrace(1))
+			cfg.InstalledMem, cfg.BankSize, cfg.Method = installed, 16*simtime.MB, m
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+				t.Errorf("Run %s with %v installed: err = %v, want the frame limit", m.Name(), installed, err)
+			}
+			if m.IsJoint() {
+				continue
+			}
+			if _, err := Record(cfg); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
+				t.Errorf("Record %s with %v installed: err = %v, want the frame limit", m.Name(), installed, err)
+			}
+		}
 	}
 }

@@ -173,8 +173,9 @@ func (b *backEnd) serve(r *reqRec, runC *chunkCursor[missRun], opC *chunkCursor[
 // result and telemetry, and charges the period's dynamic memory energy.
 // The fused engine accumulates these per access; adding them in one
 // batch at the boundary leaves every boundary-time value identical.
-// Dynamic energy is charged as one identical addition per access — not
-// the closed form n·e, which rounds differently.
+// Dynamic energy goes through AddDynamicN, which returns the float of
+// one addition per access — not the product n·e, which rounds
+// differently.
 func (b *backEnd) addPeriodCounts(p *periodRec) {
 	b.res.ClientRequests += p.clientReqs
 	b.res.CacheAccesses += p.cacheAcc
@@ -184,9 +185,7 @@ func (b *backEnd) addPeriodCounts(p *periodRec) {
 	b.obsm.hitBytes.Add((p.cacheAcc - p.misses) * int64(b.pageSize))
 	b.obsm.missBytes.Add(p.misses * int64(b.pageSize))
 	b.obsm.invalidated.Add(p.invalidated)
-	for i := int64(0); i < p.cacheAcc; i++ {
-		b.mem.AddDynamic(b.pageSize)
-	}
+	b.mem.AddDynamicN(b.pageSize, p.cacheAcc)
 }
 
 // closePeriod mirrors engine.closePeriod for the non-joint methods.

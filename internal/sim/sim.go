@@ -141,6 +141,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.InstalledMem%cfg.BankSize != 0 {
 		return cfg, fmt.Errorf("sim: installed memory %v not a multiple of bank size %v", cfg.InstalledMem, cfg.BankSize)
 	}
+	if frames := int64(cfg.InstalledMem / ps); frames > cache.MaxFrames {
+		return cfg, fmt.Errorf("sim: installed memory %v is %d pages of %v; the page cache holds at most %d (2^31-1)",
+			cfg.InstalledMem, frames, ps, int64(cache.MaxFrames))
+	}
 	if cfg.Method.MemBytes == 0 {
 		cfg.Method.MemBytes = cfg.InstalledMem
 	}
