@@ -253,7 +253,10 @@ func BenchmarkParetoFit(b *testing.B) {
 }
 
 // BenchmarkIdleReconstruction measures one candidate-size replay of a
-// period log (the joint manager's inner loop).
+// per-page period log, the test oracles' reference (lrusim
+// BoundedIdleIntervals). No production path replays a log: the joint
+// manager and multidisk read every size's intervals off a streamed gap
+// log instead.
 func BenchmarkIdleReconstruction(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	stackSim := lrusim.NewStackSim(1 << 16)

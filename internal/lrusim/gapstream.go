@@ -131,9 +131,9 @@ func (g *GapStream) FeedBatch(evs []SweepEvent) {
 func (g *GapStream) Len() int { return len(g.emits) }
 
 // Finish resolves the boundary-dependent emissions and returns the
-// complete gap log for the period. start and end follow the
-// BoundedIdleIntervals convention: negative means "no bound", matching a
-// batch sweep run without a seed segment or end phase. Placeholders that
+// complete gap log for the period. start and end follow the per-size
+// replay's convention (misscurve.go): negative means "no bound", matching
+// a batch sweep run without a seed segment or end phase. Placeholders that
 // resolve to a dropped gap (below the window, or no period start) are
 // neutralised to an empty [0, 0) range, which every downstream fold
 // ignores. The returned slice is owned by the stream and invalidated by
@@ -180,4 +180,16 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 		}
 	}
 	return g.emits
+}
+
+// AppendGapsAt appends to dst the idle intervals of b banks in a finished
+// gap log: the gaps of the emissions with Lo ≤ b < Hi, in log order, as a
+// replay of the period at b banks reconstructs them, value for value.
+func AppendGapsAt(dst []float64, log []Emission, b int32) []float64 {
+	for i := range log {
+		if e := &log[i]; e.Lo <= b && b < e.Hi {
+			dst = append(dst, e.Gap)
+		}
+	}
+	return dst
 }

@@ -13,11 +13,10 @@ import (
 // manager's incremental Decide path. The invariant the whole file serves:
 // feeding every reference of a period into a DepthHist as depth runs must
 // reproduce, bit for bit, the aggregates and gap log the batch oracle
-// computes from the full []DepthRecord log (see the differential tests in
-// hist_test.go and internal/core, and the per-record Observe reference in
-// oracle_test.go). Both paths tell
-// a page's first touch in the period from its depth alone, by the rule
-// stated on DepthHist.
+// computes from the period's full per-page log (see the differential
+// tests in hist_test.go and internal/core, and the per-record Observe
+// reference in oracle_test.go). Both paths tell a page's first touch in
+// the period from its depth alone, by the rule stated on DepthHist.
 
 // SweepEvent is one compressed entry of a period's miss-relevant event
 // stream: the reference time and the bank-granular stack depth
@@ -43,13 +42,13 @@ type SweepEvent struct {
 //     fed from the compressed SweepEvent stream as it is produced.
 //
 // The references — the runs ObserveRuns is fed, read page by page — must
-// be the complete depth stream of one StackSim
-// over the period, in reference order, because first-access bytes are
-// read off the depths: a non-cold reference is the page's first touch in
-// the period iff its depth exceeds D, the number of cold and first-touch
-// references the period has seen so far. The rule is exact, evictions and
-// the tracked window included (Mattson's inclusion property applied at
-// the period start):
+// be in time order. Counts, bytes, Misses and the gap log are then exact
+// for any sub-stream of a stack's references (multidisk keeps one
+// histogram per disk). Only the first-access bytes (AppendFirstPrefix)
+// need one StackSim's whole stream: a non-cold reference is the page's
+// first touch in the period iff its depth exceeds D, the count of cold and
+// first-touch references so far. The rule is exact, evictions and the
+// tracked window included (Mattson's inclusion property at the start):
 //
 //   - each page touched in the period went to the top of the stack when it
 //     was touched, so while none of them has been evicted they are exactly
@@ -254,6 +253,16 @@ func (h *DepthHist) Cold() (count int64, bytes simtime.Bytes) {
 // NonCold returns the non-cold reference count and bytes.
 func (h *DepthHist) NonCold() (count int64, bytes simtime.Bytes) {
 	return h.refs - h.coldCount, h.nonCold
+}
+
+// Misses returns how many of the period's references miss a cache of
+// banks banks (up to maxBanks): the cold ones and the deeper ones.
+func (h *DepthHist) Misses(banks int) int64 {
+	hits := int64(0)
+	for i := range h.buckets[:min(banks, h.reached())] {
+		hits += h.buckets[i].count
+	}
+	return h.refs - hits
 }
 
 // reached returns how many buckets the period can have touched: the

@@ -7,8 +7,8 @@ import (
 )
 
 // DepthRecord is one disk-cache reference annotated with its LRU stack
-// depth — the per-period log the joint power manager replays to predict
-// disk traffic at candidate memory sizes (paper Fig. 4).
+// depth, an entry of the per-page period log of paper Fig. 4: what the
+// test oracles replay, where production streams a DepthHist instead.
 type DepthRecord struct {
 	Time  simtime.Seconds
 	Page  int64         // page referenced (distinct-page analyses need it)
@@ -110,7 +110,9 @@ func (c *MissCurve) String() string {
 // access to end are included as idle intervals (they are disk idleness
 // just as real as inter-access gaps, and ignoring them starves the
 // Pareto fit exactly for the memory sizes that eliminate most misses).
-// Pass start = end = -1 to disable boundary gaps.
+// Pass start = end = -1 to disable boundary gaps. This replay is the test
+// oracles' reference; production reads the same intervals and count off
+// a finished gap log (AppendGapsAt) and DepthHist.Misses.
 func BoundedIdleIntervals(log []DepthRecord, mPages int64, window, start, end simtime.Seconds) (intervals []float64, diskAccesses int64) {
 	last := start
 	for i := range log {

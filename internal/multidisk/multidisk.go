@@ -10,7 +10,8 @@
 //     concentrated on few spindles, after Pinheiro & Bianchini's
 //     popular-data-concentration argument, which the paper cites);
 //   - per-disk spin-down timeouts chosen by the same Pareto analysis as
-//     the single-disk joint method, with one global memory-size decision.
+//     the single-disk joint method, from each disk's own depth histogram
+//     and gap log, with one global memory-size decision.
 //
 // The qualitative result the example demonstrates: striping keeps every
 // spindle warm and destroys idleness; concentrating popular data lets
@@ -75,7 +76,8 @@ const (
 	// Partitioned is the PB-LRU-style comparator (see partition.go): the
 	// full installed memory stays powered, but the cache is split into
 	// per-disk partitions re-sized every period to minimise estimated
-	// disk energy, with per-disk timeouts.
+	// disk energy, with per-disk timeouts. It needs at least one
+	// installed bank per disk.
 	Partitioned
 )
 
@@ -145,6 +147,9 @@ func (c *Config) withDefaults() (Config, error) {
 	if frames := int64(cfg.InstalledMem / cfg.Trace.PageSize); frames > cache.MaxFrames {
 		return cfg, fmt.Errorf("multidisk: installed memory %v is %d pages of %v; the page cache holds at most %d (2^31-1)",
 			cfg.InstalledMem, frames, cfg.Trace.PageSize, int64(cache.MaxFrames))
+	}
+	if banks := int(cfg.InstalledMem / cfg.BankSize); cfg.Method == Partitioned && banks < cfg.Disks {
+		return cfg, fmt.Errorf("multidisk: partitioned needs a bank per disk: %d installed banks for %d disks", banks, cfg.Disks)
 	}
 	return cfg, nil
 }
@@ -306,8 +311,9 @@ func Run(c Config) (*Result, error) {
 		}
 	}
 
-	// Partitioned keeps one cache (and one ghost list) per disk; every
-	// other method shares a single cache over the whole memory.
+	// Partitioned keeps one cache (and one ghost list) per disk, split
+	// evenly to start; every other method shares a single cache over the
+	// whole memory.
 	nCaches := 1
 	if cfg.Method == Partitioned {
 		nCaches = cfg.Disks
@@ -315,29 +321,19 @@ func Run(c Config) (*Result, error) {
 	caches := make([]*cache.PageCache, nCaches)
 	for i := range caches {
 		caches[i] = cache.New(frames, pagesPerBank)
-	}
-	cacheOf := func(d int) *cache.PageCache {
-		if nCaches == 1 {
-			return caches[0]
-		}
-		return caches[d]
-	}
-	if cfg.Method == Partitioned {
-		per := int64(totalBanks/cfg.Disks) * pagesPerBank
-		for i := range caches {
-			caches[i].Resize(per)
+		if cfg.Method == Partitioned {
+			caches[i].Resize(int64(totalBanks/cfg.Disks) * pagesPerBank)
 		}
 	}
 
 	var mgr *core.Manager
-	// stacks are Partitioned's per-disk stacks; Joint runs every request
-	// through the manager's one stack.
+	// hists holds each disk's period as a depth histogram, fed the runs
+	// of its requests: from the manager's one stack under Joint, from the
+	// disk's own stack (its ghost list) under Partitioned.
+	var hists []*lrusim.DepthHist
 	var stacks []*lrusim.StackSim
-	// dlogs holds each spindle's depth log of the period: the per-disk
-	// timeouts and the partition sizing replay them. Joint's global
-	// sizing reads the manager's ingested state instead.
-	dlogs := make([][]lrusim.DepthRecord, cfg.Disks)
 	var runs []lrusim.DepthRun // the current request's depth runs
+	var gaps []float64         // one disk's idle intervals at one size
 	if cfg.Method == Joint || cfg.Method == Partitioned {
 		p := core.DefaultParams(pageSize, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
 		p.Period = cfg.Period
@@ -345,6 +341,10 @@ func Run(c Config) (*Result, error) {
 		p = core.MergeParams(p, cfg.Joint)
 		if mgr, err = core.NewManager(p); err != nil {
 			return nil, err
+		}
+		hists = make([]*lrusim.DepthHist, cfg.Disks)
+		for d := range hists {
+			hists[d] = lrusim.NewDepthHist(pagesPerBank, totalBanks, 0, mgr.Params().Window)
 		}
 		if cfg.Method == Partitioned {
 			stacks = make([]*lrusim.StackSim, cfg.Disks)
@@ -359,27 +359,27 @@ func Run(c Config) (*Result, error) {
 		Method: cfg.Method,
 		Disks:  make([]DiskResult, cfg.Disks),
 	}
-	var periodAccesses int64
 
-	// endPeriod resets the period's logs and access count.
-	endPeriod := func() {
-		for d := range dlogs {
-			dlogs[d] = dlogs[d][:0]
-		}
-		periodAccesses = 0
+	// idleAt returns disk d's idle intervals and disk accesses in the
+	// period ending at t, had the disk's cache held banks banks: the gaps
+	// of its gap log at that threshold, and the references deeper than it.
+	idleAt := func(d, banks int, t simtime.Seconds) ([]float64, int64) {
+		h := hists[d]
+		gaps = lrusim.AppendGapsAt(gaps[:0], h.FinishGaps(t-cfg.Period, t), int32(banks))
+		return gaps, h.Misses(banks)
 	}
 	// setDiskTimeout applies the Pareto-chosen timeout for one spindle,
 	// vetoed when spinning down cannot beat staying on.
-	setDiskTimeout := func(d int, dlog []lrusim.DepthRecord, pages int64, t simtime.Seconds) {
-		intervals, nd := lrusim.BoundedIdleIntervals(dlog, pages, mgr.Params().Window, t-cfg.Period, t)
-		tc := mgr.ChooseTimeout(intervals, nd, periodAccesses, float64(cfg.Period))
+	setDiskTimeout := func(d, banks int, accesses int64, t simtime.Seconds) {
+		intervals, nd := idleAt(d, banks, t)
+		tc := mgr.ChooseTimeout(intervals, nd, accesses, float64(cfg.Period))
 		to := tc.Timeout
 		pm := core.EmpiricalPMPower(intervals, float64(to), float64(cfg.Period), cfg.DiskSpec)
 		if pm >= float64(cfg.DiskSpec.StaticPower()) {
 			to = simtime.Seconds(math.Inf(1))
 		}
 		if debugHook != nil {
-			debugHook(d, len(intervals), nd, tc, pm, to, pages)
+			debugHook(d, len(intervals), nd, tc, pm, to, int64(banks)*pagesPerBank)
 		}
 		disks[d].SetTimeout(t, to)
 	}
@@ -392,7 +392,10 @@ func Run(c Config) (*Result, error) {
 		if mgr == nil {
 			return
 		}
-		defer endPeriod()
+		var accesses int64
+		for _, h := range hists {
+			accesses += h.Refs()
+		}
 		if cfg.Method == Partitioned {
 			// PB-LRU-style allocation: per-disk energy estimates over a
 			// geometric size grid, then a multiple-choice knapsack over the
@@ -402,25 +405,28 @@ func Run(c Config) (*Result, error) {
 			for d := range costs {
 				costs[d] = make([]float64, len(grid))
 				for si, banks := range grid {
-					costs[d][si] = partitionEnergy(mgr, dlogs[d], int64(banks)*pagesPerBank,
-						t-cfg.Period, t, periodAccesses)
+					intervals, nd := idleAt(d, banks, t)
+					costs[d][si] = partitionEnergy(mgr, intervals, nd, t-cfg.Period, t, accesses)
 				}
 			}
 			alloc := choosePartitions(costs, grid, totalBanks)
 			for d := range caches {
 				caches[d].Resize(int64(alloc[d]) * pagesPerBank)
-				setDiskTimeout(d, dlogs[d], int64(alloc[d])*pagesPerBank, t)
+				setDiskTimeout(d, alloc[d], accesses, t)
 			}
 			res.Partitions = alloc
-			return
+		} else {
+			// Global sizing from the references the manager's stack took in.
+			dec := mgr.Close(t, false, 1, mgr.Last().Banks)
+			caches[0].Resize(dec.Pages)
+			memory.SetEnabledBanks(t, dec.Banks)
+			// Per-spindle timeouts from each disk's own gap log.
+			for d := range disks {
+				setDiskTimeout(d, dec.Banks, accesses, t)
+			}
 		}
-		// Global sizing from the references the manager's stack took in.
-		dec := mgr.Close(t, false, 1, mgr.Last().Banks)
-		caches[0].Resize(dec.Pages)
-		memory.SetEnabledBanks(t, dec.Banks)
-		// Per-spindle timeouts from each disk's own idle reconstruction.
-		for d := range disks {
-			setDiskTimeout(d, dlogs[d], dec.Pages, t)
+		for _, h := range hists {
+			h.Reset()
 		}
 	}
 
@@ -433,6 +439,10 @@ func Run(c Config) (*Result, error) {
 		}
 		res.ClientRequests++
 		target := assign[req.File]
+		pc := caches[0]
+		if cfg.Method == Partitioned {
+			pc = caches[target]
+		}
 		var (
 			runLen    int64
 			maxFinish simtime.Seconds
@@ -453,18 +463,11 @@ func Run(c Config) (*Result, error) {
 			} else {
 				runs = mgr.Reference(req.Time, req.FirstPage, int(req.Pages))
 			}
-			for _, r := range runs {
-				for k := int64(0); k < int64(r.Pages); k++ {
-					dlogs[target] = append(dlogs[target],
-						lrusim.DepthRecord{Time: req.Time, Page: r.Page + k, Depth: int(r.Depth), Bytes: pageSize})
-				}
-			}
+			hists[target].ObserveRuns(runs, pageSize)
 		}
 		for k := int32(0); k < req.Pages; k++ {
 			page := req.FirstPage + int64(k)
 			res.CacheAccesses++
-			periodAccesses++
-			pc := cacheOf(target)
 			if frame, hit := pc.Lookup(page); hit {
 				flush()
 				memory.Touch(pc.BankOf(frame), req.Time)

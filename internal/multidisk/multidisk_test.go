@@ -219,6 +219,17 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
+	// Fewer installed banks than partitions: the even split would give
+	// each disk 0 banks and the knapsack has no feasible pick. The error
+	// names both counts; the same memory is fine for a shared cache.
+	cfg := Config{Trace: tr, Disks: 4, Method: Partitioned, BankSize: simtime.MB, InstalledMem: 2 * simtime.MB}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "2 installed banks for 4 disks") {
+		t.Errorf("partitioned with 2 banks over 4 disks: err = %v, want both counts", err)
+	}
+	cfg.Method = AlwaysOn
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("always-on with 2 banks over 4 disks: %v", err)
+	}
 }
 
 func TestSingleDiskDegenerate(t *testing.T) {
@@ -359,5 +370,27 @@ func TestRejectsMemoryPastFrameLimit(t *testing.T) {
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "at most 2147483647") {
 			t.Errorf("%v: err = %v, want the frame limit", m, err)
 		}
+	}
+}
+
+// BenchmarkRun times one Run per method over arrayWorkload's hour on four
+// hot-cold disks, at TestRunGolden's settings. ci/alloc_budget.txt holds
+// its allocations: a Run builds its caches, stacks and histograms, and a
+// period close its partition grid and knapsack tables, but nothing may
+// allocate per request or per page, nor per size priced.
+func BenchmarkRun(b *testing.B) {
+	tr := arrayWorkload(b, 31)
+	for _, m := range []DiskMethod{AlwaysOn, TwoCompetitive, Partitioned, Joint} {
+		b.Run(m.String(), func(b *testing.B) {
+			cfg := arrayConfig(tr, 4, HotCold, m)
+			cfg.MemSpec = scaledMem()
+			cfg.Joint.DelayCap = 0.02
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

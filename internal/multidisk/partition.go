@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"jointpm/internal/core"
-	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 )
 
@@ -14,30 +13,26 @@ import (
 // of the paper): the shared cache is split into one partition per disk,
 // and every period the partition sizes are re-chosen to minimise the
 // estimated total disk energy, using per-disk miss curves maintained by
-// ghost LRU lists. The per-partition energy estimator reuses the same
-// reconstruction the joint manager uses (idle intervals at a candidate
-// size → Pareto timeout → empirical power), so the comparison against
-// the joint method isolates the *allocation* policy: PB-LRU partitions a
-// fixed total, the joint method also resizes the total.
+// ghost LRU lists: one stack per disk, whose depth runs feed that disk's
+// depth histogram and gap log. The per-partition energy estimator reuses
+// the same reconstruction the joint manager uses (idle intervals at a
+// candidate size → Pareto timeout → empirical power), so the comparison
+// against the joint method isolates the *allocation* policy: PB-LRU
+// partitions a fixed total, the joint method also resizes the total.
 
-// partitionEnergy estimates disk d's power if its partition had
-// sizePages pages, from its per-period depth log.
-func partitionEnergy(mgr *core.Manager, dlog []lrusim.DepthRecord, sizePages int64,
+// partitionEnergy estimates a disk's power over the period [periodStart,
+// periodEnd) at a candidate partition size, from the idle intervals and
+// the nd disk accesses its gap log and histogram give at that size.
+func partitionEnergy(mgr *core.Manager, intervals []float64, nd int64,
 	periodStart, periodEnd simtime.Seconds, accesses int64) float64 {
 	p := mgr.Params()
-	intervals, nd := lrusim.BoundedIdleIntervals(dlog, sizePages, p.Window, periodStart, periodEnd)
 	tc := mgr.ChooseTimeout(intervals, nd, accesses, float64(periodEnd-periodStart))
 	pm := core.EmpiricalPMPower(intervals, float64(tc.Timeout), float64(periodEnd-periodStart), p.DiskSpec)
 	if pd := float64(p.DiskSpec.StaticPower()); pm > pd {
 		pm = pd
 	}
-	// Dynamic share from predicted miss bytes.
-	var missBytes simtime.Bytes
-	for i := range dlog {
-		if dlog[i].Depth == lrusim.Cold || int64(dlog[i].Depth) > sizePages {
-			missBytes += dlog[i].Bytes
-		}
-	}
+	// Dynamic share from predicted miss bytes: each access is one page.
+	missBytes := simtime.Bytes(nd) * p.PageSize
 	busy := float64(nd)*float64(p.DiskSpec.SeekTime+p.DiskSpec.RotationalLatency) +
 		float64(missBytes)/p.DiskSpec.TransferRate
 	return pm + busy/float64(periodEnd-periodStart)*float64(p.DiskSpec.DynamicPower())

@@ -193,8 +193,6 @@ type (
 	StackSim = lrusim.StackSim
 	// MissCurve aggregates stack depths into a miss curve.
 	MissCurve = lrusim.MissCurve
-	// DepthRecord is one depth-annotated cache reference.
-	DepthRecord = lrusim.DepthRecord
 	// ParetoDist is the idle-interval model of Section IV-C.
 	ParetoDist = pareto.Dist
 )
