@@ -127,6 +127,70 @@ func (c *PageCache) Peek(page int64) (frame int64, hit bool) {
 // entry: Lookup's LRU touch without probing the page table again.
 func (c *PageCache) Promote(frame int64) { c.moveToFront(int32(frame)) }
 
+// Run is a resident page range as ResidentRun finds it: its pages' banks
+// and its end frames. A caller keeps one and reuses its Banks buffer.
+type Run struct {
+	// Banks lists the banks of the range's pages in page order, leaving
+	// out a bank equal to the previous page's: the banks a per-page loop
+	// over the range touches, less its repeats of the bank it just
+	// touched.
+	Banks    []int
+	lru, mru int32 // the frames holding the first and the last page
+}
+
+// ResidentRun reports whether pages first..first+n−1 are all resident and
+// hold n consecutive LRU positions with first least recent, page first+i
+// i positions more recent than first. That is the order n Promote calls
+// in page order leave a range in, so a repeated read of a whole file
+// finds it. When they do, it fills r for PromoteRun. It costs one
+// page-table probe and a walk along the LRU links, and changes nothing in
+// the cache, so a caller may still decline and serve the range page by
+// page.
+func (c *PageCache) ResidentRun(r *Run, first, n int64) bool {
+	f, ok := c.table.Get(first)
+	if !ok {
+		return false
+	}
+	b := f / c.pagesPerBank
+	lo, hi := b*c.pagesPerBank, (b+1)*c.pagesPerBank // the frames of bank b
+	r.Banks = append(r.Banks[:0], int(b))
+	fr := int32(f)
+	for page := first + 1; page < first+n; page++ {
+		if fr = c.prev[fr]; fr == nilFrame || c.pages[fr] != page {
+			return false
+		}
+		if g := int64(fr); g < lo || g >= hi {
+			b = g / c.pagesPerBank
+			lo, hi = b*c.pagesPerBank, (b+1)*c.pagesPerBank
+			r.Banks = append(r.Banks, int(b))
+		}
+	}
+	r.lru, r.mru = int32(f), fr
+	return true
+}
+
+// PromoteRun moves the run ResidentRun found to the MRU end in one
+// splice. The list it leaves is the one n Promote calls in page order
+// leave, since the run already holds its pages in that order; no page
+// changes frame and nothing is evicted.
+func (c *PageCache) PromoteRun(r *Run) {
+	lo, hi := r.lru, r.mru
+	if c.head == hi {
+		return
+	}
+	p, n := c.prev[hi], c.next[lo] // p exists: hi is not the head
+	c.next[p] = n
+	if n != nilFrame {
+		c.prev[n] = p
+	} else {
+		c.tail = p
+	}
+	c.prev[hi] = nilFrame
+	c.next[lo] = c.head
+	c.prev[c.head] = lo
+	c.head = hi
+}
+
 // Insert makes page resident (it must not already be resident), evicting
 // the LRU page if the cache is full. It returns the frame assigned and
 // the evicted page (or -1 if none).

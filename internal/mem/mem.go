@@ -198,28 +198,24 @@ func (m *Memory) settle(b int, t simtime.Seconds) {
 		// From the last touch the bank naps for PDTimeout, then powers
 		// down until the next touch. The segment [settledTo, t) may fall
 		// anywhere in that profile.
-		m.energy.Static += m.profileEnergy(s, t, m.spec.PDTimeout, m.pd)
+		m.energy.Static += profileEnergy(m.nap, m.pd, s.settledTo, t, s.lastTouch+m.spec.PDTimeout)
 	case TimeoutDisable:
 		// Same profile with the disable timeout and zero floor. Data loss
 		// is handled by IdleDisabledAt/DisableIdleBanks, not here.
-		m.energy.Static += m.profileEnergy(s, t, m.spec.DisableTimeout, 0)
+		m.energy.Static += profileEnergy(m.nap, 0, s.settledTo, t, s.lastTouch+m.spec.DisableTimeout)
 	}
 	s.settledTo = t
 }
 
-// profileEnergy integrates the two-level power profile (nap until
-// lastTouch+timeout, then floor) over [settledTo, t).
-func (m *Memory) profileEnergy(s *bankState, t, timeout simtime.Seconds, floor simtime.Watts) simtime.Joules {
-	knee := s.lastTouch + timeout
-	lo, hi := s.settledTo, t
+// profileEnergy integrates the two-level power profile, nap until knee
+// and floor after it, over [lo, hi).
+func profileEnergy(nap, floor simtime.Watts, lo, hi, knee simtime.Seconds) simtime.Joules {
 	var e simtime.Joules
 	if lo < knee {
-		span := minSeconds(hi, knee) - lo
-		e += simtime.Energy(m.nap, span)
+		e += simtime.Energy(nap, minSeconds(hi, knee)-lo)
 	}
 	if hi > knee {
-		span := hi - maxSeconds(lo, knee)
-		e += simtime.Energy(floor, span)
+		e += simtime.Energy(floor, hi-maxSeconds(lo, knee))
 	}
 	return e
 }
@@ -433,15 +429,13 @@ func (m *Memory) SweepIdleDisabled(t simtime.Seconds) []int {
 	return out
 }
 
-// FinishTo settles every bank's static energy through t. Under
-// AlwaysNap the banks are settled in one pass into a local accumulator:
-// the same additions in the same bank order as settle makes.
+// FinishTo settles every bank's static energy through t, in one pass
+// into a local accumulator: the same additions, in the same bank order,
+// as settle makes.
 func (m *Memory) FinishTo(t simtime.Seconds) {
-	if m.policy != AlwaysNap {
-		for b := range m.banks {
-			m.settle(b, t)
-		}
-		return
+	timeout, floor := m.spec.PDTimeout, m.pd
+	if m.policy == TimeoutDisable {
+		timeout, floor = m.spec.DisableTimeout, 0
 	}
 	static := m.energy.Static
 	for b := range m.banks {
@@ -450,7 +444,11 @@ func (m *Memory) FinishTo(t simtime.Seconds) {
 			continue
 		}
 		if s.enabled {
-			static += simtime.Energy(m.nap, t-s.settledTo)
+			if m.policy == AlwaysNap {
+				static += simtime.Energy(m.nap, t-s.settledTo)
+			} else {
+				static += profileEnergy(m.nap, floor, s.settledTo, t, s.lastTouch+timeout)
+			}
 		}
 		s.settledTo = t
 	}

@@ -327,12 +327,26 @@ func Run(c Config) (*Result, error) {
 	}
 
 	var mgr *core.Manager
+	// Partitioned prices every disk at every grid size at each boundary.
+	var (
+		grid  []int
+		costs [][]float64
+		knap  partitioner
+	)
+	if cfg.Method == Partitioned {
+		grid = sizeGrid(totalBanks, 10)
+		costs = make([][]float64, cfg.Disks)
+		for d := range costs {
+			costs[d] = make([]float64, len(grid))
+		}
+	}
 	// hists holds each disk's period as a depth histogram, fed the runs
 	// of its requests: from the manager's one stack under Joint, from the
 	// disk's own stack (its ghost list) under Partitioned.
 	var hists []*lrusim.DepthHist
 	var stacks []*lrusim.StackSim
 	var runs []lrusim.DepthRun // the current request's depth runs
+	var resident cache.Run     // a resident request's frames and banks
 	var gaps []float64         // one disk's idle intervals at one size
 	if cfg.Method == Joint || cfg.Method == Partitioned {
 		p := core.DefaultParams(pageSize, cfg.BankSize, totalBanks, cfg.DiskSpec, cfg.MemSpec)
@@ -400,21 +414,18 @@ func Run(c Config) (*Result, error) {
 			// PB-LRU-style allocation: per-disk energy estimates over a
 			// geometric size grid, then a multiple-choice knapsack over the
 			// full bank budget.
-			grid := sizeGrid(totalBanks, 10)
-			costs := make([][]float64, cfg.Disks)
 			for d := range costs {
-				costs[d] = make([]float64, len(grid))
 				for si, banks := range grid {
 					intervals, nd := idleAt(d, banks, t)
 					costs[d][si] = partitionEnergy(mgr, intervals, nd, t-cfg.Period, t, accesses)
 				}
 			}
-			alloc := choosePartitions(costs, grid, totalBanks)
+			alloc := knap.choose(costs, grid, totalBanks)
 			for d := range caches {
 				caches[d].Resize(int64(alloc[d]) * pagesPerBank)
 				setDiskTimeout(d, alloc[d], accesses, t)
 			}
-			res.Partitions = alloc
+			res.Partitions = append(res.Partitions[:0], alloc...)
 		} else {
 			// Global sizing from the references the manager's stack took in.
 			dec := mgr.Close(t, false, 1, mgr.Last().Banks)
@@ -464,6 +475,19 @@ func Run(c Config) (*Result, error) {
 				runs = mgr.Reference(req.Time, req.FirstPage, int(req.Pages))
 			}
 			hists[target].ObserveRuns(runs, pageSize)
+		}
+		if pc.ResidentRun(&resident, req.FirstPage, int64(req.Pages)) {
+			// A repeated read of a resident run: the per-page loop's
+			// memory touches (less repeats of the bank just touched,
+			// which change nothing) and energy, one splice for its LRU
+			// moves, and no disk request.
+			for _, b := range resident.Banks {
+				memory.Touch(b, req.Time)
+			}
+			pc.PromoteRun(&resident)
+			memory.AddDynamicN(pageSize, int64(req.Pages))
+			res.CacheAccesses += int64(req.Pages)
+			continue
 		}
 		for k := int32(0); k < req.Pages; k++ {
 			page := req.FirstPage + int64(k)

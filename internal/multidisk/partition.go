@@ -38,73 +38,89 @@ func partitionEnergy(mgr *core.Manager, intervals []float64, nd int64,
 	return pm + busy/float64(periodEnd-periodStart)*float64(p.DiskSpec.DynamicPower())
 }
 
-// choosePartitions solves the allocation: given per-disk energy estimates
-// at a grid of candidate sizes, pick one size per disk minimising total
-// energy subject to the total-banks budget. Classic multiple-choice
-// knapsack by dynamic programming over the budget.
-func choosePartitions(costs [][]float64, sizes []int, budget int) []int {
+// partitioner solves the allocation: given per-disk energy estimates at a
+// grid of candidate sizes, pick one size per disk minimising total energy
+// subject to the total-banks budget, a multiple-choice knapsack. Its
+// dynamic program runs over reachable budgets only, the sums of one grid
+// size per disk so far, and keeps its buffers across period boundaries.
+type partitioner struct {
+	layers [][]partState // layers[d]: the budgets d disks can reach, ascending
+	heads  []int         // per grid size, the next state of the layer to extend
+	alloc  []int
+}
+
+// partState is one reachable budget: its least cost, and the state of the
+// previous layer and the grid index that reached it.
+type partState struct {
+	budget int
+	cost   float64
+	from   int32
+	size   int32
+}
+
+// choose returns one size per disk; the slice is reused by the next call.
+// Each layer extends the previous one by every grid size: one ascending
+// run per size, merged, so the budgets come out ascending. A budget keeps
+// its least cost and, on a tie, the candidate from the lower previous
+// budget, then the lower grid index: the first in the order a dense
+// program over every budget visits them. The final pick is the lowest
+// budget of least cost. With no feasible choice every disk gets the
+// smallest size.
+func (p *partitioner) choose(costs [][]float64, sizes []int, budget int) []int {
 	nDisks := len(costs)
 	if nDisks == 0 {
 		return nil
 	}
-	nSizes := len(sizes)
 	const inf = math.MaxFloat64 / 4
-
-	// dp[d][b]: minimal cost for disks [0..d) using b budget units.
-	dp := make([][]float64, nDisks+1)
-	pick := make([][]int, nDisks+1)
-	for i := range dp {
-		dp[i] = make([]float64, budget+1)
-		pick[i] = make([]int, budget+1)
-		for j := range dp[i] {
-			dp[i][j] = inf
-			pick[i][j] = -1
-		}
+	for len(p.layers) <= nDisks {
+		p.layers = append(p.layers, nil)
 	}
-	dp[0][0] = 0
+	p.layers[0] = append(p.layers[0][:0], partState{})
 	for d := 0; d < nDisks; d++ {
-		for b := 0; b <= budget; b++ {
-			if dp[d][b] >= inf {
-				continue
+		cur, next := p.layers[d], p.layers[d+1][:0]
+		p.heads = append(p.heads[:0], make([]int, len(sizes))...)
+		for {
+			nb := budget + 1 // the least budget at the runs' heads
+			for si, h := range p.heads {
+				if h < len(cur) && cur[h].budget+sizes[si] < nb {
+					nb = cur[h].budget + sizes[si]
+				}
 			}
-			for si := 0; si < nSizes; si++ {
-				nb := b + sizes[si]
-				if nb > budget {
+			if nb > budget {
+				break
+			}
+			best := partState{budget: nb, cost: inf, from: -1}
+			for si, h := range p.heads {
+				if h == len(cur) || cur[h].budget+sizes[si] != nb {
 					continue
 				}
-				c := dp[d][b] + costs[d][si]
-				if c < dp[d+1][nb] {
-					dp[d+1][nb] = c
-					pick[d+1][nb] = si
+				p.heads[si]++
+				if c := cur[h].cost + costs[d][si]; c < best.cost || c == best.cost && int32(h) < best.from {
+					best.cost, best.from, best.size = c, int32(h), int32(si)
 				}
 			}
+			if best.from >= 0 {
+				next = append(next, best)
+			}
+		}
+		p.layers[d+1] = next
+	}
+	p.alloc = p.alloc[:0]
+	for range costs {
+		p.alloc = append(p.alloc, sizes[0])
+	}
+	best, bestC := -1, inf
+	for i, st := range p.layers[nDisks] {
+		if st.cost < bestC {
+			best, bestC = i, st.cost
 		}
 	}
-	// Best final budget.
-	bestB, bestC := -1, inf
-	for b := 0; b <= budget; b++ {
-		if dp[nDisks][b] < bestC {
-			bestC, bestB = dp[nDisks][b], b
-		}
+	for d := nDisks; d > 0 && best >= 0; d-- {
+		st := p.layers[d][best]
+		p.alloc[d-1] = sizes[st.size]
+		best = int(st.from)
 	}
-	if bestB < 0 {
-		// Infeasible (budget smaller than nDisks minimum sizes): give
-		// everyone the smallest size.
-		out := make([]int, nDisks)
-		for i := range out {
-			out[i] = sizes[0]
-		}
-		return out
-	}
-	// Walk back the choices.
-	out := make([]int, nDisks)
-	b := bestB
-	for d := nDisks; d > 0; d-- {
-		si := pick[d][b]
-		out[d-1] = sizes[si]
-		b -= sizes[si]
-	}
-	return out
+	return p.alloc
 }
 
 // sizeGrid returns the candidate partition sizes (in banks): a geometric

@@ -59,6 +59,7 @@ type frontEnd struct {
 	// and can be dropped from the stream without breaking bit-identity.
 	bankEpoch []uint32
 	epoch     uint32
+	resident  cache.Run // a resident request's frames and banks
 
 	period periodRec // open period's counters
 }
@@ -128,6 +129,9 @@ func (f *frontEnd) serve(req *trace.Request) {
 		clear(f.bankEpoch)
 		f.epoch = 1
 	}
+	if f.serveResident(req) {
+		return
+	}
 
 	var (
 		runStart    int64 = -1
@@ -184,6 +188,34 @@ func (f *frontEnd) serve(req *trace.Request) {
 		f.rec.reqs.add(reqRec{time: t, runs: nRuns, ops: nOps})
 		f.period.reqs++
 	}
+}
+
+// serveResident serves a request whose pages the cache holds as one LRU
+// run (cache.ResidentRun): the per-page loop's touches in page order, its
+// counters as whole counts, and one splice for its Promote calls. Under
+// the disable policy a run with a dead bank is left to the per-page loop,
+// checked before anything changes; that loop meets the same bank.
+func (f *frontEnd) serveResident(req *trace.Request) bool {
+	if !f.cache.ResidentRun(&f.resident, req.FirstPage, int64(req.Pages)) {
+		return false
+	}
+	t := req.Time
+	if f.dsEnabled != nil {
+		for _, b := range f.resident.Banks {
+			if f.dsDead(b, t) {
+				return false
+			}
+		}
+	}
+	var nOps int32
+	for _, b := range f.resident.Banks {
+		nOps += f.touch(b, t)
+	}
+	f.cache.PromoteRun(&f.resident)
+	f.period.cacheAcc += int64(req.Pages)
+	f.rec.reqs.add(reqRec{time: t, ops: nOps}) // nOps ≥ 1: the epoch is new
+	f.period.reqs++
+	return true
 }
 
 // touch updates the disable clock and records the bank touch unless an

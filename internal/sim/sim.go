@@ -239,9 +239,10 @@ type engine struct {
 	pageSize     simtime.Bytes
 	pagesPerBank int64
 
-	cache *cache.PageCache
-	disk  *disk.Disk
-	mem   *mem.Memory
+	cache    *cache.PageCache
+	resident cache.Run // a resident request's frames and banks
+	disk     *disk.Disk
+	mem      *mem.Memory
 
 	adaptive *policy.AdaptiveTimeout
 	manager  *core.Manager
@@ -457,6 +458,9 @@ func (e *engine) serve(req *trace.Request) {
 		// charges its PageSize, the trace's, per page.
 		e.manager.Reference(t, req.FirstPage, int(req.Pages))
 	}
+	if e.serveResident(req) {
+		return
+	}
 	for k := int32(0); k < req.Pages; k++ {
 		page := req.FirstPage + int64(k)
 		e.res.CacheAccesses++
@@ -494,6 +498,39 @@ func (e *engine) serve(req *trace.Request) {
 			e.obsm.delayed.Inc()
 		}
 	}
+}
+
+// serveResident serves a request whose pages the cache holds as one LRU
+// run (cache.ResidentRun): the per-page loop's memory touches in page
+// order, less its repeats of the bank just touched (at one time a repeat
+// changes nothing), its dynamic energy and counters as whole counts, and
+// one splice for its Promote calls. A hit needs no disk, so there is no
+// latency. Under the disable policy a run with a dead bank is left to the
+// per-page loop, checked before anything changes; that loop meets the
+// same bank.
+func (e *engine) serveResident(req *trace.Request) bool {
+	if !e.cache.ResidentRun(&e.resident, req.FirstPage, int64(req.Pages)) {
+		return false
+	}
+	t := req.Time
+	if e.cfg.Method.Mem == policy.MemDisable {
+		for _, b := range e.resident.Banks {
+			if _, dead := e.mem.IdleDisabledAt(b, t); dead {
+				return false
+			}
+		}
+	}
+	for _, b := range e.resident.Banks {
+		e.mem.Touch(b, t)
+	}
+	e.cache.PromoteRun(&e.resident)
+	n := int64(req.Pages)
+	e.mem.AddDynamicN(e.pageSize, n)
+	e.res.CacheAccesses += n
+	e.periodCacheAcc += n
+	e.obsm.cacheHits.Add(n)
+	e.obsm.hitBytes.Add(n * int64(e.pageSize))
+	return true
 }
 
 // lookup resolves one page against the cache, honouring lazy

@@ -160,7 +160,10 @@ func TestSplitPropertyRandomTraces(t *testing.T) {
 }
 
 // randomTrace builds a valid random trace: sorted times, page ranges
-// inside the data set, byte sizes consistent with page counts.
+// inside the data set, byte sizes consistent with page counts. Half the
+// requests repeat an earlier request's whole range, as a re-read file
+// does, so the cache's one-splice hit path serves many of them, and under
+// the disable policy some find a bank of their range dead.
 func randomTrace(rng *rand.Rand, pageSize simtime.Bytes) *trace.Trace {
 	dataPages := int64(256 + rng.Intn(1024))
 	n := 50 + rng.Intn(300)
@@ -178,6 +181,10 @@ func randomTrace(rng *rand.Rand, pageSize simtime.Bytes) *trace.Trace {
 		pages := int32(1 + rng.Intn(16))
 		if max := dataPages - first; int64(pages) > max {
 			pages = int32(max)
+		}
+		if i > 0 && rng.Intn(2) == 0 {
+			prev := reqs[rng.Intn(i)]
+			first, pages = prev.FirstPage, prev.Pages
 		}
 		reqs[i] = trace.Request{
 			Time:      simtime.Seconds(times[i]),

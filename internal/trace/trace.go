@@ -14,13 +14,14 @@ import (
 
 // Request is one client request against the server's file set. Page
 // indices live in a single global namespace: file f's data occupies the
-// contiguous page range [FirstPage, FirstPage+Pages).
+// contiguous page range [FirstPage, FirstPage+Pages). The two 32-bit
+// fields come last, so a Request packs into 32 bytes with no padding.
 type Request struct {
 	Time      simtime.Seconds // arrival time
-	File      int32           // file id, for popularity/data-set transforms
 	FirstPage int64           // first page touched
-	Pages     int32           // number of consecutive pages touched
 	Bytes     simtime.Bytes   // true byte size (≤ Pages * page size)
+	File      int32           // file id, for popularity/data-set transforms
+	Pages     int32           // number of consecutive pages touched
 }
 
 // Trace is an in-memory access trace plus the metadata the synthesizer

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"jointpm/internal/simtime"
 )
@@ -21,6 +22,14 @@ func sampleTrace() *Trace {
 			{Time: 1.25, File: 1, FirstPage: 4, Pages: 1, Bytes: 1 * simtime.KB},
 			{Time: 7.75, File: 2, FirstPage: 10, Pages: 6, Bytes: 22 * simtime.KB},
 		},
+	}
+}
+
+// TestRequestPacks pins Request's layout: every in-memory trace and every
+// serve ring slot holds one per request.
+func TestRequestPacks(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 32 {
+		t.Errorf("Request is %d bytes, want 32", got)
 	}
 }
 

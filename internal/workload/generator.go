@@ -18,6 +18,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"jointpm/internal/simtime"
@@ -187,9 +189,10 @@ func Generate(cfg Config) (*trace.Trace, error) {
 		Files:        int32(len(fs.sizes)),
 		Duration:     c.Duration,
 	}
-	// Estimate request count for pre-allocation from the mean file size.
-	meanSize := float64(c.DataSetBytes) / float64(len(fs.sizes))
-	t.Requests = make([]trace.Request, 0, int(float64(c.Duration)*c.Rate/meanSize)+16)
+	// Room for two standard deviations over the expected count: append
+	// regrows for about one trace in forty.
+	mean, sd := requestCount(c, fs, hotZipf)
+	t.Requests = make([]trace.Request, 0, int(mean+2*sd)+16)
 
 	now := simtime.Seconds(0)
 	for {
@@ -220,7 +223,48 @@ func Generate(cfg Config) (*trace.Trace, error) {
 			Bytes:     size,
 		})
 	}
+	// Return the slice at its length: copy it out when its unused
+	// capacity exceeds a sixteenth of the count, as when the count fell
+	// well short of the estimate or append regrew past it; a smaller
+	// slack stays behind the clip.
+	if n := len(t.Requests); cap(t.Requests)-n > n/16 {
+		t.Requests = append(make([]trace.Request, 0, n), t.Requests...)
+	}
+	t.Requests = slices.Clip(t.Requests)
 	return t, nil
+}
+
+// requestCount returns the mean and standard deviation of the number of
+// requests Generate draws. The mean is the byte budget over the expected
+// request size under the hot/cold pick. A request's gap is exponential
+// with mean size/Rate, so its squared coefficient of variation is
+// 2E[s²]/E[s]² − 1, and the count's variance is about the mean times that.
+func requestCount(c Config, fs *fileSet, hot *stats.Zipf) (mean, sd float64) {
+	var hot1, hot2 float64 // E[s] and E[s²] of a hot pick
+	for i, sz := range fs.sizes[:fs.nHot] {
+		p := 1.0 // a one-file hot set always picks file 0
+		if hot != nil {
+			p = hot.P(i)
+		}
+		s := float64(sz)
+		hot1 += p * s
+		hot2 += p * s * s
+	}
+	cold1, cold2 := hot1, hot2 // with no cold files a cold pick is a hot one
+	if cold := fs.sizes[fs.nHot:]; len(cold) > 0 {
+		cold1, cold2 = 0, 0
+		for _, sz := range cold {
+			s := float64(sz)
+			cold1 += s
+			cold2 += s * s
+		}
+		cold1 /= float64(len(cold))
+		cold2 /= float64(len(cold))
+	}
+	m1 := HotShare*hot1 + (1-HotShare)*cold1
+	m2 := HotShare*hot2 + (1-HotShare)*cold2
+	mean = float64(c.Duration) * c.Rate / m1
+	return mean, math.Sqrt(mean * (2*m2/(m1*m1) - 1))
 }
 
 // PopularityOf measures the popularity of a trace per the paper's

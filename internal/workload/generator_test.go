@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jointpm/internal/simtime"
+	"jointpm/internal/stats"
 )
 
 func smallConfig() Config {
@@ -44,6 +45,37 @@ func TestGenerateHitsTargetRate(t *testing.T) {
 	got := tr.MeanRate()
 	if math.Abs(got-cfg.Rate)/cfg.Rate > 0.15 {
 		t.Errorf("mean rate %g, want within 15%% of %g", got, cfg.Rate)
+	}
+}
+
+// TestGenerateSizesRequestsTightly checks requestCount against the
+// counts Generate draws, across seeds, skews and a hot set covering the
+// whole data set: every count lies within four standard deviations of the
+// predicted mean, and the returned slice has no spare capacity.
+func TestGenerateSizesRequestsTightly(t *testing.T) {
+	for _, pop := range []float64{0.05, 0.1, 0.6, 1} {
+		for seed := int64(1); seed <= 16; seed++ {
+			cfg := smallConfig()
+			cfg.Popularity, cfg.Seed = pop, seed
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(tr.Requests)
+			if cap(tr.Requests) != n {
+				t.Fatalf("popularity %g seed %d: cap %d for %d requests", pop, seed, cap(tr.Requests), n)
+			}
+			c, _ := cfg.withDefaults()
+			rng := stats.NewRNG(c.Seed)
+			fs := buildFileSet(c, rng.Split())
+			var hot *stats.Zipf
+			if fs.nHot > 1 {
+				hot = stats.NewZipf(rng.Split(), fs.nHot, c.ZipfS)
+			}
+			if mean, sd := requestCount(c, fs, hot); math.Abs(float64(n)-mean) > 4*sd {
+				t.Errorf("popularity %g seed %d: %d requests, predicted %.0f ± %.0f", pop, seed, n, mean, sd)
+			}
+		}
 	}
 }
 
