@@ -67,6 +67,7 @@ type decideScratch struct {
 	seen  []bool // indexed by bank count; set by a search, cleared at its end
 	slate []int
 	all   []Candidate
+	order []int32 // s.all's indices in ascending bank order
 }
 
 // ingestBlock is how many depth runs Reference queues for IngestBatch:
@@ -463,14 +464,22 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 	}
 
 	// Candidates leave the scratch slab as one right-sized copy, sorted
-	// ascending by size; bank counts are unique, so a simple insertion
-	// sort is deterministic and allocation-free.
-	cands := make([]Candidate, len(s.all))
-	copy(cands, s.all)
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].Banks < cands[j-1].Banks; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	// ascending by size. The insertion sort moves int32 indices, not whole
+	// Candidates, and each candidate is then copied into place once; bank
+	// counts are unique, so the order is deterministic.
+	order := s.order[:0]
+	for i := range s.all {
+		order = append(order, int32(i))
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && s.all[order[j]].Banks < s.all[order[j-1]].Banks; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
+	}
+	s.order = order
+	cands := make([]Candidate, len(order))
+	for i, k := range order {
+		cands[i] = s.all[k]
 	}
 	d := Decision{
 		Banks:      best.Banks,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"jointpm/internal/multidisk"
 )
@@ -20,32 +21,49 @@ func ExtArray(s Scale, seed int64, w io.Writer) error {
 		return err
 	}
 
-	t := newTable("Extension: 4-disk array, layout × per-spindle policy (16GB at 25MB/s)",
-		"layout", "policy", "disk energy (J)", "total (J)", "sleeping", "latency (ms)")
-	for _, layout := range []multidisk.Layout{multidisk.Striped, multidisk.Ranged, multidisk.HotCold} {
-		for _, method := range []multidisk.DiskMethod{
-			multidisk.AlwaysOn, multidisk.TwoCompetitive, multidisk.Partitioned, multidisk.Joint,
-		} {
-			res, err := multidisk.Run(multidisk.Config{
+	// The 12 runs are independent; they share the runner's worker count
+	// and render in matrix order, the first failure in that order
+	// reported.
+	layouts := []multidisk.Layout{multidisk.Striped, multidisk.Ranged, multidisk.HotCold}
+	methods := []multidisk.DiskMethod{multidisk.AlwaysOn, multidisk.TwoCompetitive, multidisk.Partitioned, multidisk.Joint}
+	n := len(layouts) * len(methods)
+	results := make([]*multidisk.Result, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, runnerParallelism(n))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			results[i], errs[i] = multidisk.Run(multidisk.Config{
 				Trace:        tr,
 				Disks:        4,
-				Layout:       layout,
-				Method:       method,
+				Layout:       layouts[i/len(methods)],
+				Method:       methods[i%len(methods)],
 				InstalledMem: s.InstalledMem,
 				BankSize:     s.BankSize,
 				DiskSpec:     s.DiskSpec,
 				MemSpec:      s.MemSpec,
 				Period:       s.Period,
 			})
-			if err != nil {
-				return fmt.Errorf("extarray %v/%v: %w", layout, method, err)
-			}
-			t.addRow(layout.String(), method.String(),
-				fmtF(float64(res.DiskEnergy()), 0, false),
-				fmtF(float64(res.TotalEnergy()), 0, false),
-				fmt.Sprintf("%d/4", res.SleepingDisks()),
-				fmtF(float64(res.MeanLatency())*1e3, 2, false))
+		}(i)
+	}
+	wg.Wait()
+
+	t := newTable("Extension: 4-disk array, layout × per-spindle policy (16GB at 25MB/s)",
+		"layout", "policy", "disk energy (J)", "total (J)", "sleeping", "latency (ms)")
+	for i, res := range results {
+		layout, method := layouts[i/len(methods)], methods[i%len(methods)]
+		if errs[i] != nil {
+			return fmt.Errorf("extarray %v/%v: %w", layout, method, errs[i])
 		}
+		t.addRow(layout.String(), method.String(),
+			fmtF(float64(res.DiskEnergy()), 0, false),
+			fmtF(float64(res.TotalEnergy()), 0, false),
+			fmt.Sprintf("%d/4", res.SleepingDisks()),
+			fmtF(float64(res.MeanLatency())*1e3, 2, false))
 	}
 	if err := t.render(w); err != nil {
 		return err

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"jointpm/internal/core"
+	"jointpm/internal/mem"
 	"jointpm/internal/policy"
 	"jointpm/internal/sim"
 	"jointpm/internal/simtime"
@@ -34,9 +35,9 @@ func OmitBar(utilization float64) bool {
 
 // ParallelismEnv is the environment variable that overrides the runner's
 // worker count (front-end passes and policy replays executed concurrently
-// per sweep point). A positive integer is taken as an absolute worker
-// count; unset, non-numeric, or non-positive values fall back to the
-// default described at runnerParallelism.
+// per sweep point, and ExtArray's multidisk runs). A positive integer is
+// taken as an absolute worker count; unset, non-numeric, or non-positive
+// values fall back to the default described at runnerParallelism.
 const ParallelismEnv = "JOINTPM_PAR"
 
 // runnerParallelism resolves the worker count. memConfigs is the number
@@ -150,9 +151,10 @@ func (r *runner) config(tr *trace.Trace, m policy.Method, warmup simtime.Seconds
 //
 // Methods are grouped by shared memory configuration (sim.SharedCacheKey):
 // each group plays the trace through the cache front-end once and replays
-// every member's disk policy from the recorded stream, so a 15-method
-// point costs ~6 cache passes instead of 15 full engine runs. The joint
-// method (and any other non-shareable config) runs on the fused engine.
+// every member from the recorded stream, so a 15-method point costs 6
+// cache passes, 7 memory passes and 15 disk passes instead of 15 full
+// engine runs. The joint method (and any other non-shareable config) runs
+// on the fused engine.
 // Split results are bit-identical to fused ones (see sim.Replay), so the
 // grouping is invisible in the output.
 //
@@ -222,17 +224,28 @@ func (r *runner) point(label string, tr *trace.Trace, methods []policy.Method, w
 				return
 			}
 			defer rec.Release()
-			var rwg sync.WaitGroup
+			// One goroutine per bank policy, which within a group is the
+			// recording's memory-pass key: its first replay meters memory
+			// and the rest read that pass, so no replay holds a worker
+			// slot while it waits on another goroutine's pass.
+			byPolicy := map[mem.BankPolicy][]int{}
 			for _, i := range g.idx {
+				p := methods[i].Mem.BankPolicy()
+				byPolicy[p] = append(byPolicy[p], i)
+			}
+			var rwg sync.WaitGroup
+			for _, idx := range byPolicy {
 				rwg.Add(1)
-				go func(i int) {
+				go func(idx []int) {
 					defer rwg.Done()
-					r.sem <- struct{}{}
-					defer func() { <-r.sem }()
-					pprof.Do(ctx, pprof.Labels("method", methods[i].Name(), "point", label), func(context.Context) {
-						results[i], errs[i] = rec.Replay(methods[i])
-					})
-				}(i)
+					for _, i := range idx {
+						r.sem <- struct{}{}
+						pprof.Do(ctx, pprof.Labels("method", methods[i].Name(), "point", label), func(context.Context) {
+							results[i], errs[i] = rec.Replay(methods[i])
+						})
+						<-r.sem
+					}
+				}(idx)
 			}
 			rwg.Wait()
 		}(g)

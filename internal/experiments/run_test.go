@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -56,5 +57,27 @@ func TestRunnerParallelismEnv(t *testing.T) {
 		if got := runnerParallelism(c.units); got != c.want {
 			t.Errorf("JOINTPM_PAR=%q units=%d: parallelism = %d, want %d", c.env, c.units, got, c.want)
 		}
+	}
+}
+
+// TestExtArrayIndependentOfParallelism renders the multi-disk matrix one
+// run at a time and six at a time: the table must be byte-identical, rows
+// in matrix order. Under -race it also checks that concurrent multidisk
+// runs share no mutable state (the trace is read by all twelve).
+func TestExtArrayIndependentOfParallelism(t *testing.T) {
+	render := func(par string) string {
+		t.Setenv(ParallelismEnv, par)
+		var b strings.Builder
+		if err := ExtArray(quick(), 5, &b); err != nil {
+			t.Fatalf("%s=%s: %v", ParallelismEnv, par, err)
+		}
+		return b.String()
+	}
+	serial, parallel := render("1"), render("6")
+	if serial != parallel {
+		t.Errorf("extarray table differs between %s=1 and 6\n1:\n%s\n6:\n%s", ParallelismEnv, serial, parallel)
+	}
+	if n := strings.Count(serial, "/4"); n != 12 {
+		t.Errorf("extarray table has %d rows, want 12:\n%s", n, serial)
 	}
 }

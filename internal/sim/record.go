@@ -185,6 +185,12 @@ type Recording struct {
 
 	periods []periodRec
 	tail    periodRec // counts after the last period boundary
+
+	// Memory passes run so far (see Replay), and emptied ones from
+	// earlier recordings for reuse.
+	memMu     sync.Mutex
+	mems      []*memPass
+	spareMems []*memPass
 }
 
 // Key returns the memory configuration the recording captures.
@@ -193,12 +199,19 @@ func (rec *Recording) Key() CacheKey { return rec.key }
 var recordingPool = sync.Pool{New: func() any { return new(Recording) }}
 
 // Release returns the recording's buffers to the pool for reuse by a
-// later Record call. The recording must not be used afterwards.
+// later Record call, and drops its memory passes, keeping their storage
+// for the next recording's. The recording must not be used afterwards.
 func (rec *Recording) Release() {
 	rec.reqs.reset()
 	rec.runs.reset()
 	rec.ops.reset()
 	rec.periods = rec.periods[:0]
+	for _, mp := range rec.mems {
+		*mp = memPass{bounds: mp.bounds[:0]}
+	}
+	rec.spareMems = append(rec.spareMems, rec.mems...)
+	clear(rec.mems)
+	rec.mems = rec.mems[:0]
 	rec.cfg = Config{}
 	rec.key = CacheKey{}
 	rec.end = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"jointpm/internal/disk"
 	"jointpm/internal/mem"
@@ -10,16 +11,24 @@ import (
 )
 
 // Replay runs the power back-end for one method over the recorded
-// stream: the disk model under the method's spin-down policy, the memory
-// power model under the method's bank policy, and the same period/warmup
+// stream: the memory power model under the method's bank policy, the
+// disk model under its spin-down policy, and the same period/warmup
 // windowing as the fused engine. The method must share the recording's
 // memory configuration (SharedCacheKey); the result is bit-identical
 // (reflect.DeepEqual) to sim.Run of the same config.
 //
+// The memory model never sees the disk, so the recording meters memory
+// once per bank policy and enabled-bank count (a memory pass) and keeps
+// only what a result reads of it: each boundary's energy and enabled
+// banks, and the final energy. Every replay sharing that pass runs only
+// the disk model. A Fig. 7 point thus makes 7 memory passes for its 15
+// replays.
+//
 // The period and warmup windows are inherited from the recording's
 // config: they are reporting windows, fixed per sweep point, not part of
 // the method. A recording may be replayed concurrently from multiple
-// goroutines; the stream is read-only during replay.
+// goroutines: the stream is read-only during replay, and a replay that
+// needs a memory pass another replay is running waits for it.
 func (rec *Recording) Replay(m policy.Method) (*Result, error) {
 	cfg := rec.cfg
 	cfg.Method = m
@@ -37,20 +46,128 @@ func (rec *Recording) Replay(m policy.Method) (*Result, error) {
 		return nil, fmt.Errorf("sim: method %s (memory config %+v) does not match recording %+v",
 			cfg.Method.Name(), key, rec.key)
 	}
-	return newBackEnd(cfg, rec).run()
+	return newBackEnd(cfg, rec, rec.meter(memKeyOf(cfg))).run()
 }
 
-// backEnd is the power half of a split run. Its fields and accounting
+// memKey identifies a memory pass: the bank policy and how many banks a
+// fixed-size method keeps enabled. Within one recording the banks follow
+// from its CacheKey, so the policy alone tells the passes apart.
+type memKey struct {
+	policy mem.BankPolicy
+	banks  int
+}
+
+func memKeyOf(cfg Config) memKey {
+	k := memKey{policy: cfg.Method.Mem.BankPolicy(), banks: int(cfg.InstalledMem / cfg.BankSize)}
+	if cfg.Method.Mem == policy.MemFixedNap && cfg.Method.MemBytes < cfg.InstalledMem {
+		k.banks = max(int(cfg.Method.MemBytes/cfg.BankSize), 1)
+	}
+	return k
+}
+
+// memPass is one memory pass over a recording: what the disk passes read
+// of the memory model, and nothing else.
+type memPass struct {
+	key    memKey
+	once   sync.Once
+	bounds []memBound // one per recorded period boundary
+	final  mem.Energy // after FinishTo(end)
+}
+
+// memBound is the memory model's state at one period boundary, after
+// the boundary's FinishTo.
+type memBound struct {
+	energy mem.Energy
+	banks  int
+}
+
+// meter returns the recording's memory pass for k, running it on first
+// use. Concurrent callers with one key share a single run.
+func (rec *Recording) meter(k memKey) *memPass {
+	rec.memMu.Lock()
+	var mp *memPass
+	for _, p := range rec.mems {
+		if p.key == k {
+			mp = p
+			break
+		}
+	}
+	if mp == nil {
+		if n := len(rec.spareMems); n > 0 {
+			mp = rec.spareMems[n-1]
+			rec.spareMems = rec.spareMems[:n-1]
+		} else {
+			mp = new(memPass)
+		}
+		mp.key = k
+		rec.mems = append(rec.mems, mp)
+	}
+	rec.memMu.Unlock()
+	mp.once.Do(func() { mp.run(rec) })
+	return mp
+}
+
+// run meters the recorded memory events. It makes the memory-model calls
+// the fused engine makes, in its order: each request's bank touches and
+// lazy disables; at each boundary the period's dynamic energy, the
+// disable sweep and FinishTo; then the tail's touches and dynamic energy
+// and FinishTo(end). The memory model accumulates static energy into one
+// shared float, so that order is part of bit-identical replay.
+func (mp *memPass) run(rec *Recording) {
+	cfg := &rec.cfg
+	m := mem.New(cfg.MemSpec, int(cfg.InstalledMem/cfg.BankSize), mp.key.policy)
+	if mp.key.banks < m.Banks() {
+		m.SetEnabledBanks(0, mp.key.banks)
+	}
+	pageSize := cfg.Trace.PageSize
+	reqC := chunkCursor[reqRec]{list: &rec.reqs}
+	opC := chunkCursor[memOp]{list: &rec.ops}
+	replay := func(p *periodRec) {
+		for r := int64(0); r < p.reqs; r++ {
+			req := reqC.next()
+			for j := int32(0); j < req.ops; j++ {
+				op := *opC.next()
+				bank := int(op &^ opMark)
+				if op&opMark != 0 {
+					m.MarkIdleDisabled(bank, req.time)
+				} else {
+					m.Touch(bank, req.time)
+				}
+			}
+		}
+		// The fused engine charges dynamic energy per access; AddDynamicN
+		// returns the float of one addition per access, not n·e.
+		m.AddDynamicN(pageSize, p.cacheAcc)
+	}
+	for pi := range rec.periods {
+		p := &rec.periods[pi]
+		replay(p)
+		// The disable sweep (nil under the other policies): the front end
+		// made the same sweep on its bank clock and recorded only the
+		// cache-side invalidation count.
+		for _, bank := range m.SweepIdleDisabled(p.end) {
+			m.MarkIdleDisabled(bank, p.end)
+		}
+		m.FinishTo(p.end)
+		mp.bounds = append(mp.bounds, memBound{energy: m.Energy(), banks: m.EnabledBanks()})
+	}
+	replay(&rec.tail)
+	m.FinishTo(rec.end)
+	mp.final = m.Energy()
+}
+
+// backEnd is the disk half of a split run. Its fields and accounting
 // mirror engine exactly, minus the cache/stack/manager state that lives
-// in the front-end; the equivalence tests in split_test.go pin the two
+// in the front-end and the memory model, whose values it reads from the
+// memory pass; the equivalence tests in split_test.go pin the two
 // implementations together.
 type backEnd struct {
 	cfg      Config
 	rec      *Recording
+	mp       *memPass
 	pageSize simtime.Bytes
 
 	disk *disk.Disk
-	mem  *mem.Memory
 
 	obsm engineMetrics
 
@@ -71,16 +188,15 @@ type backEnd struct {
 	wResult     Result
 }
 
-func newBackEnd(cfg Config, rec *Recording) *backEnd {
-	totalBanks := int(cfg.InstalledMem / cfg.BankSize)
+func newBackEnd(cfg Config, rec *Recording, mp *memPass) *backEnd {
 	b := &backEnd{
 		cfg:      cfg,
 		rec:      rec,
+		mp:       mp,
 		pageSize: cfg.Trace.PageSize,
 		obsm:     newEngineMetrics(cfg.Metrics),
 	}
 	b.disk = disk.New(cfg.DiskSpec, cfg.LongLatency)
-	b.mem = mem.New(cfg.MemSpec, totalBanks, cfg.Method.Mem.BankPolicy())
 	b.disk.SetMetrics(diskMetrics(cfg.Metrics))
 	b.disk.SetIdleRecorder(func(gap simtime.Seconds) {
 		b.res.OracleDiskPM += cfg.DiskSpec.OracleGapEnergy(gap)
@@ -96,14 +212,6 @@ func newBackEnd(cfg Config, rec *Recording) *backEnd {
 	case policy.DiskPredictive:
 		policy.NewPredictiveShutdown(b.disk)
 	}
-
-	if cfg.Method.Mem == policy.MemFixedNap && cfg.Method.MemBytes < cfg.InstalledMem {
-		banks := int(cfg.Method.MemBytes / cfg.BankSize)
-		if banks < 1 {
-			banks = 1
-		}
-		b.mem.SetEnabledBanks(0, banks)
-	}
 	b.res.Method = cfg.Method
 	return b
 }
@@ -111,18 +219,17 @@ func newBackEnd(cfg Config, rec *Recording) *backEnd {
 func (b *backEnd) run() (*Result, error) {
 	reqC := chunkCursor[reqRec]{list: &b.rec.reqs}
 	runC := chunkCursor[missRun]{list: &b.rec.runs}
-	opC := chunkCursor[memOp]{list: &b.rec.ops}
 
 	for pi := range b.rec.periods {
 		p := &b.rec.periods[pi]
 		for r := int64(0); r < p.reqs; r++ {
-			b.serve(reqC.next(), &runC, &opC)
+			b.serve(reqC.next(), &runC)
 		}
-		b.closePeriod(p)
+		b.closePeriod(p, b.mp.bounds[pi])
 	}
 	tail := &b.rec.tail
 	for r := int64(0); r < tail.reqs; r++ {
-		b.serve(reqC.next(), &runC, &opC)
+		b.serve(reqC.next(), &runC)
 	}
 	b.addPeriodCounts(tail)
 	b.finish(b.rec.end)
@@ -132,11 +239,10 @@ func (b *backEnd) run() (*Result, error) {
 	return &res, nil
 }
 
-// serve replays one client request: the coalesced miss runs against the
-// disk (where the spin-down policies diverge) and the recorded memory
-// ops in order (the memory model's static-energy accumulator is shared
-// across banks, so settle order is part of bit-identical replay).
-func (b *backEnd) serve(r *reqRec, runC *chunkCursor[missRun], opC *chunkCursor[memOp]) {
+// serve replays one client request's coalesced miss runs against the
+// disk, where the spin-down policies diverge. Its memory ops are the
+// memory pass's.
+func (b *backEnd) serve(r *reqRec, runC *chunkCursor[missRun]) {
 	t := r.time
 	var maxFinish simtime.Seconds
 	for j := int32(0); j < r.runs; j++ {
@@ -148,15 +254,6 @@ func (b *backEnd) serve(r *reqRec, runC *chunkCursor[missRun], opC *chunkCursor[
 		}
 		b.res.DiskRequests++
 		b.res.DiskAccesses += int64(run.n)
-	}
-	for j := int32(0); j < r.ops; j++ {
-		op := *opC.next()
-		bank := int(op &^ opMark)
-		if op&opMark != 0 {
-			b.mem.MarkIdleDisabled(bank, t)
-		} else {
-			b.mem.Touch(bank, t)
-		}
 	}
 	if maxFinish > t {
 		lat := maxFinish - t
@@ -170,12 +267,9 @@ func (b *backEnd) serve(r *reqRec, runC *chunkCursor[missRun], opC *chunkCursor[
 }
 
 // addPeriodCounts folds one period's recorded access counters into the
-// result and telemetry, and charges the period's dynamic memory energy.
-// The fused engine accumulates these per access; adding them in one
-// batch at the boundary leaves every boundary-time value identical.
-// Dynamic energy goes through AddDynamicN, which returns the float of
-// one addition per access — not the product n·e, which rounds
-// differently.
+// result and telemetry. The fused engine accumulates these per access;
+// adding them in one batch at the boundary leaves every boundary-time
+// value identical.
 func (b *backEnd) addPeriodCounts(p *periodRec) {
 	b.res.ClientRequests += p.clientReqs
 	b.res.CacheAccesses += p.cacheAcc
@@ -185,30 +279,20 @@ func (b *backEnd) addPeriodCounts(p *periodRec) {
 	b.obsm.hitBytes.Add((p.cacheAcc - p.misses) * int64(b.pageSize))
 	b.obsm.missBytes.Add(p.misses * int64(b.pageSize))
 	b.obsm.invalidated.Add(p.invalidated)
-	b.mem.AddDynamicN(b.pageSize, p.cacheAcc)
 }
 
-// closePeriod mirrors engine.closePeriod for the non-joint methods.
-func (b *backEnd) closePeriod(p *periodRec) {
+// closePeriod mirrors engine.closePeriod for the non-joint methods; mb is
+// the memory model at the same boundary.
+func (b *backEnd) closePeriod(p *periodRec, mb memBound) {
 	t := p.end
 	b.addPeriodCounts(p)
 
 	b.disk.FinishTo(t)
 
-	// Disable-policy sweep: the back-end's memory state matches the
-	// front-end's bank clock, so it recomputes the same sweep set; only
-	// the cache-side invalidation count needed recording.
-	if b.cfg.Method.Mem == policy.MemDisable {
-		for _, bank := range b.mem.SweepIdleDisabled(t) {
-			b.mem.MarkIdleDisabled(bank, t)
-		}
-	}
-	b.mem.FinishTo(t)
-
 	ds := b.disk.Stats()
 	w := ds.Sub(b.lastDiskStats)
 	de := b.disk.Energy()
-	me := b.mem.Energy()
+	me := mb.energy
 	b.obsm.periods.Inc()
 	b.obsm.periodDiskEnergy.Set(float64(de.Total() - b.lastDiskEnergy.Total()))
 	b.obsm.periodMemEnergy.Set(float64(me.Total() - b.lastMemEnergy.Total()))
@@ -227,7 +311,7 @@ func (b *backEnd) closePeriod(p *periodRec) {
 		MeanIdle:      w.MeanIdle(),
 		Delayed:       b.periodDelayed,
 		Energy:        de.Total() + me.Total() - b.lastDiskEnergy.Total() - b.lastMemEnergy.Total(),
-		Banks:         b.mem.EnabledBanks(),
+		Banks:         mb.banks,
 		Timeout:       b.disk.Timeout(),
 	}
 	b.obsm.periodBanks.Set(float64(stat.Banks))
@@ -251,9 +335,8 @@ func (b *backEnd) closePeriod(p *periodRec) {
 // finish mirrors engine.finish.
 func (b *backEnd) finish(end simtime.Seconds) {
 	b.disk.FinishTo(end)
-	b.mem.FinishTo(end)
 	b.res.DiskEnergy = b.disk.Energy()
-	b.res.MemEnergy = b.mem.Energy()
+	b.res.MemEnergy = b.mp.final
 	ds := b.disk.Stats()
 
 	start := simtime.Seconds(0)

@@ -5,17 +5,16 @@ import (
 	"testing"
 	"time"
 
-	"jointpm/internal/mem"
 	"jointpm/internal/policy"
 	"jointpm/internal/simtime"
 )
 
-// collected returns a channel that is closed once the memory model m is
-// garbage. The finalizer sits on the mem.Memory, which no cycle reaches,
-// so it runs as soon as nothing points at the model.
-func collected(m *mem.Memory) <-chan struct{} {
+// collected returns a channel that is closed once obj is garbage. obj
+// must be a leaf, on no cycle (Go runs no finalizer on a cycle), so the
+// finalizer runs as soon as nothing points at it.
+func collected(obj any) <-chan struct{} {
 	freed := make(chan struct{})
-	runtime.SetFinalizer(m, func(*mem.Memory) { close(freed) })
+	runtime.SetFinalizer(obj, func(any) { close(freed) })
 	return freed
 }
 
@@ -28,7 +27,7 @@ func waitCollected(t *testing.T, what string, freed <-chan struct{}) {
 		case <-freed:
 			return
 		case <-deadline:
-			t.Fatalf("%s: the memory model is still reachable while its Result is held", what)
+			t.Fatalf("%s: engine state is still reachable while its Result is held", what)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -61,22 +60,25 @@ func TestResultOwnsNoEngineState(t *testing.T) {
 		t.Fatal("the held JOINT Result lost its periods")
 	}
 
-	rcfg := testConfig(tr, policy.AlwaysOn(128*simtime.MB))
-	rec, err := Record(rcfg)
+	// The replay leg's finalizer sits on the memory pass, a leaf that the
+	// recording's memo and the back end both point at, and that the back
+	// end's disk model reaches through its idle recorder (the disk and the
+	// back end form a cycle, so neither can carry the finalizer). Its
+	// collection shows the Result holds no power model, memory pass or
+	// recording. The memory model lives only inside the pass.
+	rec, err := Record(testConfig(tr, policy.AlwaysOn(128*simtime.MB)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Release()
-	if rcfg, err = rcfg.withDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	b := newBackEnd(rcfg, rec)
-	freed = collected(b.mem)
-	rres, err := b.run()
+	rres, err := rec.Replay(policy.AlwaysOn(128 * simtime.MB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = nil
+	if len(rec.mems) != 1 {
+		t.Fatalf("one replay made %d memory passes, want 1", len(rec.mems))
+	}
+	freed = collected(rec.mems[0])
+	rec = nil
 	waitCollected(t, "replay", freed)
 	if rres.CacheAccesses == 0 {
 		t.Fatal("the held replay Result lost its counters")

@@ -37,10 +37,14 @@ func WriteBinary(w io.Writer, t *Trace) error {
 	if err := bw.WriteByte(binaryVersion); err != nil {
 		return err
 	}
+	// Each varint is encoded straight into the writer's free space, kept
+	// at least one varint long so the append never reallocates: encoding
+	// allocates nothing per field.
 	putUv := func(v uint64) {
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:n]) // any error surfaces at Flush
+		if bw.Available() < binary.MaxVarintLen64 {
+			_ = bw.Flush() // an error sticks in bw; the last Flush returns it
+		}
+		_, _ = bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v)) // likewise
 	}
 	putUv(uint64(t.PageSize))
 	putUv(uint64(t.DataSetBytes))
