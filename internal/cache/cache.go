@@ -45,6 +45,7 @@ type PageCache struct {
 	totalFrames  int64
 	capacity     int64 // usable frames (≤ totalFrames)
 	pagesPerBank int64
+	bankShift    int // log2(pagesPerBank) when it is a power of two, else -1
 
 	table *intmap.Map // page -> frame
 	pages []int64     // frame -> resident page, nilFrame when free
@@ -69,6 +70,7 @@ func New(totalFrames, pagesPerBank int64) *PageCache {
 		totalFrames:  totalFrames,
 		capacity:     totalFrames,
 		pagesPerBank: pagesPerBank,
+		bankShift:    -1,
 		table:        intmap.New(1024),
 		pages:        make([]int64, totalFrames),
 		prev:         make([]int32, totalFrames),
@@ -76,6 +78,9 @@ func New(totalFrames, pagesPerBank int64) *PageCache {
 		free:         newFreeSet(totalFrames),
 		head:         nilFrame,
 		tail:         nilFrame,
+	}
+	if pagesPerBank&(pagesPerBank-1) == 0 {
+		c.bankShift = bits.Len64(uint64(pagesPerBank)) - 1
 	}
 	for f := range c.pages {
 		c.pages[f] = nilFrame
@@ -101,7 +106,16 @@ func (c *PageCache) Banks() int {
 }
 
 // BankOf returns the bank containing the given frame.
-func (c *PageCache) BankOf(frame int64) int { return int(frame / c.pagesPerBank) }
+func (c *PageCache) BankOf(frame int64) int { return int(c.bankOf(frame)) }
+
+// bankOf maps a frame to its bank: a shift when a bank holds a power of
+// two frames, a division otherwise.
+func (c *PageCache) bankOf(frame int64) int64 {
+	if c.bankShift >= 0 {
+		return frame >> uint(c.bankShift)
+	}
+	return frame / c.pagesPerBank
+}
 
 // Lookup reports whether page is resident. On a hit the page becomes MRU
 // and its frame is returned.
@@ -151,7 +165,7 @@ func (c *PageCache) ResidentRun(r *Run, first, n int64) bool {
 	if !ok {
 		return false
 	}
-	b := f / c.pagesPerBank
+	b := c.bankOf(f)
 	lo, hi := b*c.pagesPerBank, (b+1)*c.pagesPerBank // the frames of bank b
 	r.Banks = append(r.Banks[:0], int(b))
 	fr := int32(f)
@@ -160,7 +174,7 @@ func (c *PageCache) ResidentRun(r *Run, first, n int64) bool {
 			return false
 		}
 		if g := int64(fr); g < lo || g >= hi {
-			b = g / c.pagesPerBank
+			b = c.bankOf(g)
 			lo, hi = b*c.pagesPerBank, (b+1)*c.pagesPerBank
 			r.Banks = append(r.Banks, int(b))
 		}

@@ -40,12 +40,21 @@ func (m *Manager) budgetActive() bool { return m.budgetW > 0 }
 // Called from the tails of price and priceStats — the two valuation
 // paths are bit-identical twins and must stay that way.
 func (m *Manager) applyBudget(c *Candidate) {
+	if m.budgetActive() && float64(c.TotalPower) > m.budgetW+budgetEps {
+		c.OverBudget = true
+	}
+}
+
+// countOverBudget counts the priced sizes whose final verdict, after the
+// ladder refinement, is over budget (core.decide.budget_infeasible).
+func (m *Manager) countOverBudget(cands []Candidate) {
 	if !m.budgetActive() {
 		return
 	}
-	if float64(c.TotalPower) > m.budgetW+budgetEps {
-		c.OverBudget = true
-		m.met.budgetOver.Inc()
+	for i := range cands {
+		if cands[i].OverBudget {
+			m.met.budgetOver.Inc()
+		}
 	}
 }
 
@@ -54,7 +63,7 @@ func (m *Manager) applyBudget(c *Candidate) {
 // feasible within-budget candidate beats everything that is not, and
 // better() orders within each class, so the budget acts as a filter
 // that never changes how surviving candidates compare to each other.
-func (m *Manager) betterCand(a, b Candidate) bool {
+func (m *Manager) betterCand(a, b *Candidate) bool {
 	if m.budgetActive() {
 		aok := a.Feasible && !a.OverBudget
 		bok := b.Feasible && !b.OverBudget

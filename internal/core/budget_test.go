@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
 )
 
@@ -82,14 +83,14 @@ func TestBetterCandBudgetOrdering(t *testing.T) {
 
 	// Budget inactive: pure better() — the cheaper candidate wins even
 	// though something marked it over-budget.
-	if !m.betterCand(overCheap, within) {
+	if !m.betterCand(&overCheap, &within) {
 		t.Fatal("inactive budget: cheaper candidate should win on power")
 	}
 	m.SetPowerBudget(8)
-	if !m.betterCand(within, overCheap) {
+	if !m.betterCand(&within, &overCheap) {
 		t.Fatal("active budget: within-budget candidate should beat a cheaper over-budget one")
 	}
-	if m.betterCand(infeasible, overCheap) {
+	if m.betterCand(&infeasible, &overCheap) {
 		t.Fatal("active budget: utilization-infeasible must still lose to feasible-but-over-budget")
 	}
 }
@@ -218,5 +219,55 @@ func TestDriftHoldRespectsBudget(t *testing.T) {
 	}
 	if !d.OverBudget && float64(d.Chosen.TotalPower) > m.PowerBudget()+1e-9 {
 		t.Fatalf("unflagged decision exceeds budget: %g W > %g W", d.Chosen.TotalPower, m.PowerBudget())
+	}
+}
+
+// TestBudgetCountsFinalVerdict pins what core.decide.budget_infeasible
+// counts under a speed ladder: each priced size whose final pricing,
+// after the ladder refinement, is over budget, not its full-speed
+// pricing. The budget binds where slower levels bring sizes that full
+// speed prices over it back within it, so the two counts differ.
+func TestBudgetCountsFinalVerdict(t *testing.T) {
+	p := boundaryParams()
+	p.Metrics = obs.NewRegistry()
+	m, err := NewManager(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetPowerBudget(boundaryBudgetW)
+	q := boundaryParams()
+	q.SpeedLevels = nil
+	fullSpeed, err := NewManager(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullSpeed.SetPowerBudget(boundaryBudgetW)
+
+	o := lightStream(p, []int{750})[0]
+	d := m.DecideIncremental(feedIncremental(m, o))
+	finalOver, fullOver, rescued := 0, 0, 0
+	for _, c := range d.Candidates {
+		full := fullSpeed.evaluate(o, c.Banks, nil)
+		if c.OverBudget {
+			finalOver++
+		}
+		if full.OverBudget {
+			fullOver++
+			if !c.OverBudget && c.Level > 0 {
+				rescued++
+			}
+		}
+	}
+	if rescued == 0 || finalOver == 0 {
+		t.Fatalf("budget %g W does not split the slate: %d of %d sizes over at full speed, %d after the ladder",
+			float64(boundaryBudgetW), fullOver, len(d.Candidates), finalOver)
+	}
+	got := p.Metrics.CounterValue("core.decide.budget_infeasible")
+	if got != int64(finalOver) {
+		t.Fatalf("budget_infeasible = %d, want %d (the sizes over budget after the ladder; %d are over at full speed)",
+			got, finalOver, fullOver)
+	}
+	if priced := p.Metrics.CounterValue("core.decide.candidates_priced"); got >= priced {
+		t.Fatalf("budget_infeasible = %d of %d priced sizes: it counts every size", got, priced)
 	}
 }

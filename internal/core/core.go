@@ -365,6 +365,10 @@ func (m *Manager) SetRefitDriftFrac(f float64) {
 // Last returns the most recent decision.
 func (m *Manager) Last() Decision { return m.last }
 
+// LastPower returns the total power the most recent decision priced its
+// chosen candidate at, without copying the Decision.
+func (m *Manager) LastPower() simtime.Watts { return m.last.Chosen.TotalPower }
+
 // depthProfile is the per-decision aggregation of a period's references:
 // bytes of all references and of first-per-page references, bucketed by
 // the bank their depth falls in. It makes the per-candidate byte queries
@@ -445,7 +449,7 @@ func (p *depthProfile) diskAccesses(banks int) int64 {
 // better orders candidates: feasibility first, then lower power, with a
 // small-memory tie-break ("smaller memory size should be chosen for the
 // same disk IO").
-func better(a, b Candidate) bool {
+func better(a, b *Candidate) bool {
 	if a.Feasible != b.Feasible {
 		return a.Feasible
 	}
@@ -471,7 +475,7 @@ func (m *Manager) bounds(obs Observation) (start, end simtime.Seconds) {
 
 // finitePower reports that a candidate's pricing stayed numerically sane
 // (its timeout may legitimately be +Inf when spin-down is disabled).
-func finitePower(c Candidate) bool {
+func finitePower(c *Candidate) bool {
 	return !math.IsNaN(c.Utilization) && !math.IsInf(c.Utilization, 0) &&
 		!math.IsNaN(float64(c.TotalPower)) && !math.IsInf(float64(c.TotalPower), 0) &&
 		!math.IsNaN(float64(c.Timeout))
@@ -504,8 +508,8 @@ func (m *Manager) ChooseTimeout(intervals []float64, nd, cacheAccesses int64, sp
 // (streaming reductions) so both produce bit-identical choices: apply
 // eq. 5, derive the eq. 6 floor from the interval count ni, and clamp.
 func (m *Manager) finishTimeout(fit pareto.Dist, err error, ni, nd, cacheAccesses int64, span float64) TimeoutChoice {
-	p := m.p
-	spec := p.DiskSpec
+	p := &m.p
+	spec := &p.DiskSpec
 	tbe := float64(spec.BreakEven())
 	tc := TimeoutChoice{Timeout: simtime.Seconds(tbe), Unclamped: simtime.Seconds(tbe)}
 	if err != nil {

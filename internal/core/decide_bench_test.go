@@ -5,6 +5,7 @@ import (
 
 	"jointpm/internal/disk"
 	"jointpm/internal/mem"
+	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
 )
 
@@ -150,3 +151,51 @@ func benchDecideLight(b *testing.B, banks int) {
 func BenchmarkDecideLight1K(b *testing.B) { benchDecideLight(b, 1<<10) }
 
 func BenchmarkDecideLight64K(b *testing.B) { benchDecideLight(b, 1<<16) }
+
+// BenchmarkDecideCapped decides BenchmarkDecideLight1K's period the way a
+// capped daemon shard does: under a binding power budget, with the
+// default hysteresis, a metrics registry attached and the disk running
+// at a slower level. That drives what the light benchmarks skip: the
+// hysteresis probe riding the final slate pass, the re-pricing of full
+// speed off the current level, the delay-attribution fold and the budget
+// filter. Each iteration starts from the same previous decision, all
+// banks at level 2, so each does the same work.
+func BenchmarkDecideCapped(b *testing.B) {
+	p := boundaryParams()
+	p.TotalBanks = 1 << 10
+	p.Metrics = obs.NewRegistry()
+	m, err := NewManager(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetPowerBudget(boundaryBudgetW)
+	start := Decision{Banks: p.TotalBanks, Pages: int64(p.TotalBanks) * p.bankPages(),
+		Timeout: p.DiskSpec.BreakEven(), Level: 2}
+	o := feedIncremental(m, lightStream(p, []int{750})[0])
+	m.last = start
+	d := m.decideFrom(m.inputFromHist(&o))
+	over, rider := 0, false
+	for _, c := range d.Candidates {
+		if c.OverBudget {
+			over++
+		}
+		rider = rider || c.Banks == start.Banks
+	}
+	// The attribution fold runs when some size is both floor-clamped and
+	// priced out of spinning down; by counting, some is when the two
+	// counts add up to more than the sizes priced.
+	reg := p.Metrics
+	attributed := reg.CounterValue("core.decide.eq6_clamped") + reg.CounterValue("core.decide.spindown_disabled") -
+		reg.CounterValue("core.decide.candidates_priced")
+	if !rider || over == 0 || over == len(d.Candidates) || attributed <= 0 {
+		b.Fatalf("the capped boundary misses a path: rider priced %v, %d of %d sizes over budget, %d sizes attributed",
+			rider, over, len(d.Candidates), attributed)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.last = start
+		in := m.inputFromHist(&o)
+		m.decideFrom(in)
+	}
+}

@@ -2,11 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"jointpm/internal/lrusim"
 	"jointpm/internal/pareto"
-	"jointpm/internal/qmodel"
 	"jointpm/internal/simtime"
 )
 
@@ -61,8 +61,9 @@ type decideScratch struct {
 	tcs        []TimeoutChoice
 	nds        []int64
 	to, ts     []float64 // chosen timeouts / tail excess per candidate
-	to2, ts2   []float64 // unclamped-timeout attribution pass
+	to2, ts2   []float64 // unclamped-timeout attribution pass, then each ladder level's
 	hcnt, h2   []int64
+	clamp2     []bool // per candidate: the floor clamped the ladder level's timeout
 
 	seen  []bool // indexed by bank count; set by a search, cleared at its end
 	slate []int
@@ -248,7 +249,7 @@ func (m *Manager) tryDriftHold(o *Observation) (Decision, bool) {
 	// An over-budget re-evaluation never holds: the fleet coordinator may
 	// have shrunk this shard's budget since the last full search, and only
 	// the full slate knows whether a cheaper size now fits it.
-	if !c.Feasible || c.OverBudget || (!c.FitOK && c.DiskAccesses > 0) || !finitePower(c) {
+	if !c.Feasible || c.OverBudget || (!c.FitOK && c.DiskAccesses > 0) || !finitePower(&c) {
 		return Decision{}, false
 	}
 	prevPower := float64(prev.Chosen.TotalPower)
@@ -267,7 +268,7 @@ func (m *Manager) tryDriftHold(o *Observation) (Decision, bool) {
 		BudgetW:    m.budgetW,
 	}
 	m.last = d
-	m.recordDecision(d)
+	m.recordDecision(&d)
 	if m.p.DecisionTrace.Enabled() {
 		m.emitTrace(in.obs, in.logLen, d, true)
 	}
@@ -295,7 +296,7 @@ func (m *Manager) emptyDecision(o Observation, logLen int) Decision {
 	}
 	m.last = d
 	m.met.emptyDecisions.Inc()
-	m.recordDecision(d)
+	m.recordDecision(&d)
 	if m.p.DecisionTrace.Enabled() {
 		m.emitEmptyTrace(o, logLen, d)
 	}
@@ -356,12 +357,20 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 	}
 	s.all = s.all[:0]
 
+	// prevBanks is the size the hysteresis test weighs the winner
+	// against: the previous decision's, clamped into range; -1 with
+	// hysteresis off or no previous size.
+	prevBanks := -1
+	if m.p.HysteresisFrac >= 0 && m.last.Banks > 0 {
+		prevBanks = min(max(m.last.Banks, m.p.MinBanks), m.p.TotalBanks)
+	}
+
 	// Coarse-to-fine search at EnumUnit granularity. The energy curve is
 	// evaluated on a shrinking grid around the best point; each pass costs
-	// one fold of the gap log for its whole candidate slate.
+	// one fold of the gap log for its whole candidate slate. The incumbent
+	// is tracked by its index in s.all.
 	lo, hi := m.p.MinBanks, hiBanks
-	var best Candidate
-	bestSet := false
+	best, rider := -1, -1
 	evaluated := 0
 	for {
 		span := hi - lo
@@ -374,6 +383,7 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 				stepBanks = unitBanks
 			}
 		}
+		final := stepBanks <= unitBanks
 		s.slate = s.slate[:0]
 		for b := lo; ; b += stepBanks {
 			if b > hi {
@@ -387,21 +397,42 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 				break
 			}
 		}
+		// The rider: when no pass has priced prevBanks, the final pass
+		// prices it as one more lane, in ascending place, rather than a
+		// fold of its own after the search. Each lane's reductions read
+		// only its own emissions, in log order, so the rider and the
+		// other lanes price exactly as they would apart. The rider takes
+		// no part in the search, and the hysteresis test below always
+		// reads it, since the winner cannot be m.last.Banks: the winner
+		// is a priced size, prevBanks is not, and when the clamp moved
+		// prevBanks, m.last.Banks lies outside the range of every size
+		// priced.
+		r := -1
+		if final && prevBanks >= 0 && !s.seen[prevBanks] {
+			r, _ = slices.BinarySearch(s.slate, prevBanks)
+			s.slate = slices.Insert(s.slate, r, prevBanks)
+		}
 		base := len(s.all)
 		s.all = growCandidates(s.all, len(s.slate))
 		m.evalSlate(in, s.slate, s.all[base:])
+		if r >= 0 {
+			rider = base + r
+		}
 		for i := base; i < len(s.all); i++ {
+			if i == rider {
+				continue
+			}
 			evaluated++
-			if !bestSet || m.betterCand(s.all[i], best) {
-				best, bestSet = s.all[i], true
+			if best < 0 || m.betterCand(&s.all[i], &s.all[best]) {
+				best = i
 			}
 		}
-		if stepBanks <= unitBanks {
+		if final {
 			break
 		}
 		// Narrow to one step either side of the incumbent.
-		lo = best.Banks - stepBanks
-		hi = best.Banks + stepBanks
+		lo = s.all[best].Banks - stepBanks
+		hi = s.all[best].Banks + stepBanks
 		if lo < m.p.MinBanks {
 			lo = m.p.MinBanks
 		}
@@ -413,42 +444,33 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 	// Hysteresis: stay at the previous size unless the winner is a real
 	// improvement over it, not estimate noise.
 	held := false
-	if h := m.p.HysteresisFrac; h >= 0 && best.Banks != m.last.Banks && m.last.Banks > 0 {
+	if prevBanks >= 0 && s.all[best].Banks != m.last.Banks {
+		h := m.p.HysteresisFrac
 		if h == 0 {
 			h = 0.05
 		}
-		prevBanks := m.last.Banks
-		if prevBanks < m.p.MinBanks {
-			prevBanks = m.p.MinBanks
-		}
-		if prevBanks > m.p.TotalBanks {
-			prevBanks = m.p.TotalBanks
-		}
-		var prev Candidate
-		if s.seen[prevBanks] {
+		prev := rider
+		if prev >= 0 {
+			evaluated++
+		} else { // a pass priced prevBanks
 			for i := range s.all {
 				if s.all[i].Banks == prevBanks {
-					prev = s.all[i]
+					prev = i
 					break
 				}
 			}
-		} else {
-			base := len(s.all)
-			s.all = growCandidates(s.all, 1)
-			m.evalSlate(in, s.slateInts(prevBanks), s.all[base:])
-			prev = s.all[base]
-			evaluated++
 		}
-		hold := prev.Feasible && best.Feasible &&
-			float64(best.TotalPower) > (1-h)*float64(prev.TotalPower)
+		pc, bc := &s.all[prev], &s.all[best]
+		hold := pc.Feasible && bc.Feasible &&
+			float64(bc.TotalPower) > (1-h)*float64(pc.TotalPower)
 		if m.budgetActive() {
 			// A power budget overrides size inertia in both directions:
 			// never hold an over-budget previous size against a
 			// within-budget winner, and always hold a within-budget
 			// previous size when the winner itself blew the budget.
-			if prev.OverBudget && !best.OverBudget {
+			if pc.OverBudget && !bc.OverBudget {
 				hold = false
-			} else if prev.Feasible && !prev.OverBudget && best.OverBudget {
+			} else if pc.Feasible && !pc.OverBudget && bc.OverBudget {
 				hold = true
 			}
 		}
@@ -458,6 +480,16 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 			m.met.hysteresis.Inc()
 		}
 	}
+	return m.finishDecision(in, &s.all[best], evaluated, held)
+}
+
+// finishDecision turns the search's outcome into the period's Decision:
+// best is the chosen candidate (in s.all), evaluated the sizes priced
+// and held whether hysteresis kept the previous size. It clears the
+// search's seen marks, orders the candidates, applies the fallback
+// ladder, and records, traces and keeps the decision.
+func (m *Manager) finishDecision(in *decideInput, best *Candidate, evaluated int, held bool) Decision {
+	s := &m.scratch
 	// Clear only what this search set: every size it priced is in s.all.
 	for i := range s.all {
 		s.seen[s.all[i].Banks] = false
@@ -486,7 +518,7 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 		Pages:      best.Pages,
 		Timeout:    best.Timeout,
 		Level:      best.Level,
-		Chosen:     best,
+		Chosen:     *best,
 		Evaluated:  evaluated,
 		Candidates: cands,
 		BudgetW:    m.budgetW,
@@ -517,7 +549,7 @@ func (m *Manager) decideFrom(in *decideInput) Decision {
 		m.met.fallbacks.Inc()
 	}
 	m.last = d
-	m.recordDecision(d)
+	m.recordDecision(&d)
 	if m.p.DecisionTrace.Enabled() {
 		m.emitTrace(in.obs, in.logLen, d, held)
 	}
@@ -550,6 +582,20 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	if len(banks) == 0 {
 		return
 	}
+	m.priceSlate(in, banks, out)
+	// Speed refinement: price every slate slot at the other ladder levels
+	// and keep each size's cheapest (m, t_o, l). Runs after phase 4 so it
+	// can reuse the to2/ts2/h2 scratch; with a single-level ladder this
+	// is one false branch and the slate above is untouched (see speed.go).
+	if m.speedEnabled() {
+		m.refineSlateLevels(in, out)
+	}
+	m.countOverBudget(out)
+}
+
+// priceSlate is evalSlate up to the ladder: the slate's gap-log folds
+// and every candidate priced at full speed (level 0).
+func (m *Manager) priceSlate(in *decideInput, banks []int, out []Candidate) {
 	k := len(banks)
 	s := &m.scratch
 	if cap(s.slateBanks) < k {
@@ -570,6 +616,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 		s.ts2 = make([]float64, k, kk)
 		s.hcnt = make([]int64, k, kk)
 		s.h2 = make([]int64, k, kk)
+		s.clamp2 = make([]bool, k, kk)
 	}
 	s.slateBanks = s.slateBanks[:k]
 	s.tcs = s.tcs[:k]
@@ -580,6 +627,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	s.ts2 = s.ts2[:k]
 	s.hcnt = s.hcnt[:k]
 	s.h2 = s.h2[:k]
+	s.clamp2 = s.clamp2[:k]
 	for i, b := range banks {
 		s.slateBanks[i] = int32(b)
 	}
@@ -610,9 +658,7 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 	// Phase 3: assemble the candidates.
 	needDelay := false
 	for i := 0; i < k; i++ {
-		c, attr := m.priceStats(in, banks[i], s.nds[i], sw.Cnt[i], sw.Sum[i], s.tcs[i], s.ts[i], s.hcnt[i])
-		out[i] = c
-		if attr {
+		if m.priceStats(&out[i], in, banks[i], s.nds[i], sw.Cnt[i], sw.Sum[i], &s.tcs[i], s.ts[i], s.hcnt[i]) {
 			needDelay = true
 			s.to2[i] = float64(s.tcs[i].Unclamped)
 		} else {
@@ -647,14 +693,6 @@ func (m *Manager) evalSlate(in *decideInput, banks []int, out []Candidate) {
 			}
 		}
 	}
-
-	// Speed refinement: price every slate slot at the other ladder levels
-	// and keep each size's cheapest (m, t_o, l). Runs after phase 4 so it
-	// can reuse the to2/ts2/h2 scratch; with a single-level ladder this
-	// is one false branch and the slate above is untouched (see speed.go).
-	if m.speedEnabled() {
-		m.refineSlateLevels(in, banks, out)
-	}
 }
 
 // chooseTimeoutStats is ChooseTimeout on pre-reduced interval statistics:
@@ -666,13 +704,14 @@ func (m *Manager) chooseTimeoutStats(ni int64, minGap, sumGap float64, nd, cache
 	return m.finishTimeout(fit, err, ni, nd, cacheAccesses, span)
 }
 
-// priceStats prices one candidate — Pareto fit, timeout choice, M/G/1
-// wait, utilization test, and energy — from streaming reductions: nd and
-// the profile's byte queries, ni/covered from the gap-log fold, the
-// timeout choice, and the tail excess (tailTS, tailH) from the emission
-// pass. The oracle's price does the identical arithmetic over a
-// materialised interval list. The second return value asks the caller to
-// run the delay-cap attribution pass for this candidate.
+// priceStats prices one candidate into c — Pareto fit, timeout choice,
+// M/G/1 wait (left to the refinement under a ladder), utilization test,
+// and energy — from streaming reductions: nd and the profile's byte
+// queries, ni/covered from the gap-log fold, the timeout choice, and the
+// tail excess (tailTS, tailH) from the emission pass. The oracle's price
+// does the identical arithmetic over a materialised interval list. The
+// return value asks the caller to run the delay-cap attribution pass for
+// this candidate.
 //
 // The timeout is chosen from the Pareto model as the paper derives; the
 // candidate's power is then valued against the reconstructed intervals
@@ -682,10 +721,10 @@ func (m *Manager) chooseTimeoutStats(ni int64, minGap, sumGap float64, nd, cache
 // fitted from; valuing empirically keeps the size comparison honest while
 // the closed-form optimum still sets the timeout. DiskPMPowerModel in
 // this package exposes the pure eq. 4 valuation for analysis.
-func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered float64, tc TimeoutChoice, tailTS float64, tailH int64) (Candidate, bool) {
-	p := m.p
+func (m *Manager) priceStats(c *Candidate, in *decideInput, banks int, nd, ni int64, covered float64, tc *TimeoutChoice, tailTS float64, tailH int64) bool {
+	p := &m.p
 	pages := int64(banks) * p.bankPages()
-	c := Candidate{Banks: banks, Pages: pages}
+	*c = Candidate{Banks: banks, Pages: pages}
 	c.DiskAccesses = nd
 	c.IdleCount = int(ni)
 	c.MissBytes = in.prof.missBytes(banks)
@@ -701,7 +740,7 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 	if covered > T {
 		T = covered
 	}
-	spec := p.DiskSpec
+	spec := &p.DiskSpec
 	pd := float64(spec.StaticPower())
 	tbe := float64(spec.BreakEven())
 
@@ -713,22 +752,15 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 	// gating growth on a one-period burst would trap the manager at a
 	// small size forever.
 	requests := float64(nd) / in.obs.CoalesceFactor
-	busy := requests*float64(spec.SeekTime+spec.RotationalLatency) +
-		float64(c.MissBytes)/spec.TransferRate
+	busy := busySeconds(requests, spec.SeekTime+spec.RotationalLatency, c.MissBytes, spec.TransferRate)
 	c.Utilization = busy / T
-	if requests > 0 {
-		es := busy / requests
-		// SCV 1 (exponential-like service) is a conservative default for
-		// the mixed request sizes the cache emits.
-		if w, err := qmodel.MG1WaitSCV(requests/T, es, 1); err == nil {
-			c.PredictedWait = simtime.Seconds(w)
-		} else {
-			c.PredictedWait = simtime.Seconds(math.Inf(1))
-		}
+	// Under a ladder the refinement sets the wait of the winning level.
+	if requests > 0 && !m.speedEnabled() {
+		c.PredictedWait = predictedWait(requests, busy, T)
 	}
 	refillPages := float64(c.RefillBytes) / float64(p.PageSize)
-	refillBusy := (refillPages/in.obs.CoalesceFactor)*float64(spec.SeekTime+spec.RotationalLatency) +
-		float64(c.RefillBytes)/spec.TransferRate
+	refillBusy := busySeconds(refillPages/in.obs.CoalesceFactor, spec.SeekTime+spec.RotationalLatency,
+		c.RefillBytes, spec.TransferRate)
 	c.DiskDynPower = simtime.Watts((busy + refillBusy/refillAmortizePeriods) / T * float64(spec.DynamicPower()))
 
 	// The timeout tc chose (t_o = α·t_be under the eq. 6 floor), valued
@@ -777,10 +809,10 @@ func (m *Manager) priceStats(in *decideInput, banks int, nd, ni int64, covered f
 		c.Feasible = false
 		m.met.nonFinite.Inc()
 	}
-	m.applyBudget(&c)
+	m.applyBudget(c)
 	m.met.candidates.Inc()
 	if !c.Feasible {
 		m.met.rejectedUtil.Inc()
 	}
-	return c, attribute
+	return attribute
 }

@@ -75,7 +75,7 @@ func (cm *coreMetrics) eachCounter(f func(name string, c *obs.Counter)) {
 }
 
 // recordDecision publishes the decision-level gauges and counters.
-func (m *Manager) recordDecision(d Decision) {
+func (m *Manager) recordDecision(d *Decision) {
 	m.met.banks.Set(float64(d.Banks))
 	m.met.timeout.Set(float64(d.Timeout))
 	m.met.power.Set(float64(d.Chosen.TotalPower))
@@ -179,7 +179,7 @@ func (m *Manager) emitTrace(o Observation, logLen int, d Decision, held bool) {
 			losers = append(losers, c)
 		}
 	}
-	sort.SliceStable(losers, func(i, j int) bool { return m.betterCand(losers[i], losers[j]) })
+	sort.SliceStable(losers, func(i, j int) bool { return m.betterCand(&losers[i], &losers[j]) })
 	if len(losers) > traceTopK {
 		losers = losers[:traceTopK]
 	}

@@ -397,25 +397,28 @@ func (m *Manager) price(obs Observation, banks int, prof *depthProfile, interval
 		c = m.refineReplayLevels(c, intervals, tc, requests,
 			refillPages/obs.CoalesceFactor, T, tailTS, int64(h))
 	}
+	m.countOverBudget([]Candidate{c})
 	return c
 }
 
-// refineReplayLevels is evaluate's counterpart of refineSlateLevels: the same per-level valuation fed from
-// empiricalPMStats' chronological interval fold, so the two paths stay
-// bit-identical with the speed slate enabled just as they are without
-// it. tailTS/tailH are the level-0 fold results price already computed.
+// refineReplayLevels is evaluate's counterpart of refineSlateLevels: the
+// reference's whole-Candidate per-level valuation (refine_ref_test.go)
+// fed from empiricalPMStats' chronological interval fold, so the two
+// paths stay bit-identical with the speed slate enabled just as they are
+// without it. tailTS/tailH are the level-0 fold results price already
+// computed.
 func (m *Manager) refineReplayLevels(c Candidate, intervals []float64, tc TimeoutChoice, requests, refillReqs, T, tailTS float64, tailH int64) Candidate {
 	cur := m.curLevel()
 	if cur != 0 {
-		c = m.priceLevel(c, 0, cur, requests, refillReqs, T, tc, tailTS, tailH)
+		c = m.priceLevelRef(c, 0, cur, requests, refillReqs, T, tc, tailTS, tailH)
 	}
 	for lvl := 1; lvl < len(m.p.SpeedLevels); lvl++ {
 		pd := float64(m.p.SpeedLevels[lvl].IdlePower) - float64(m.p.DiskSpec.StandbyPower)
 		tbe := float64(m.p.DiskSpec.TransitionEnergy) / pd
-		tcl := m.timeoutAtLevel(tc, tbe)
+		tcl := m.timeoutAtLevelRef(tc, tbe)
 		ts, h := empiricalPMStats(intervals, float64(tcl.Timeout))
-		cl := m.priceLevel(c, lvl, cur, requests, refillReqs, T, tcl, ts, int64(h))
-		if m.betterLevel(cl, c) {
+		cl := m.priceLevelRef(c, lvl, cur, requests, refillReqs, T, tcl, ts, int64(h))
+		if m.betterLevelRef(cl, c) {
 			c = cl
 		}
 	}

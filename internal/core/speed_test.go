@@ -154,8 +154,10 @@ func TestSpeedTransitionPremium(t *testing.T) {
 		requests = 100.0
 		T        = 600.0
 	)
-	price := func(lvl, cur int) Candidate {
-		return m.priceLevel(base, lvl, cur, requests, 0, T, tc, 0, 0)
+	price := func(lvl, cur int) levelPrice {
+		var lp levelPrice
+		m.priceLevel(&lp, &base, lvl, cur, requests, 0, T, tc.Timeout, tc.Clamped, 0, 0)
+		return lp
 	}
 	premium := func(lvl, cur int) float64 {
 		return float64(price(lvl, cur).DiskPMPower) - float64(price(lvl, lvl).DiskPMPower)

@@ -52,11 +52,11 @@ func (sh *Shard) fleetEpochLocked() {
 // floor and, as the demand, the last decision's priced power.
 func (sh *Shard) fleetSummary(floorW float64) fleet.Summary {
 	sh.mu.Lock()
-	last := sh.mgr.Last()
+	w := float64(sh.mgr.LastPower())
 	sh.mu.Unlock()
 
 	sum := fleet.Summary{Disk: sh.name, FloorW: floorW, DemandW: floorW}
-	if w := float64(last.Chosen.TotalPower); w > floorW {
+	if w > floorW {
 		sum.DemandW = w
 	}
 	return sum

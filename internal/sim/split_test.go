@@ -21,7 +21,10 @@ var testFMSizes = []simtime.Bytes{8 * simtime.MB, 16 * simtime.MB, 32 * simtime.
 // produces results reflect.DeepEqual to the fused engine — including
 // float energy totals, per-period stats, and warmup windowing.
 func TestSplitMatchesFusedComparisonSet(t *testing.T) {
-	tr := testWorkload(t, 20, 1800)
+	tr := testWorkload(t, float64(simtime.MB), 1800)
+	if len(tr.Requests) == 0 {
+		t.Fatal("the workload generated no requests")
+	}
 	methods := policy.Comparison(128*simtime.MB, testFMSizes)
 
 	recordings := map[CacheKey]*Recording{}
@@ -247,7 +250,10 @@ func TestRecordReplayRejections(t *testing.T) {
 // runner executes per memory-configuration group. The CI perf smoke job
 // budgets its allocs/op.
 func BenchmarkFrontEndReplay(b *testing.B) {
-	tr := testWorkload(b, 20, 1800)
+	tr := testWorkload(b, float64(simtime.MB), 1800)
+	if len(tr.Requests) == 0 {
+		b.Fatal("the workload generated no requests")
+	}
 	cfg := testConfig(tr, policy.Method{Disk: policy.DiskTwoCompetitive, Mem: policy.MemFixedNap, MemBytes: 32 * simtime.MB})
 	b.ReportAllocs()
 	b.ResetTimer()
