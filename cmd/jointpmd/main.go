@@ -5,12 +5,13 @@
 // for each disk it manages.
 //
 // With -snapshot the daemon checkpoints every shard's controller state
-// (extended-LRU stack, partial period log, manager history, counters)
-// every -snapshot-every periods and on graceful shutdown. A restarted
-// daemon restores the checkpoint and, because access streams replay
-// from their origin, skips the requests it has already consumed: its
-// first post-restart decision is exactly what an uninterrupted run
-// would have decided. See DESIGN.md for the snapshot format.
+// (extended-LRU stack, open period, manager history, counters) every
+// -snapshot-every periods and on graceful shutdown. A restarted daemon
+// restores the checkpoint and, because access streams replay from their
+// origin, skips the requests it has already consumed: its first
+// post-restart decision is exactly what an uninterrupted run would have
+// decided. A checkpoint it cannot restore, corrupt or of another format
+// version, makes it start cold. See DESIGN.md for the snapshot format.
 //
 // Usage:
 //
@@ -197,9 +198,12 @@ func run() (retErr error) {
 		return nil
 	})
 
+	// A snapshot that cannot be restored — corrupt, or written in another
+	// format version — restores nothing, and the daemon starts cold; the
+	// next checkpoint replaces it.
 	names, err := srv.Restore()
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "jointpmd: starting cold: %v\n", err)
 	}
 	for _, name := range names {
 		sh, err := srv.Shard(name)

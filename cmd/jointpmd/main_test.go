@@ -196,6 +196,65 @@ func TestWarmResumeAfterSigterm(t *testing.T) {
 	}
 }
 
+// TestColdStartOnUnusableSnapshot: a snapshot file the daemon cannot
+// restore — corrupt, or a header of the retired version 5 — makes it say
+// so on stderr and start cold: it prints the decision lines of a run
+// without a snapshot, exits 0, and leaves a checkpoint it can restore.
+func TestColdStartOnUnusableSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs daemon runs")
+	}
+	dir := t.TempDir()
+	trPath := filepath.Join(dir, "w.trc")
+	writeTestTrace(t, trPath)
+	traceBytes, err := os.ReadFile(trPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(snap string) (string, string, error) {
+		cmd := exec.Command(os.Args[0], daemonArgs(snap)...)
+		cmd.Env = append(os.Environ(), "JOINTPMD_BE_DAEMON=1")
+		cmd.Stdin = bytes.NewReader(traceBytes)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		return string(out), stderr.String(), err
+	}
+	refOut, _, err := run("")
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	want := decisionLines(refOut)
+	if len(want) < 10 {
+		t.Fatalf("reference run printed %d decisions", len(want))
+	}
+	// magic, version 5, an empty payload's length and checksum
+	v5 := append([]byte("JPMS\x05"), make([]byte, 12)...)
+	for name, content := range map[string][]byte{
+		"corrupt": []byte("JPMS\x06 not a checkpoint"),
+		"v5":      v5,
+	} {
+		snap := filepath.Join(dir, name+".snap")
+		if err := os.WriteFile(snap, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, stderr, err := run(snap)
+		if err != nil {
+			t.Fatalf("%s: daemon run: %v\nstderr: %s", name, err, stderr)
+		}
+		if !strings.Contains(stderr, "starting cold") {
+			t.Fatalf("%s: the daemon did not report a cold start:\n%s", name, stderr)
+		}
+		if got := decisionLines(out); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: printed %d decisions, the run without a snapshot %d", name, len(got), len(want))
+		}
+		// The shutdown checkpoint replaced the file: a rerun restores it.
+		if _, stderr, err := run(snap); err != nil || !strings.Contains(stderr, "restored disk=d0") {
+			t.Fatalf("%s: rerun on the daemon's own checkpoint: %v\n%s", name, err, stderr)
+		}
+	}
+}
+
 // TestPowerCapUncappedDifferential is the daemon re-exec level of the
 // fleet differential suite: the same stream run uncapped, with an
 // explicit "-power-cap-w +Inf", and with a slack finite cap must print

@@ -137,9 +137,8 @@ func (m *Manager) Close(end simtime.Seconds, warmup bool, coalesce float64, curB
 // lrusim.DepthHist.ObserveRuns). The resulting state is bit-identical to
 // ingesting the runs' pages one at a time, in any split into blocks. The
 // accumulated state is consumed (and cleared) by the next
-// DecideIncremental or DiscardPeriod call. Reference and Close call it;
-// a host calls it directly only to replay a checkpointed period into a
-// restored manager, whose stack already holds those references.
+// DecideIncremental or DiscardPeriod call. Flush calls it with the runs
+// Reference queued.
 //
 // With a SpanHook configured, IngestBatch accumulates its wall time into
 // the period's "ingest" span, flushed to the hook at the boundary that
@@ -148,16 +147,23 @@ func (m *Manager) IngestBatch(runs []lrusim.DepthRun) {
 	if len(runs) == 0 {
 		return
 	}
-	if m.hist == nil {
-		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
-	}
+	h := m.histogram()
 	if m.p.SpanHook == nil {
-		m.hist.ObserveRuns(runs, m.p.PageSize)
+		h.ObserveRuns(runs, m.p.PageSize)
 		return
 	}
 	start := time.Now()
-	m.hist.ObserveRuns(runs, m.p.PageSize)
+	h.ObserveRuns(runs, m.p.PageSize)
 	m.ingestNs += time.Since(start).Nanoseconds()
+}
+
+// histogram returns the open period's depth histogram, creating it on
+// first use.
+func (m *Manager) histogram() *lrusim.DepthHist {
+	if m.hist == nil {
+		m.hist = lrusim.NewDepthHist(m.p.bankPages(), m.p.TotalBanks, m.p.MinBanks, m.p.Window)
+	}
+	return m.hist
 }
 
 // flushIngestSpan delivers the accumulated ingest span for the period

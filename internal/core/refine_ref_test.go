@@ -92,6 +92,7 @@ func TestDecideMatchesReference(t *testing.T) {
 						// ends, so that the rider also lands inside the final
 						// pass, off its grid.
 						st := State{Banks: 1 + rng.Intn(p.TotalBanks), Timeout: p.DiskSpec.BreakEven(), Level: cur}
+						st.Open = newMgr().Snapshot().Open // an empty period of the managers' geometry
 						if rng.Intn(2) == 0 {
 							scout := newMgr()
 							if err := scout.Restore(st); err != nil {

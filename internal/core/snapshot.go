@@ -9,25 +9,20 @@ import (
 	"jointpm/internal/simtime"
 )
 
-// State is the portable mutable state of a Manager between periods:
-// everything Decide reads across period boundaries, the extended-LRU
-// stack, and the lifetime decision counters. The open period's
-// observation is not part of it; a host that checkpoints mid-period
-// keeps the period's depth runs and replays them through IngestBatch
-// after Restore (see internal/serve).
-//
-// Decision parity depends only on Banks/Pages/Timeout: hysteresis
-// compares candidate sizes against Banks, and the fallback ladder holds
-// all three. Restoring them makes the first post-restore Decide
-// indistinguishable from one issued by the uninterrupted manager.
+// State is the whole of a Manager's mutable state: the last decision,
+// which is everything Decide reads across period boundaries (hysteresis
+// weighs candidates against Banks, the fallback ladder holds
+// Banks/Pages/Timeout/Level), the extended-LRU stack, the open period as
+// the histogram holds it, and the lifetime decision counters. A manager
+// restored from it references, ingests and decides exactly as the one it
+// was taken from would have, mid-period included, and replays nothing.
 type State struct {
 	Banks    int
 	Pages    int64
 	Timeout  simtime.Seconds
 	Fallback bool
 	// Level is the DRPM speed level the last decision chose (0 = full
-	// speed; always 0 without a ladder). Serialized as a v5 snapshot
-	// section by internal/serve; pre-v5 snapshots restore as full speed.
+	// speed; always 0 without a ladder).
 	Level int
 	// Counters carries the core.decide.* counter values so telemetry
 	// survives a restart; nil when the manager runs without a registry.
@@ -37,16 +32,22 @@ type State struct {
 	// and StackColds its lifetime reference and cold-reference counters.
 	StackPages            []int64
 	StackRefs, StackColds int64
+	// Open is the period in progress: every reference ingested since the
+	// last boundary, as the depth histogram and its gap stream hold it.
+	Open lrusim.HistState
 }
 
-// Snapshot captures the manager's restorable state.
+// Snapshot ingests the queued depth runs and captures the manager's
+// state.
 func (m *Manager) Snapshot() State {
+	m.Flush()
 	st := State{
 		Banks:    m.last.Banks,
 		Pages:    m.last.Pages,
 		Timeout:  m.last.Timeout,
 		Fallback: m.last.Fallback,
 		Level:    m.last.Level,
+		Open:     m.histogram().State(m.p.PageSize),
 	}
 	st.StackPages = m.stack.SnapshotPages()
 	st.StackRefs, st.StackColds = m.stack.Counters()
@@ -62,9 +63,9 @@ func (m *Manager) Snapshot() State {
 }
 
 // Restore rehydrates a manager from a State captured by Snapshot on a
-// manager with the same Params, rebuilding the stack from its page list.
-// It validates the state against the current configuration and leaves
-// the manager untouched on error.
+// manager with the same Params, rebuilding the stack from its page list
+// and importing the open period. It validates the state against the
+// current configuration and leaves the manager untouched on error.
 func (m *Manager) Restore(st State) error {
 	if st.Banks < m.p.MinBanks || st.Banks > m.p.TotalBanks {
 		return fmt.Errorf("core: restore: banks %d outside [%d, %d]", st.Banks, m.p.MinBanks, m.p.TotalBanks)
@@ -93,6 +94,10 @@ func (m *Manager) Restore(st State) error {
 			return fmt.Errorf("core: restore: stack page %d: negative page id %d", i, p)
 		}
 	}
+	if err := m.histogram().Restore(st.Open, m.p.PageSize); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
+	m.queue = m.queue[:0]
 	m.stack = lrusim.RestoreStackSim(m.p.stackWindow(), st.StackPages, st.StackRefs, st.StackColds)
 	m.last = Decision{
 		Banks:    st.Banks,

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jointpm/internal/lrusim"
 	"jointpm/internal/obs"
 	"jointpm/internal/simtime"
 )
@@ -133,5 +134,60 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.Last(), before) || m.stack.Len() != 0 {
 		t.Error("failed restore mutated manager state")
+	}
+}
+
+// TestSnapshotRestoreMidPeriodParity cuts a Reference/Close stream at
+// requests inside periods, so the snapshot carries an open period with
+// a pending event and a gap log, and restores it into a fresh manager.
+// The restored manager must return the same depth runs for the
+// remaining requests and decide every remaining period exactly as the
+// uninterrupted manager does, without any replay.
+func TestSnapshotRestoreMidPeriodParity(t *testing.T) {
+	p := testParams()
+	p.HysteresisFrac = 0.05
+	reqs := loopRequests(p, 5, 3)
+	type step struct {
+		runs []lrusim.DepthRun
+		dec  *Decision
+	}
+	closeAt := func(m *Manager, end simtime.Seconds) step {
+		d := m.Close(end, false, 1.5, m.Last().Banks)
+		return step{dec: &d}
+	}
+	// feed runs reqs through m from the period that ends at end, closing
+	// each boundary they cross, and returns the next boundary.
+	feed := func(m *Manager, reqs []loopRequest, end simtime.Seconds) ([]step, simtime.Seconds) {
+		var out []step
+		for _, r := range reqs {
+			for ; r.t >= end; end += p.Period {
+				out = append(out, closeAt(m, end))
+			}
+			out = append(out, step{runs: append([]lrusim.DepthRun(nil), m.Reference(r.t, r.first, r.n)...)})
+		}
+		return out, end
+	}
+	ref, _ := NewManager(p)
+	want, end := feed(ref, reqs, p.Period)
+	want = append(want, closeAt(ref, end))
+	for _, cut := range []int{1, len(reqs) / 5, len(reqs) / 2, len(reqs) - 1} {
+		warm, _ := NewManager(p)
+		got, end := feed(warm, reqs[:cut], p.Period)
+		st := warm.Snapshot()
+		if !st.Open.HasPending {
+			t.Fatalf("cut %d: the snapshot carries no open period", cut)
+		}
+		cold, _ := NewManager(p)
+		if err := cold.Restore(st); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if again := cold.Snapshot(); !reflect.DeepEqual(again, st) {
+			t.Fatalf("cut %d: the restored manager snapshots differently", cut)
+		}
+		tail, end := feed(cold, reqs[cut:], end)
+		got = append(append(got, tail...), closeAt(cold, end))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: the restored manager diverges from the uninterrupted one", cut)
+		}
 	}
 }

@@ -215,6 +215,7 @@ func TestRestoreSpeedLevel(t *testing.T) {
 	}
 
 	m4, _ := NewManager(speedParams(4))
+	ok.Open = m4.Snapshot().Open // an empty period of the manager's geometry
 	st = ok
 	st.Level = 3
 	if err := m4.Restore(st); err != nil {

@@ -1,6 +1,8 @@
 package lrusim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"jointpm/internal/simtime"
@@ -42,18 +44,19 @@ type GapStream struct {
 	segT  []simtime.Seconds
 	segHi []int32
 	emits []Emission
-	seeds []seedFix
+	seeds []SeedFix
 
 	base     int // event-phase log length, set by the first Finish
 	finished bool
 }
 
-// seedFix records a placeholder emission whose gap starts at the (not yet
-// known) period start and closes at t.
-type seedFix struct {
-	idx    int32
-	lo, hi int32
-	t      simtime.Seconds
+// SeedFix records the placeholder emission at Idx, whose gap over the
+// thresholds [Lo, Hi) starts at the (not yet known) period start and
+// closes at T.
+type SeedFix struct {
+	Idx    int32
+	Lo, Hi int32
+	T      simtime.Seconds
 }
 
 // gapSentinel marks the period-start seed segment on the stack. It
@@ -114,7 +117,7 @@ func (g *GapStream) FeedBatch(evs []SweepEvent) {
 				// this period: its gap starts at the period start. Log a
 				// placeholder now to keep the position, resolve in Finish.
 				emits = append(emits, Emission{})
-				seeds = append(seeds, seedFix{idx: int32(len(emits) - 1), lo: low, hi: bound, t: t})
+				seeds = append(seeds, SeedFix{Idx: int32(len(emits) - 1), Lo: low, Hi: bound, T: t})
 			} else if gap := t - segT[n-1]; gap >= window {
 				emits = append(emits, Emission{Gap: float64(gap), Lo: low, Hi: bound})
 			}
@@ -125,10 +128,6 @@ func (g *GapStream) FeedBatch(evs []SweepEvent) {
 	g.segT, g.segHi = segT, segHi
 	g.emits, g.seeds = emits, seeds
 }
-
-// Len reports how many events' worth of emissions have accumulated (for
-// snapshot validation and tests).
-func (g *GapStream) Len() int { return len(g.emits) }
 
 // Finish resolves the boundary-dependent emissions and returns the
 // complete gap log for the period. start and end follow the per-size
@@ -147,11 +146,11 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 	for _, sf := range g.seeds {
 		e := Emission{}
 		if start >= 0 {
-			if gap := sf.t - start; gap >= g.window {
-				e = Emission{Gap: float64(gap), Lo: sf.lo, Hi: sf.hi}
+			if gap := sf.T - start; gap >= g.window {
+				e = Emission{Gap: float64(gap), Lo: sf.Lo, Hi: sf.Hi}
 			}
 		}
-		g.emits[sf.idx] = e
+		g.emits[sf.Idx] = e
 	}
 	if end >= 0 {
 		low := int32(0)
@@ -181,6 +180,51 @@ func (g *GapStream) Finish(start, end simtime.Seconds) []Emission {
 	}
 	return g.emits
 }
+
+// checkState reports the first way st's gap log breaks what FeedBatch
+// keeps for events at banks in [lo, maxBound], none later than the
+// pending one: the segment bounds fall and their times rise, oldest
+// first; the seed fix-ups tile [0, the oldest segment's bound) in time
+// order, each at a placeholder of its own; and every other emission
+// covers a non-empty threshold range with a finite gap of at least the
+// window.
+func (g *GapStream) checkState(st *HistState, lo int32) error {
+	last := st.Pending.T
+	if len(st.SegT) != len(st.SegHi) || (len(st.SegT) > 0) != (len(st.Seeds) > 0) {
+		return errors.New("segment stack and seed fix-ups disagree")
+	}
+	for i, hi := range st.SegHi {
+		t := st.SegT[i]
+		if hi < lo || hi > g.maxBound || !finite(float64(t)) || t > last || i > 0 && (hi >= st.SegHi[i-1] || t < st.SegT[i-1]) {
+			return fmt.Errorf("segment %d at %v, bound %d, out of order", i, t, hi)
+		}
+	}
+	prev := SeedFix{Idx: -1, T: simtime.Seconds(math.Inf(-1))}
+	for i, sf := range st.Seeds {
+		if sf.Lo != prev.Hi || sf.Lo >= sf.Hi || sf.Idx <= prev.Idx || int(sf.Idx) >= len(st.Emits) ||
+			st.Emits[sf.Idx] != (Emission{}) || !finite(float64(sf.T)) || sf.T < prev.T || sf.T > last {
+			return fmt.Errorf("seed fix-up %d %+v does not follow %+v", i, sf, prev)
+		}
+		prev = sf
+	}
+	if len(st.Seeds) > 0 && prev.Hi != st.SegHi[0] {
+		return fmt.Errorf("seed fix-ups end at %d, the oldest segment at %d", prev.Hi, st.SegHi[0])
+	}
+	k := 0
+	for i, e := range st.Emits {
+		if k < len(st.Seeds) && int(st.Seeds[k].Idx) == i {
+			k++
+			continue
+		}
+		if e.Lo < 0 || e.Lo >= e.Hi || e.Hi > g.maxBound || !finite(e.Gap) || e.Gap < float64(g.window) {
+			return fmt.Errorf("emission %d %+v out of range", i, e)
+		}
+	}
+	return nil
+}
+
+// finite reports that x is neither infinite nor NaN.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // AppendGapsAt appends to dst the idle intervals of b banks in a finished
 // gap log: the gaps of the emissions with Lo ≤ b < Hi, in log order, as a

@@ -1,6 +1,8 @@
 package lrusim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -330,6 +332,137 @@ func (h *DepthHist) Reset() {
 	h.touched = 0
 	h.hasPending = false
 	h.gaps.Reset(h.window, h.maxBanks)
+}
+
+// HistState is a DepthHist's open period in portable form, with the
+// geometry it was observed under: what a checkpoint stores so that a
+// restored histogram continues the period bit for bit. Byte totals, the
+// reference count and D are not stored; Restore works them out from the
+// counts and the page size.
+type HistState struct {
+	BankPages int64
+	MaxBanks  int
+	MinKeep   int // minKeepBanks
+	Window    simtime.Seconds
+
+	// Counts[b-1] counts the non-cold references at bank depth b, for
+	// every bank up to the deepest reference's (the deep bucket,
+	// MaxBanks+1, included once reached). First[b-1] counts the first
+	// touches among the references whose bytes bucket is b, for the same
+	// banks up to MaxBanks.
+	Counts, First []int64
+	Cold          int64 // cold references
+	MaxDepth      int64
+	HasPending    bool
+	Pending       SweepEvent
+
+	// The gap stream: its segment stack above the period-start seed,
+	// oldest first, its emissions and the seed fix-ups Finish resolves.
+	SegT  []simtime.Seconds
+	SegHi []int32
+	Emits []Emission
+	Seeds []SeedFix
+}
+
+// State exports the open period, each of whose references moved
+// pageBytes. Take it before FinishGaps, as a host checkpointing between
+// requests does.
+func (h *DepthHist) State(pageBytes simtime.Bytes) HistState {
+	n := h.reached()
+	g := &h.gaps
+	st := HistState{
+		BankPages: h.bankPages, MaxBanks: h.maxBanks, MinKeep: int(h.minKeep), Window: h.window,
+		Counts: make([]int64, n), First: make([]int64, min(n, h.maxBanks)),
+		Cold: h.coldCount, MaxDepth: h.maxDepth, HasPending: h.hasPending, Pending: h.pending,
+		SegT: append([]simtime.Seconds(nil), g.segT[1:]...), SegHi: append([]int32(nil), g.segHi[1:]...),
+		Emits: append([]Emission(nil), g.emits...), Seeds: append([]SeedFix(nil), g.seeds...),
+	}
+	for i := range st.Counts {
+		st.Counts[i] = h.buckets[i].count
+	}
+	for i := range st.First {
+		st.First[i] = int64(h.buckets[i].first / pageBytes)
+	}
+	return st
+}
+
+// Restore replaces the open period with st, exported by State from a
+// histogram of this geometry whose references each moved pageBytes. It
+// refuses a state of another geometry, or one that breaks an invariant
+// ObserveRuns keeps, and leaves the histogram unchanged then.
+func (h *DepthHist) Restore(st HistState, pageBytes simtime.Bytes) error {
+	refs, err := h.check(&st, int64(pageBytes))
+	if err != nil {
+		return fmt.Errorf("lrusim: open period: %w", err)
+	}
+	h.Reset()
+	pb := pageBytes
+	for i, c := range st.Counts {
+		h.buckets[i].count = c
+		h.buckets[min(i, h.maxBanks-1)].bytes += simtime.Bytes(c) * pb
+	}
+	h.touched = st.Cold
+	for i, f := range st.First {
+		h.buckets[i].first = simtime.Bytes(f) * pb
+		h.touched += f
+	}
+	h.refs, h.coldCount, h.coldBytes = refs, st.Cold, simtime.Bytes(st.Cold)*pb
+	h.nonCold, h.maxDepth = simtime.Bytes(refs-st.Cold)*pb, st.MaxDepth
+	h.pending, h.hasPending = st.Pending, st.HasPending
+	g := &h.gaps
+	g.segT, g.segHi = append(g.segT[:1], st.SegT...), append(g.segHi[:1], st.SegHi...)
+	g.emits, g.seeds = append(g.emits, st.Emits...), append(g.seeds, st.Seeds...)
+	return nil
+}
+
+// check returns st's reference count, or the first way st breaks the
+// histogram's geometry or what ObserveRuns keeps: the buckets end at the
+// deepest reference's bank, which holds one; no bucket has more first
+// touches than references; the bytes of all references fit an int64;
+// and a pending event, which any gap log needs, lies at a bank the
+// stream keeps (see GapStream.checkState for the log itself).
+func (h *DepthHist) check(st *HistState, pb int64) (int64, error) {
+	if st.BankPages != h.bankPages || st.MaxBanks != h.maxBanks || st.MinKeep != int(h.minKeep) || st.Window != h.window {
+		return 0, fmt.Errorf("geometry of %d banks of %d pages, MinBanks %d, window %v; want %d of %d, %d, %v",
+			st.MaxBanks, st.BankPages, st.MinKeep, st.Window, h.maxBanks, h.bankPages, h.minKeep, h.window)
+	}
+	if st.MaxDepth < 0 || st.MaxDepth > math.MaxInt32 {
+		return 0, fmt.Errorf("deepest reference %d outside [0, 2^31)", st.MaxDepth)
+	}
+	n := int(min((st.MaxDepth+h.bankPages-1)/h.bankPages, int64(h.maxBanks)+1))
+	if len(st.Counts) != n || len(st.First) != min(n, h.maxBanks) || n > 0 && st.Counts[n-1] == 0 {
+		return 0, fmt.Errorf("%d count and %d first-touch buckets for a deepest reference at bank %d", len(st.Counts), len(st.First), n)
+	}
+	lim, refs := math.MaxInt64/pb, int64(0)
+	for _, c := range append([]int64{st.Cold}, st.Counts...) {
+		if c < 0 || c > lim-refs {
+			return 0, fmt.Errorf("reference count %d out of range", c)
+		}
+		refs += c
+	}
+	for i, f := range st.First {
+		c := st.Counts[i]
+		if i == h.maxBanks-1 && n > h.maxBanks {
+			c += st.Counts[n-1] // the deep bucket's bytes land here
+		}
+		if f < 0 || f > c {
+			return 0, fmt.Errorf("bank %d: %d first touches of %d references", i+1, f, c)
+		}
+	}
+	lo := max(h.minKeep+1, 1)
+	if !st.HasPending {
+		if len(st.SegT)+len(st.Emits)+len(st.Seeds) > 0 {
+			return 0, errors.New("a gap log without a pending event")
+		}
+		return refs, nil
+	}
+	if p := st.Pending; refs == 0 || p.Bank < lo || p.Bank > h.gaps.maxBound || !finite(float64(p.T)) {
+		return 0, fmt.Errorf("pending event %+v of %d references", p, refs)
+	}
+	if err := h.gaps.checkState(st, lo); err != nil {
+		return 0, fmt.Errorf("gap log: %w", err)
+	}
+	return refs, nil
 }
 
 // Emission is one idle gap the event sweep closed, shared by the

@@ -9,12 +9,13 @@ import (
 )
 
 // BenchmarkShardIngestBatch is the ring drain's work at jointpmd's sizes:
-// a warm incremental-mode shard (64 KB pages, 16 MB banks, 128 GB
-// installed, 600 s periods) fed a zipf stream over a 16 GB data set in
-// IngestBatch blocks of the ring's default size. One op is one block.
-// The stream repeats with its times shifted by its duration, so the shard
-// keeps closing periods; one warm pass first brings the stack, the period
-// log and the manager's buffers to their steady sizes.
+// a warm shard (64 KB pages, 16 MB banks, 128 GB installed, 600 s
+// periods) fed a zipf stream over a 16 GB data set in IngestBatch blocks
+// of the ring's default size. One op is one block. The stream repeats
+// with its times shifted by its duration, so the shard keeps closing
+// periods; one warm pass first brings the stack and the manager's
+// buffers to their steady sizes. A checkpointing shard does the same
+// work: it keeps nothing per request for its snapshots.
 func BenchmarkShardIngestBatch(b *testing.B) {
 	tr, err := workload.Generate(workload.Config{
 		DataSetBytes: 16 * simtime.GB,

@@ -416,81 +416,9 @@ func TestFleetConcurrentIngestAndReallocate(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3RestoreMatchesUncapped pins the v3→v4 compatibility
-// contract across seeds, extending the crash-recovery harness's
-// differential form: a v3 checkpoint (no budget field) restored by the
-// current daemon must produce exactly the decision stream of the
-// uninterrupted uncapped run.
-func TestSnapshotV3RestoreMatchesUncapped(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		tr := testTrace(t, 400+seed)
-		ref := runUninterrupted(t, tr, testConfig(nil))
-
-		cut := len(tr.Requests) * int(2+seed%5) / 8
-		snap := filepath.Join(t.TempDir(), "daemon.snap")
-		log1 := &decisionLog{}
-		cfg := testConfig(log1)
-		cfg.SnapshotPath = snap
-		srv1, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh1, err := srv1.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sh1.IngestBatch(tr.Requests[:cut]); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv1.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Rewrite the checkpoint in the v3 format — the payload an old
-		// daemon would have left behind.
-		states, err := readSnapshotFile(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := writeSnapshotFileV(snap, states, 3); err != nil {
-			t.Fatal(err)
-		}
-
-		log2 := &decisionLog{}
-		cfg2 := testConfig(log2)
-		cfg2.SnapshotPath = snap
-		srv2, err := New(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv2.Restore(); err != nil {
-			t.Fatalf("seed %d: restore v3: %v", seed, err)
-		}
-		sh2, err := srv2.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sh2.IngestBatch(tr.Requests[sh2.Consumed():]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sh2.FinishTo(tr.Duration); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv2.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		got := append(log1.list(), log2.list()...)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("seed %d cut %d: v3-restored stream diverges from uninterrupted run (%d vs %d decisions)",
-				seed, cut, len(got), len(ref))
-		}
-	}
-}
-
 // TestFleetWarmRestartCappedParity is the capped half of the restart
 // differential: under a binding cap, a graceful stop and warm restart
-// (snapshot v4 carrying the budget) must reproduce the uninterrupted
+// (the snapshot carrying the budget) must reproduce the uninterrupted
 // capped run's decision stream bit-identically.
 func TestFleetWarmRestartCappedParity(t *testing.T) {
 	tr := testTrace(t, 420)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"jointpm/internal/lrusim"
 	"jointpm/internal/trace"
 )
 
@@ -42,22 +43,19 @@ func withRequest(tr *trace.Trace, k int, first int64, pages int32) *trace.Trace 
 // shardView is the shard state a rejected request must leave untouched.
 type shardView struct {
 	Consumed, Periods, CacheAcc, Misses, ReqRuns, RefsTotal int64
-	Log                                                     []any
 	Stack                                                   []int64
+	Open                                                    lrusim.HistState
 }
 
 func viewOf(sh *Shard) shardView {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	v := shardView{
+	st := sh.mgr.Snapshot()
+	return shardView{
 		Consumed: sh.consumed, Periods: sh.periodIdx, CacheAcc: sh.cacheAcc,
 		Misses: sh.misses, ReqRuns: sh.reqRuns, RefsTotal: sh.refsTotal,
-		Stack: sh.mgr.Snapshot().StackPages,
+		Stack: st.StackPages, Open: st.Open,
 	}
-	for _, r := range sh.periodLog {
-		v.Log = append(v.Log, r)
-	}
-	return v
 }
 
 // TestIngestBatchRejectsInvalidPageRange: a block carrying a request

@@ -5,12 +5,13 @@
 // time crosses boundaries, and deciding (m, t_o) per period through one
 // core.Manager per shard on a shared concurrency semaphore.
 //
-// The server checkpoints every shard's state — extended-LRU stack,
-// partial-period depth log, manager state, counters — to a versioned
-// snapshot file (see snapshot.go) every SnapshotEvery periods and on
-// graceful Close, so a restarted daemon resumes warm: its first
-// post-restart decision is exactly what the uninterrupted run would
-// have decided, instead of the cold all-banks/t_be default.
+// The server checkpoints every shard's state — the manager's whole
+// core.State (extended-LRU stack, open period, last decision, counters)
+// and the shard's stream position and hit-model counters — to a
+// versioned snapshot file (see snapshot.go) every SnapshotEvery periods
+// and on graceful Close, so a restarted daemon resumes warm: its first
+// post-restart decision is exactly what the uninterrupted run would have
+// decided, instead of the cold all-banks/t_be default.
 package serve
 
 import (
@@ -369,17 +370,17 @@ func (s *Server) snapshotState() []shardState {
 	out := make([]shardState, 0, len(shards))
 	for _, sh := range shards {
 		sh.mu.Lock()
-		st, log := sh.state()
+		out = append(out, sh.state())
 		sh.mu.Unlock()
-		st.Log = convertLog(log, sh.pageSize)
-		out = append(out, st)
 	}
 	return out
 }
 
 // Restore loads cfg.SnapshotPath and rebuilds every checkpointed shard.
 // Returns the restored shard names (empty when the file does not
-// exist — a cold start, not an error).
+// exist — a cold start, not an error). It is all or nothing: every
+// shard of the file is restored before any is installed, so an error
+// leaves the server as it was, ready for a cold start.
 func (s *Server) Restore() ([]string, error) {
 	if s.cfg.SnapshotPath == "" {
 		return nil, nil
@@ -391,19 +392,33 @@ func (s *Server) Restore() ([]string, error) {
 		}
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
-	names := make([]string, 0, len(states))
-	for _, st := range states {
-		sh, err := s.Shard(st.Name)
+	return s.restore(states)
+}
+
+// restore restores every decoded shard state, then installs them all.
+func (s *Server) restore(states []shardState) ([]string, error) {
+	mgrs := make([]*core.Manager, len(states))
+	for i := range states {
+		st := &states[i]
+		s.mu.Lock()
+		sh := s.shards[st.Name]
+		s.mu.Unlock()
+		if sh != nil && sh.Consumed() != 0 {
+			return nil, fmt.Errorf("serve: restore: shard %s already ingesting", st.Name)
+		}
+		var err error
+		if mgrs[i], err = s.restoreManager(st); err != nil {
+			return nil, err
+		}
+	}
+	names := make([]string, len(states))
+	for i := range states {
+		sh, err := s.Shard(states[i].Name)
 		if err != nil {
 			return nil, err
 		}
-		if sh.Consumed() != 0 {
-			return nil, fmt.Errorf("serve: restore: shard %s already ingesting", st.Name)
-		}
-		if err := sh.restore(st); err != nil {
-			return nil, err
-		}
-		names = append(names, st.Name)
+		sh.install(&states[i], mgrs[i])
+		names[i] = states[i].Name
 	}
 	s.met.restores.Inc()
 	return names, nil

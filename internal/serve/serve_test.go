@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
 	"jointpm/internal/workload"
@@ -272,7 +273,7 @@ func TestMultiDiskCheckpoint(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: the codec reproduces the exact payload,
-// including the bit patterns of times, +Inf timeouts, and Cold depths.
+// including the bit patterns of times, gaps and +Inf timeouts.
 func TestSnapshotRoundTrip(t *testing.T) {
 	in := []shardState{{
 		Name:         "sda",
@@ -285,19 +286,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			Banks: 12, Pages: 3072,
 			Timeout:    simtime.Seconds(math.Inf(1)),
 			Fallback:   true,
+			Level:      2,
 			Counters:   map[string]int64{"core.decide.calls": 7},
 			StackPages: []int64{5, 9, 1, 0, 42},
 			StackRefs:  999,
 			StackColds: 40,
+			Open: lrusim.HistState{
+				BankPages: 256, MaxBanks: 64, MinKeep: 1, Window: 0.1,
+				Counts: []int64{4, 0, 9}, First: []int64{1, 0, 2}, Cold: 3, MaxDepth: 700,
+				HasPending: true, Pending: lrusim.SweepEvent{T: 842.5000000000001, Bank: 3},
+				SegT: []simtime.Seconds{841.0000000000001, 842}, SegHi: []int32{65, 2},
+				Emits: []lrusim.Emission{{}, {Gap: 0.30000000000000004, Lo: 0, Hi: 2}},
+				Seeds: []lrusim.SeedFix{{Idx: 0, Lo: 0, Hi: 65, T: 841.0000000000001}},
+			},
 		},
-		CacheAcc: 17,
-		Misses:   3,
-		ReqRuns:  2,
-		Log: []logRecord{
-			{Time: 841.0000000000001, Page: 42, Depth: -1, Bytes: 65536},
-			{Time: 842.5, Page: 43, Depth: 17, Bytes: 65536},
-		},
+		CacheAcc:   17,
+		Misses:     3,
+		ReqRuns:    2,
 		RefitDrift: 0.0625,
+		BudgetW:    2.5,
 	}, {
 		Name: "sdb",
 	}}
@@ -309,15 +316,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Normalize empty-vs-nil slices the decoder materializes.
-	for i := range out {
-		if len(out[i].Core.StackPages) == 0 {
-			out[i].Core.StackPages = nil
-		}
-		if len(out[i].Log) == 0 {
-			out[i].Log = nil
+	// The decoder materialises empty lists where the input had none.
+	for _, st := range out[1:] {
+		c := &st.Core
+		if len(c.StackPages)+len(c.Open.Counts)+len(c.Open.First)+len(c.Open.SegT)+len(c.Open.SegHi)+len(c.Open.Emits)+len(c.Open.Seeds) != 0 {
+			t.Fatalf("empty shard decodes with lists: %+v", st)
 		}
 	}
+	out[1].Core = core.State{}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", in, out)
 	}
@@ -374,11 +380,15 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestRestoreRejectsOutOfRangeState: a CRC-valid snapshot whose state
-// the shard cannot hold — a log depth that is neither Cold nor at least
-// 1, a negative stack or log page, log bytes other than the page size —
-// makes Restore return an error naming the shard, without panicking and
-// without changing the shard. The snapshot is a real mid-period
-// checkpoint, edited and rewritten through writeSnapshotFile.
+// the shard cannot hold makes Restore return an error naming the shard,
+// without panicking and without changing the shard. The snapshot is a
+// real mid-period checkpoint, edited and rewritten through
+// writeSnapshotFile. The log-* cases break the open period's depth
+// record: the pending event at bank depth 0, a gap-log segment at a
+// negative one, a deepest reference at a negative page depth, counts
+// whose bytes at the page size overflow int64. The others break the
+// stack, the geometry, the buckets, the gap log, the stream position
+// or the budget.
 func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	tr := testTrace(t, 11)
 	dir := t.TempDir()
@@ -404,24 +414,34 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good) != 1 || len(good[0].Log) < 2 || len(good[0].Core.StackPages) < 2 {
-		t.Fatalf("checkpoint holds %d shards; want one with a partial period and a stack", len(good))
+	if o := good[0].Core.Open; len(good) != 1 || len(o.Counts) < 2 || len(o.SegHi) < 1 || len(o.Emits) < 1 || len(good[0].Core.StackPages) < 2 {
+		t.Fatalf("checkpoint holds %d shards; want one with an open period, a gap log and a stack", len(good))
 	}
 	mutations := []struct {
 		name string
 		edit func(st *shardState)
 	}{
-		{"log-depth-0", func(st *shardState) { st.Log[1].Depth = 0 }},
-		{"log-depth-negative", func(st *shardState) { st.Log[1].Depth = -7 }},
+		{"log-depth-0", func(st *shardState) { st.Core.Open.Pending.Bank = 0 }},
+		{"log-depth-negative", func(st *shardState) { st.Core.Open.SegHi[0] = -7 }},
 		{"stack-page-negative", func(st *shardState) { st.Core.StackPages[1] = -3 }},
-		{"log-bytes", func(st *shardState) { st.Log[1].Bytes = int64(cfg.PageSize) / 2 }},
-		{"log-page-negative", func(st *shardState) { st.Log[1].Page = -1 }},
+		{"log-bytes", func(st *shardState) { st.Core.Open.Counts[1] = math.MaxInt64/int64(cfg.PageSize) + 1 }},
+		{"log-page-negative", func(st *shardState) { st.Core.Open.MaxDepth = -1 }},
+		{"open-geometry", func(st *shardState) { st.Core.Open.Window *= 2 }},
+		{"open-buckets-short", func(st *shardState) { st.Core.Open.MaxDepth += st.Core.Open.BankPages }},
+		{"open-first-touches", func(st *shardState) { st.Core.Open.First[0] = st.Core.Open.Counts[0] + 1 }},
+		{"open-emission-range", func(st *shardState) {
+			st.Core.Open.Emits[len(st.Core.Open.Emits)-1].Hi = int32(st.Core.Open.MaxBanks) + 2
+		}},
+		{"boundary-stuck", func(st *shardState) { st.NextBoundary = 1e300 }},
+		{"budget-nan", func(st *shardState) { st.BudgetW = math.NaN() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			st := good[0]
-			st.Log = append([]logRecord(nil), st.Log...)
 			st.Core.StackPages = append([]int64(nil), st.Core.StackPages...)
+			o := &st.Core.Open
+			o.Counts, o.First = append([]int64(nil), o.Counts...), append([]int64(nil), o.First...)
+			o.SegHi, o.Emits = append([]int32(nil), o.SegHi...), append([]lrusim.Emission(nil), o.Emits...)
 			m.edit(&st)
 			cfg2 := cfg
 			cfg2.SnapshotPath = filepath.Join(t.TempDir(), "bad.snap")
@@ -440,6 +460,9 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 			_, err = srv2.Restore()
 			if err == nil || !strings.Contains(err.Error(), "shard d0") {
 				t.Fatalf("Restore = %v, want an error naming shard d0", err)
+			}
+			if n := len(srv2.shards); n != 0 {
+				t.Fatalf("a rejected restore left %d shards", n)
 			}
 			sh2, err := srv2.Shard("d0")
 			if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -29,11 +30,11 @@ type Decision struct {
 }
 
 // Shard is the online controller for one disk: the manager, which keeps
-// the extended-LRU stack and decides (m, t_o) at each period boundary,
-// the current period's depth runs when the server checkpoints, and the
-// hit model's counters. One goroutine ingests; the server's checkpoint
-// path locks the shard between requests, so a snapshot always lands on a
-// request boundary (never mid-request).
+// the extended-LRU stack and the open period's observation and decides
+// (m, t_o) at each period boundary, and the hit model's counters. One
+// goroutine ingests; the server's checkpoint path locks the shard between
+// requests, so a snapshot always lands on a request boundary (never
+// mid-request).
 type Shard struct {
 	name string
 	srv  *Server
@@ -41,17 +42,12 @@ type Shard struct {
 	mu  sync.Mutex
 	mgr *core.Manager
 
-	pageSize simtime.Bytes
-	period   simtime.Seconds
-	// keepLog: the period log's one reader is the checkpoint, so a
-	// server without a snapshot path keeps no log.
-	keepLog bool
+	period simtime.Seconds
 
 	// Mutable stream state, all covered by the snapshot.
 	periodIdx    int64 // periods closed so far
 	consumed     int64 // requests ingested since stream start
 	nextBoundary simtime.Seconds
-	periodLog    []lrusim.DepthRun
 	cacheAcc     int64 // page references this period
 	misses       int64 // predicted misses this period
 	reqRuns      int64 // coalesced disk requests this period
@@ -101,9 +97,7 @@ func newShard(name string, srv *Server) (*Shard, error) {
 		name:         name,
 		srv:          srv,
 		mgr:          mgr,
-		pageSize:     srv.params.PageSize,
 		period:       srv.params.Period,
-		keepLog:      srv.cfg.SnapshotPath != "",
 		nextBoundary: srv.params.Period,
 		curBanks:     mgr.Last().Banks,
 		curPages:     mgr.Last().Pages,
@@ -248,22 +242,19 @@ func (sh *Shard) dueCheckpoint(period int64) {
 // serve runs one pass over a run of requests that all precede the next
 // period boundary. It runs each request through the manager's stack
 // (Reference), prefetching the page-table slots of the next
-// lrusim.LookAhead requests first, and logs the depth runs it returns
-// if it keeps a log.
-// Then it predicts the disk traffic each request causes at the currently
-// applied memory size: a page hits iff its stack depth is within the
-// chosen resident capacity (Mattson's inclusion property), and
-// consecutive missing pages of a request coalesce into one disk request,
-// mirroring the simulator's run coalescing. It flushes the manager's
-// ingest queue at the end, so the pass's ingest is done within it. The
-// manager keeps only its streaming state, so the log is the snapshot's
-// replayable form of the partial period (see restore).
+// lrusim.LookAhead requests first, and predicts from the depth runs it
+// returns the disk traffic the request causes at the currently applied
+// memory size: a page hits iff its stack depth is within the chosen
+// resident capacity (Mattson's inclusion property), and consecutive
+// missing pages of a request coalesce into one disk request, mirroring
+// the simulator's run coalescing. It flushes the manager's ingest queue
+// at the end, so the pass's ingest is done within it.
 func (sh *Shard) serve(run []trace.Request) {
 	var start time.Time
 	if sh.timed {
 		start = time.Now()
 	}
-	mgr, log, keep := sh.mgr, sh.periodLog, sh.keepLog
+	mgr := sh.mgr
 	curPages := sh.curPages
 	misses, reqRuns, refs := sh.misses, sh.reqRuns, int64(0)
 	for g := run; len(g) > 0; g = g[min(lrusim.LookAhead, len(g)):] {
@@ -274,16 +265,8 @@ func (sh *Shard) serve(run []trace.Request) {
 		for k := range group {
 			req := &group[k]
 			n := int(req.Pages)
-			if keep && len(log)+n > cap(log) {
-				log = growLog(log, len(log)+n)
-			}
 			inRun := false // the previous run of this request missed
 			for _, r := range mgr.Reference(req.Time, req.FirstPage, n) {
-				if keep {
-					// One append per run: requests are mostly one run and
-					// the capacity is there, so this beats a copy call.
-					log = append(log, r)
-				}
 				if r.Depth != lrusim.Cold && int64(r.Depth) <= curPages {
 					inRun = false
 					continue
@@ -297,7 +280,6 @@ func (sh *Shard) serve(run []trace.Request) {
 			refs += int64(n)
 		}
 	}
-	sh.periodLog = log
 	sh.misses, sh.reqRuns = misses, reqRuns
 	sh.refsTotal += refs
 	sh.cacheAcc += refs
@@ -306,40 +288,6 @@ func (sh *Shard) serve(run []trace.Request) {
 	if sh.timed {
 		sh.ingestNs += time.Since(start).Nanoseconds()
 	}
-}
-
-// Steps of the period log's capacity ladder, in runs: it doubles from
-// logMinCap up to logSmoothCap and grows by a quarter per step above it.
-const (
-	logMinCap    = 1 << 10
-	logSmoothCap = 1 << 16
-)
-
-// logCap returns the period log's capacity for n runs: the first ladder
-// step at or above n.
-func logCap(n int) int {
-	c := logMinCap
-	for c < n {
-		if c < logSmoothCap {
-			c *= 2
-		} else {
-			c += c / 4
-		}
-	}
-	return c
-}
-
-// growLog moves the period log to the ladder step that holds need runs
-// (logCap). serve asks for room for one run per page before each request,
-// so the capacity depends only on the run stream, never on how the ring
-// happened to split it into blocks: every delivery of a stream leaves the
-// same footprint. Above logSmoothCap the steps are a quarter, not a
-// doubling, which keeps the footprint within a quarter of the longest
-// period plus one request.
-func growLog(log []lrusim.DepthRun, need int) []lrusim.DepthRun {
-	grown := make([]lrusim.DepthRun, len(log), logCap(need))
-	copy(grown, log)
-	return grown
 }
 
 // closePeriod ends the current period: during warmup the manager drops
@@ -390,7 +338,6 @@ func (sh *Shard) closePeriod() error {
 
 	ingestNs := sh.ingestNs
 	sh.ingestNs = 0
-	sh.periodLog = sh.periodLog[:0]
 	sh.cacheAcc = 0
 	sh.misses = 0
 	sh.reqRuns = 0
@@ -454,137 +401,69 @@ func (sh *Shard) closePeriod() error {
 	return nil
 }
 
-// state captures the shard's snapshot payload. Called with sh.mu held.
-// The period log leaves the critical section as one raw copy of its
-// runs; the caller expands it page by page into the snapshot's record
-// form outside the lock (convertLog), so an ingesting connection is
-// stalled for a memcpy, not an element-wise conversion, while a
-// checkpoint marks the shard. Every pass flushes its ingest, so the
-// manager has ingested every page of the log.
-func (sh *Shard) state() (shardState, []lrusim.DepthRun) {
-	st := shardState{
+// state captures the shard's snapshot payload. Called with sh.mu held;
+// the manager's Snapshot copies what it holds, so the payload is the
+// caller's once the lock is released.
+func (sh *Shard) state() shardState {
+	return shardState{
 		Name:         sh.name,
 		PeriodIdx:    sh.periodIdx,
 		Consumed:     sh.consumed,
 		NextBoundary: float64(sh.nextBoundary),
 		CurBanks:     int64(sh.curBanks),
 		CurPages:     sh.curPages,
-		Core:         sh.mgr.Snapshot(),
 		CacheAcc:     sh.cacheAcc,
 		Misses:       sh.misses,
 		ReqRuns:      sh.reqRuns,
 		RefitDrift:   sh.mgr.Params().RefitDriftFrac,
 		BudgetW:      sh.budgetW,
-		Mode:         snapModeIncremental,
+		Core:         sh.mgr.Snapshot(),
 	}
-	for _, r := range sh.periodLog {
-		st.IngestedRefs += int64(r.Pages)
-	}
-	return st, append([]lrusim.DepthRun(nil), sh.periodLog...)
 }
 
-// convertLog is the outside-the-lock half of state: the copied period
-// log, expanded into the snapshot's per-page record form, each record
-// carrying the page size.
-func convertLog(runs []lrusim.DepthRun, pageSize simtime.Bytes) []logRecord {
-	n := 0
-	for _, r := range runs {
-		n += int(r.Pages)
+// restoreManager checks a snapshot payload for values a shard cannot
+// hold — an empty name, negative counters or sizes, installed banks
+// exceeded, a period boundary that is not positive or that adding a
+// period would not move, a drift fraction or budget that is negative or
+// not finite — and returns a manager restored from its core.State, which
+// core.Manager.Restore checks in turn, the open period included. It
+// changes no shard.
+func (s *Server) restoreManager(st *shardState) (*core.Manager, error) {
+	next, period := simtime.Seconds(st.NextBoundary), s.params.Period
+	switch {
+	case st.Name == "":
+		return nil, errors.New("serve: a shard without a name")
+	case st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 ||
+		st.CurBanks < 0 || st.CurBanks > int64(s.params.TotalBanks) || st.CurPages < 0:
+		return nil, fmt.Errorf("serve: shard %s: negative or out-of-range counters in snapshot", st.Name)
+	case !(next > 0) || !(next+period > next):
+		return nil, fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
+	case !(st.RefitDrift >= 0 && st.RefitDrift <= math.MaxFloat64 && st.BudgetW >= 0 && st.BudgetW <= math.MaxFloat64):
+		return nil, fmt.Errorf("serve: shard %s: drift fraction %g or budget %g W out of range", st.Name, st.RefitDrift, st.BudgetW)
 	}
-	out := make([]logRecord, 0, n)
-	for _, r := range runs {
-		for k := int64(0); k < int64(r.Pages); k++ {
-			out = append(out, logRecord{
-				Time:  float64(r.Time),
-				Page:  r.Page + k,
-				Depth: int64(r.Depth),
-				Bytes: int64(pageSize),
-			})
-		}
+	mgr, err := core.NewManager(s.params)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if err := mgr.Restore(st.Core); err != nil {
+		return nil, fmt.Errorf("serve: shard %s: %w", st.Name, err)
+	}
+	// The checkpointed daemon's drift-hold fraction and fleet budget
+	// hold, so a warm restart keeps its mode whatever the new process's
+	// flags, and capped decisions before the next reallocation epoch
+	// match the uninterrupted run.
+	mgr.SetRefitDriftFrac(st.RefitDrift)
+	mgr.SetPowerBudget(st.BudgetW)
+	return mgr, nil
 }
 
-// appendRuns rebuilds depth runs from per-page log records, merging each
-// record into the previous run when it continues it: the same time bits,
-// the next page and the same depth. The runs may merge requests the live
-// shard kept apart, which changes no page's record.
-func appendRuns(dst []lrusim.DepthRun, log []logRecord) []lrusim.DepthRun {
-	for _, r := range log {
-		if k := len(dst); k > 0 {
-			last := &dst[k-1]
-			if math.Float64bits(float64(last.Time)) == math.Float64bits(r.Time) && int64(last.Depth) == r.Depth &&
-				r.Page-last.Page == int64(last.Pages) && last.Pages < math.MaxInt32 {
-				last.Pages++
-				continue
-			}
-		}
-		dst = append(dst, lrusim.DepthRun{Time: simtime.Seconds(r.Time), Page: r.Page, Pages: 1, Depth: int32(r.Depth)})
-	}
-	return dst
-}
-
-// validate checks a snapshot payload for values the shard cannot hold,
-// before restore changes anything: negative counters, a non-positive
-// boundary, negative log page ids, depths that are neither Cold nor in
-// [1, 2^31), log records whose bytes are not the page size (the run log
-// stores none of its own), and a streaming snapshot whose log does not
-// hold the references it recorded as ingested. core.Manager.Restore
-// checks the manager's own state, the stack included.
-func (sh *Shard) validate(st *shardState) error {
-	if st.PeriodIdx < 0 || st.Consumed < 0 || st.CacheAcc < 0 || st.Misses < 0 || st.ReqRuns < 0 {
-		return fmt.Errorf("serve: shard %s: negative counters in snapshot", st.Name)
-	}
-	if !(simtime.Seconds(st.NextBoundary) > 0) {
-		return fmt.Errorf("serve: shard %s: invalid period boundary %g", st.Name, st.NextBoundary)
-	}
-	// A snapshot cut while streaming recorded its ingested reference
-	// count, which replaying the log must reproduce; one cut by a daemon
-	// running the retired batch path (mode 0) recorded none.
-	if st.Mode == snapModeIncremental && int64(len(st.Log)) != st.IngestedRefs {
-		return fmt.Errorf("serve: shard %s: incremental state mismatch: the log replays %d refs, snapshot recorded %d", st.Name, len(st.Log), st.IngestedRefs)
-	}
-	for i, r := range st.Log {
-		switch {
-		case r.Page < 0:
-			return fmt.Errorf("serve: shard %s: log record %d: negative page id %d", st.Name, i, r.Page)
-		case r.Depth != lrusim.Cold && (r.Depth < 1 || r.Depth > math.MaxInt32):
-			return fmt.Errorf("serve: shard %s: log record %d: depth %d out of range", st.Name, i, r.Depth)
-		case r.Bytes != int64(sh.pageSize):
-			return fmt.Errorf("serve: shard %s: log record %d: %d bytes, want the page size %d", st.Name, i, r.Bytes, sh.pageSize)
-		}
-	}
-	return nil
-}
-
-// restore rehydrates the shard from a snapshot payload. Called before
-// the shard starts ingesting. A payload that fails validate leaves the
-// shard unchanged.
-func (sh *Shard) restore(st shardState) error {
+// install puts a restored manager and its stream position into the
+// shard. Called before the shard starts ingesting.
+func (sh *Shard) install(st *shardState, mgr *core.Manager) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := sh.validate(&st); err != nil {
-		return err
-	}
-	if err := sh.mgr.Restore(st.Core); err != nil {
-		return fmt.Errorf("serve: shard %s: %w", st.Name, err)
-	}
-	if st.RefitDrift >= 0 {
-		// The snapshot records the drift-hold fraction the checkpointed
-		// daemon ran with; adopt it so a warm restart keeps the mode even
-		// when the new process's flags differ. Pre-v3 snapshots carry -1
-		// and leave the configured value alone.
-		sh.mgr.SetRefitDriftFrac(st.RefitDrift)
-	}
-	if st.BudgetW > 0 {
-		// Resume the fleet budget the checkpointed daemon was running
-		// under, so capped decisions between the restart and the next
-		// reallocation epoch match the uninterrupted run bit-identically.
-		// Pre-v4 snapshots decode 0 and leave the shard uncapped until the
-		// first epoch.
-		sh.budgetW = st.BudgetW
-		sh.mgr.SetPowerBudget(st.BudgetW)
-	}
+	sh.mgr = mgr
+	sh.budgetW = st.BudgetW
 	sh.periodIdx = st.PeriodIdx
 	sh.consumed = st.Consumed
 	sh.nextBoundary = simtime.Seconds(st.NextBoundary)
@@ -593,12 +472,4 @@ func (sh *Shard) restore(st shardState) error {
 	sh.cacheAcc = st.CacheAcc
 	sh.misses = st.Misses
 	sh.reqRuns = st.ReqRuns
-	sh.periodLog = appendRuns(sh.periodLog[:0], st.Log)
-	// Rebuild the streaming observation state by replaying the partial
-	// period into the manager, whose restored stack already holds its
-	// references — ingest is deterministic and independent of how the
-	// runs are split, so the histogram and gap log land exactly where the
-	// checkpointed run had them.
-	sh.mgr.IngestBatch(sh.periodLog)
-	return nil
 }

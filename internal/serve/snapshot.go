@@ -4,14 +4,17 @@
 //
 //	magic "JPMS" | version u8 | payloadLen u64 | payload | crc32(payload) u32
 //
-// The payload is a shard count followed by one self-contained record per
-// shard: identity and stream position, the manager's core.State (with the
-// extended-LRU stack: page list in recency order plus lifetime
-// counters), and the partial period in progress — its depth log with
-// times stored as raw float64 bits so the restored observation is
-// bit-identical to the one the uninterrupted run would have built.
-// Integers are uvarints (varints where negative values are legal, such
-// as the Cold depth); floats are fixed 8-byte bit patterns.
+// The payload is a shard count followed by one record per shard: its
+// identity and stream position, the hit model's counters for the open
+// period, and the manager's whole core.State — the last decision, the
+// extended-LRU stack (page list in recency order plus lifetime counters)
+// and the open period as the depth histogram holds it
+// (lrusim.HistState). Integers are uvarints; floats are fixed 8-byte bit
+// patterns, so times and gaps restore bit-identical.
+//
+// The reader accepts exactly one version, snapshotVersion. A new field
+// costs one write, one read and a version bump; a file of any other
+// version is refused like a corrupt one, and the daemon starts cold.
 //
 // The file is written atomically: payload to a temp file in the same
 // directory, fsync, then rename over the target. A crash mid-write
@@ -23,61 +26,31 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 
 	"jointpm/internal/core"
+	"jointpm/internal/lrusim"
 	"jointpm/internal/simtime"
 )
 
 const (
 	snapshotMagic = "JPMS"
 
-	// snapshotVersion 2 added the per-shard incremental-decide section
-	// (observation mode + ingested reference count); version-1 files are
-	// still readable — they simply predate the section, so it decodes to
-	// its zero values and restore rebuilds the streaming state by
-	// replaying the stored partial-period log.
-	// Version 3 appends the shard's refit drift-hold fraction, so a warm
-	// restart keeps the mode the checkpointed daemon was running even if
-	// the new process's flags differ; older files decode it as -1 ("keep
-	// the configured value").
-	// Version 4 appends the shard's fleet power budget in watts, so a
-	// warm restart under a global power cap resumes capped decisions
-	// bit-identically; older files decode it as 0 ("uncapped until the
-	// first reallocation epoch").
-	// Version 5 appends the manager's DRPM speed level, so a warm restart
-	// of a multi-speed daemon resumes at the level the last decision
-	// chose; older files decode it as 0 (full speed).
-	snapshotVersion    = 5
-	snapshotVersionMin = 1
-
-	// snapModeIncremental is the observation mode every shard writes: it
-	// marks IngestedRefs as recorded. Daemons that ran the retired batch
-	// path wrote 0.
-	snapModeIncremental = 1
-
-	// maxSnapshotShards bounds the shard count a reader will believe, so
-	// a corrupt count cannot drive allocation.
-	maxSnapshotShards = 1 << 16
+	// snapshotVersion is the one version the reader accepts.
+	snapshotVersion = 6
 )
 
 // errNoSnapshot marks "no checkpoint exists yet" — a cold start.
 var errNoSnapshot = errors.New("serve: no snapshot")
-
-// logRecord is one depth-log entry in the snapshot payload.
-type logRecord struct {
-	Time  float64 // float64 bits of the request time
-	Page  int64
-	Depth int64 // lrusim depth; -1 = Cold
-	Bytes int64
-}
 
 // shardState is one shard's snapshot payload.
 type shardState struct {
@@ -87,34 +60,17 @@ type shardState struct {
 	NextBoundary float64
 	CurBanks     int64
 	CurPages     int64
-	Core         core.State // the manager's state, the extended-LRU stack included
-	CacheAcc     int64
-	Misses       int64
-	ReqRuns      int64
-	Log          []logRecord
-
-	// Incremental-decide section (snapshot v2): the observation mode the
-	// shard was running (snapModeIncremental; 0 from a daemon that ran the
-	// retired batch path) and how many references its manager had
-	// ingested into the streaming depth histogram when the checkpoint was
-	// cut. The histogram itself is not serialised — the partial-period Log
-	// is its replayable form — so Mode/IngestedRefs exist to validate that
-	// a restore's replay reconstructed exactly the state the snapshot saw.
-	Mode         int64
-	IngestedRefs int64
-
-	// RefitDrift (snapshot v3) is the steady-state drift-hold fraction
-	// the shard's manager was running when the checkpoint was cut, so a
-	// warm restart resumes the same refit mode even if the restarted
-	// process was launched with different flags. Files older than v3
-	// decode it as -1, meaning "keep the restored process's configured
-	// value".
+	// The hit model's counters for the open period: page references,
+	// predicted misses and coalesced disk requests.
+	CacheAcc, Misses, ReqRuns int64
+	// RefitDrift is the drift-hold fraction the shard's manager ran with,
+	// so a warm restart keeps the checkpointed mode whatever the restarted
+	// process's flags.
 	RefitDrift float64
-
-	// BudgetW (snapshot v4) is the fleet power budget the shard was
-	// running under when the checkpoint was cut; 0 (and any pre-v4 file)
-	// means uncapped.
+	// BudgetW is the fleet power budget the shard ran under; 0 means
+	// uncapped.
 	BudgetW float64
+	Core    core.State // the manager's state, stack and open period included
 }
 
 type payloadWriter struct {
@@ -127,10 +83,7 @@ func (w *payloadWriter) uv(v uint64) {
 	w.buf.Write(w.tmp[:n])
 }
 
-func (w *payloadWriter) sv(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
+func (w *payloadWriter) i(v int64) { w.uv(uint64(v)) }
 
 func (w *payloadWriter) f64(v float64) {
 	binary.LittleEndian.PutUint64(w.tmp[:8], math.Float64bits(v))
@@ -142,297 +95,247 @@ func (w *payloadWriter) str(s string) {
 	w.buf.WriteString(s)
 }
 
-// encodePayload serialises the shards in the layout of the given format
-// version. The daemon always writes snapshotVersion; the parameter
-// exists so the v3→v4 compatibility tests can produce genuine old-format
-// files without keeping frozen fixtures around.
-func encodePayload(states []shardState, version byte) []byte {
+func (w *payloadWriter) flag(b bool) {
+	if b {
+		w.buf.WriteByte(1)
+	} else {
+		w.buf.WriteByte(0)
+	}
+}
+
+// encodePayload serialises the shards in the snapshotVersion layout.
+func encodePayload(states []shardState) []byte {
 	w := &payloadWriter{}
 	w.uv(uint64(len(states)))
-	for _, st := range states {
+	for i := range states {
+		st := &states[i]
 		w.str(st.Name)
-		w.uv(uint64(st.PeriodIdx))
-		w.uv(uint64(st.Consumed))
+		for _, v := range []int64{st.PeriodIdx, st.Consumed} {
+			w.i(v)
+		}
 		w.f64(st.NextBoundary)
-		w.uv(uint64(st.CurBanks))
-		w.uv(uint64(st.CurPages))
-
-		w.uv(uint64(st.Core.Banks))
-		w.uv(uint64(st.Core.Pages))
-		w.f64(float64(st.Core.Timeout))
-		if st.Core.Fallback {
-			w.buf.WriteByte(1)
-		} else {
-			w.buf.WriteByte(0)
+		for _, v := range []int64{st.CurBanks, st.CurPages, st.CacheAcc, st.Misses, st.ReqRuns} {
+			w.i(v)
 		}
-		// Counter names sort at encode time via core's fixed visit order;
-		// we keep map iteration out of the payload by emitting the
-		// key/value pairs sorted.
-		keys := sortedKeys(st.Core.Counters)
-		w.uv(uint64(len(keys)))
-		for _, k := range keys {
-			w.str(k)
-			w.uv(uint64(st.Core.Counters[k]))
-		}
-
-		w.uv(uint64(len(st.Core.StackPages)))
-		for _, p := range st.Core.StackPages {
-			w.uv(uint64(p))
-		}
-		w.uv(uint64(st.Core.StackRefs))
-		w.uv(uint64(st.Core.StackColds))
-
-		w.uv(uint64(st.CacheAcc))
-		w.uv(uint64(st.Misses))
-		w.uv(uint64(st.ReqRuns))
-		w.uv(uint64(len(st.Log)))
-		for _, r := range st.Log {
-			w.f64(r.Time)
-			w.uv(uint64(r.Page))
-			w.sv(r.Depth)
-			w.uv(uint64(r.Bytes))
-		}
-		if version >= 2 {
-			w.uv(uint64(st.Mode))
-			w.uv(uint64(st.IngestedRefs))
-		}
-		if version >= 3 {
-			w.f64(st.RefitDrift)
-		}
-		if version >= 4 {
-			w.f64(st.BudgetW)
-		}
-		if version >= 5 {
-			w.uv(uint64(st.Core.Level))
-		}
+		w.f64(st.RefitDrift)
+		w.f64(st.BudgetW)
+		w.core(&st.Core)
 	}
 	return w.buf.Bytes()
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+func (w *payloadWriter) core(c *core.State) {
+	w.i(int64(c.Banks))
+	w.i(c.Pages)
+	w.f64(float64(c.Timeout))
+	w.flag(c.Fallback)
+	w.i(int64(c.Level))
+	// Map iteration stays out of the payload: counters go sorted by name.
+	keys := make([]string, 0, len(c.Counters))
+	for k := range c.Counters {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ { // insertion sort: tiny fixed set
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+	slices.Sort(keys)
+	w.uv(uint64(len(keys)))
+	for _, k := range keys {
+		w.str(k)
+		w.i(c.Counters[k])
+	}
+	w.uv(uint64(len(c.StackPages)))
+	for _, p := range c.StackPages {
+		w.i(p)
+	}
+	w.i(c.StackRefs)
+	w.i(c.StackColds)
+
+	o := &c.Open
+	w.i(o.BankPages)
+	w.i(int64(o.MaxBanks))
+	w.i(int64(o.MinKeep))
+	w.f64(float64(o.Window))
+	w.i(o.Cold)
+	w.i(o.MaxDepth)
+	for _, s := range [][]int64{o.Counts, o.First} {
+		w.uv(uint64(len(s)))
+		for _, v := range s {
+			w.i(v)
 		}
 	}
-	return keys
+	w.flag(o.HasPending)
+	if o.HasPending {
+		w.f64(float64(o.Pending.T))
+		w.i(int64(o.Pending.Bank))
+	}
+	w.uv(uint64(len(o.SegT)))
+	for k, t := range o.SegT {
+		w.f64(float64(t))
+		w.i(int64(o.SegHi[k]))
+	}
+	w.uv(uint64(len(o.Emits)))
+	for _, e := range o.Emits {
+		w.f64(e.Gap)
+		w.i(int64(e.Lo))
+		w.i(int64(e.Hi))
+	}
+	w.uv(uint64(len(o.Seeds)))
+	for _, sf := range o.Seeds {
+		w.i(int64(sf.Idx))
+		w.i(int64(sf.Lo))
+		w.i(int64(sf.Hi))
+		w.f64(float64(sf.T))
+	}
 }
 
+// payloadReader decodes a payload, keeping its first error: once a read
+// fails, every later one returns zero and the caller checks err once.
 type payloadReader struct {
-	r *bytes.Reader
+	b   []byte
+	err error
 }
 
-func (r *payloadReader) uv() (uint64, error) { return binary.ReadUvarint(r.r) }
-func (r *payloadReader) sv() (int64, error)  { return binary.ReadVarint(r.r) }
-
-func (r *payloadReader) f64() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		return 0, err
+func (r *payloadReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	r.b = nil
 }
 
-func (r *payloadReader) str(maxLen uint64) (string, error) {
-	n, err := r.uv()
-	if err != nil {
-		return "", err
+func (r *payloadReader) uv() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(errors.New("truncated or overlong varint"))
+		return 0
 	}
-	if n > maxLen {
-		return "", fmt.Errorf("string length %d exceeds limit %d", n, maxLen)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	r.b = r.b[n:]
+	return v
 }
 
-func decodePayload(payload []byte, version byte) ([]shardState, error) {
-	r := &payloadReader{r: bytes.NewReader(payload)}
-	count, err := r.uv()
-	if err != nil {
-		return nil, err
+// upTo reads an integer no larger than limit.
+func (r *payloadReader) upTo(limit uint64) int64 {
+	v := r.uv()
+	if v > limit {
+		r.fail(fmt.Errorf("integer %d exceeds %d", v, limit))
+		return 0
 	}
-	if count > maxSnapshotShards {
-		return nil, fmt.Errorf("shard count %d exceeds limit", count)
+	return int64(v)
+}
+
+func (r *payloadReader) i64() int64 { return r.upTo(math.MaxInt64) }
+func (r *payloadReader) i32() int32 { return int32(r.upTo(math.MaxInt32)) }
+
+func (r *payloadReader) f64() float64 {
+	if len(r.b) < 8 {
+		r.fail(errors.New("truncated float"))
+		return 0
 	}
-	states := make([]shardState, 0, count)
-	for i := uint64(0); i < count; i++ {
-		st, err := decodeShard(r, version)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *payloadReader) flag() bool {
+	if len(r.b) < 1 {
+		r.fail(errors.New("truncated flag"))
+		return false
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v != 0
+}
+
+// count reads the length of a list whose entries take at least size
+// bytes each, refusing one the bytes left cannot hold, so a corrupt
+// count cannot drive allocation.
+func (r *payloadReader) count(size int) int {
+	n := r.uv()
+	if n > uint64(len(r.b)/size) {
+		r.fail(fmt.Errorf("count %d exceeds the %d bytes left", n, len(r.b)))
+		return 0
+	}
+	return int(n)
+}
+
+func (r *payloadReader) str() string {
+	n := r.count(1)
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// list reads a count of entries of at least size bytes, then each entry.
+func list[T any](r *payloadReader, size int, read func() T) []T {
+	out := make([]T, r.count(size))
+	for i := range out {
+		out[i] = read()
+	}
+	return out
+}
+
+func decodePayload(payload []byte) ([]shardState, error) {
+	r := &payloadReader{b: payload}
+	n := r.count(1)
+	var states []shardState // grown as shards decode: the count allocates nothing
+	for i := 0; i < n; i++ {
+		st := shardState{Name: r.str(), PeriodIdx: r.i64(), Consumed: r.i64(), NextBoundary: r.f64()}
+		st.CurBanks, st.CurPages = r.i64(), r.i64()
+		st.CacheAcc, st.Misses, st.ReqRuns = r.i64(), r.i64(), r.i64()
+		st.RefitDrift, st.BudgetW = r.f64(), r.f64()
+		st.Core = r.core()
+		if r.err != nil {
+			return nil, fmt.Errorf("shard %s: %w", cmp.Or(st.Name, strconv.Itoa(i)), r.err)
 		}
 		states = append(states, st)
 	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after last shard", r.r.Len())
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after last shard", len(r.b))
 	}
 	return states, nil
 }
 
-func decodeShard(r *payloadReader, version byte) (shardState, error) {
-	var st shardState
-	var err error
-	if st.Name, err = r.str(1 << 10); err != nil {
-		return st, err
-	}
-	ivs := []*int64{&st.PeriodIdx, &st.Consumed}
-	for _, p := range ivs {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
+func (r *payloadReader) core() core.State {
+	c := core.State{Banks: int(r.i32()), Pages: r.i64(), Timeout: simtime.Seconds(r.f64()), Fallback: r.flag(), Level: int(r.i32())}
+	if n := r.count(2); n > 0 {
+		c.Counters = make(map[string]int64, n)
+		for ; n > 0; n-- {
+			k := r.str()
+			c.Counters[k] = r.i64()
 		}
-		*p = int64(v)
 	}
-	if st.NextBoundary, err = r.f64(); err != nil {
-		return st, err
-	}
-	for _, p := range []*int64{&st.CurBanks, &st.CurPages} {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		*p = int64(v)
-	}
+	c.StackPages = list(r, 1, r.i64)
+	c.StackRefs, c.StackColds = r.i64(), r.i64()
 
-	var banks, pages uint64
-	if banks, err = r.uv(); err != nil {
-		return st, err
+	o := &c.Open
+	o.BankPages, o.MaxBanks, o.MinKeep, o.Window = r.i64(), int(r.i32()), int(r.i32()), simtime.Seconds(r.f64())
+	o.Cold, o.MaxDepth = r.i64(), r.i64()
+	o.Counts, o.First = list(r, 1, r.i64), list(r, 1, r.i64)
+	if o.HasPending = r.flag(); o.HasPending {
+		o.Pending = lrusim.SweepEvent{T: simtime.Seconds(r.f64()), Bank: r.i32()}
 	}
-	if pages, err = r.uv(); err != nil {
-		return st, err
+	o.SegT = make([]simtime.Seconds, r.count(9))
+	o.SegHi = make([]int32, len(o.SegT))
+	for k := range o.SegT {
+		o.SegT[k], o.SegHi[k] = simtime.Seconds(r.f64()), r.i32()
 	}
-	timeout, err := r.f64()
-	if err != nil {
-		return st, err
-	}
-	fb, err := r.r.ReadByte()
-	if err != nil {
-		return st, err
-	}
-	st.Core = core.State{Banks: int(banks), Pages: int64(pages), Timeout: simtime.Seconds(timeout), Fallback: fb != 0}
-	nc, err := r.uv()
-	if err != nil {
-		return st, err
-	}
-	if nc > 1<<10 {
-		return st, fmt.Errorf("counter count %d exceeds limit", nc)
-	}
-	if nc > 0 {
-		st.Core.Counters = make(map[string]int64, nc)
-		for j := uint64(0); j < nc; j++ {
-			k, err := r.str(1 << 10)
-			if err != nil {
-				return st, err
-			}
-			v, err := r.uv()
-			if err != nil {
-				return st, err
-			}
-			st.Core.Counters[k] = int64(v)
-		}
-	}
-
-	np, err := r.uv()
-	if err != nil {
-		return st, err
-	}
-	if np > 1<<32 {
-		return st, fmt.Errorf("stack size %d exceeds limit", np)
-	}
-	st.Core.StackPages = make([]int64, np)
-	for j := range st.Core.StackPages {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		st.Core.StackPages[j] = int64(v)
-	}
-	for _, p := range []*int64{&st.Core.StackRefs, &st.Core.StackColds, &st.CacheAcc, &st.Misses, &st.ReqRuns} {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		*p = int64(v)
-	}
-
-	nl, err := r.uv()
-	if err != nil {
-		return st, err
-	}
-	if nl > 1<<32 {
-		return st, fmt.Errorf("log size %d exceeds limit", nl)
-	}
-	st.Log = make([]logRecord, nl)
-	for j := range st.Log {
-		rec := &st.Log[j]
-		if rec.Time, err = r.f64(); err != nil {
-			return st, err
-		}
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		rec.Page = int64(v)
-		if rec.Depth, err = r.sv(); err != nil {
-			return st, err
-		}
-		if v, err = r.uv(); err != nil {
-			return st, err
-		}
-		rec.Bytes = int64(v)
-	}
-	if version >= 2 {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		st.Mode = int64(v)
-		if v, err = r.uv(); err != nil {
-			return st, err
-		}
-		st.IngestedRefs = int64(v)
-	}
-	if version >= 3 {
-		if st.RefitDrift, err = r.f64(); err != nil {
-			return st, err
-		}
-	} else {
-		st.RefitDrift = -1 // pre-v3: keep the configured value
-	}
-	if version >= 4 {
-		if st.BudgetW, err = r.f64(); err != nil {
-			return st, err
-		}
-	}
-	if version >= 5 {
-		v, err := r.uv()
-		if err != nil {
-			return st, err
-		}
-		st.Core.Level = int(v) // pre-v5 files leave it 0: full speed
-	}
-	return st, nil
+	o.Emits = list(r, 10, func() lrusim.Emission {
+		return lrusim.Emission{Gap: r.f64(), Lo: r.i32(), Hi: r.i32()}
+	})
+	o.Seeds = list(r, 11, func() lrusim.SeedFix {
+		return lrusim.SeedFix{Idx: r.i32(), Lo: r.i32(), Hi: r.i32(), T: simtime.Seconds(r.f64())}
+	})
+	return c
 }
 
 // writeSnapshotFile atomically replaces path with a snapshot of states
-// and returns the file size. The daemon always writes the current
-// format; writeSnapshotFileV exists for the compatibility tests.
+// and returns the file size.
 func writeSnapshotFile(path string, states []shardState) (int64, error) {
-	return writeSnapshotFileV(path, states, snapshotVersion)
-}
-
-func writeSnapshotFileV(path string, states []shardState, version byte) (int64, error) {
-	payload := encodePayload(states, version)
+	payload := encodePayload(states)
 
 	var hdr bytes.Buffer
 	hdr.WriteString(snapshotMagic)
-	hdr.WriteByte(version)
+	hdr.WriteByte(snapshotVersion)
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
 	hdr.Write(lenBuf[:])
@@ -488,9 +391,8 @@ func readSnapshotFile(path string) ([]shardState, error) {
 	if string(b[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("snapshot %s: bad magic", path)
 	}
-	version := b[4]
-	if version < snapshotVersionMin || version > snapshotVersion {
-		return nil, fmt.Errorf("snapshot %s: unsupported version %d", path, version)
+	if version := b[4]; version != snapshotVersion {
+		return nil, fmt.Errorf("snapshot %s: version %d, this daemon reads only version %d", path, version, snapshotVersion)
 	}
 	payloadLen := binary.LittleEndian.Uint64(b[5:13])
 	if payloadLen != uint64(len(b)-hdrLen-4) {
@@ -501,7 +403,7 @@ func readSnapshotFile(path string) ([]shardState, error) {
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, fmt.Errorf("snapshot %s: checksum mismatch (%08x != %08x)", path, got, wantCRC)
 	}
-	states, err := decodePayload(payload, version)
+	states, err := decodePayload(payload)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %s: %w", path, err)
 	}

@@ -107,76 +107,3 @@ func TestSpeedWarmRestartParity(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotV4RestoresFullSpeed pins the compatibility rule for
-// pre-speed checkpoints: a v4 file has no level section, so a restore
-// into a multi-speed daemon comes back at full speed, while the current
-// v5 format round-trips the checkpointed level.
-func TestSnapshotV4RestoresFullSpeed(t *testing.T) {
-	tr := testTrace(t, 11)
-
-	// Run a multi-speed daemon until its manager sits at a reduced level.
-	cfg := speedConfig(&decisionLog{})
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := srv.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Requests {
-		if err := sh.IngestBatch(tr.Requests[i : i+1]); err != nil {
-			t.Fatal(err)
-		}
-		sh.mu.Lock()
-		lvl := sh.mgr.Last().Level
-		sh.mu.Unlock()
-		if lvl > 0 {
-			break
-		}
-	}
-	states := srv.snapshotState()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if lvl := states[0].Core.Level; lvl == 0 {
-		t.Fatal("captured state still at full speed; scenario broken")
-	}
-
-	for _, tc := range []struct {
-		version   byte
-		wantLevel int
-	}{
-		{4, 0},                    // pre-speed file: restore as full speed
-		{5, states[0].Core.Level}, // current format: level survives
-	} {
-		snap := filepath.Join(t.TempDir(), "daemon.snap")
-		if _, err := writeSnapshotFileV(snap, states, tc.version); err != nil {
-			t.Fatal(err)
-		}
-		cfg2 := speedConfig(&decisionLog{})
-		cfg2.SnapshotPath = snap
-		srv2, err := New(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv2.Restore(); err != nil {
-			t.Fatalf("v%d restore: %v", tc.version, err)
-		}
-		sh2, err := srv2.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh2.mu.Lock()
-		got := sh2.mgr.Last().Level
-		sh2.mu.Unlock()
-		if got != tc.wantLevel {
-			t.Errorf("v%d restore: level = %d, want %d", tc.version, got, tc.wantLevel)
-		}
-		cfg2.SnapshotPath = "" // no checkpoint on close
-		if err := srv2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -10,7 +10,6 @@ import (
 
 	"jointpm/internal/core"
 	"jointpm/internal/lrusim"
-	"jointpm/internal/simtime"
 	"jointpm/internal/trace"
 )
 
@@ -121,8 +120,10 @@ func TestServeBatchedIngestMatches(t *testing.T) {
 // uses. After every random-size block, the shard fed one request at a
 // time (Ingest), the shard fed the block whole (IngestBatch) and the
 // model must agree on the period's predicted misses, coalesced disk
-// requests, cache accesses and depth log, read page by page. It runs on
-// the generated trace and on a split-range version of it.
+// requests and cache accesses, and the two shards on the open period's
+// state, which a histogram fed the model's depths page by page must
+// match too. It runs on the generated trace and on a split-range version
+// of it.
 func TestServeRunPassMatchesPerRequest(t *testing.T) {
 	_, tr := encodeTrace(t, testTrace(t, 55))
 	t.Run("whole-ranges", func(t *testing.T) { testServeRunPass(t, tr) })
@@ -131,7 +132,6 @@ func TestServeRunPassMatchesPerRequest(t *testing.T) {
 
 func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	cfg := testConfig(&decisionLog{})
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "log.snap") // a shard logs its period only to checkpoint it
 	shards := make([]*Shard, 2)
 	for i := range shards {
 		srv, err := New(cfg)
@@ -144,10 +144,11 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	}
 	one, bat := shards[0], shards[1]
 
+	p := one.mgr.Params()
 	var (
 		perPage               = lrusim.NewStackSim(int(cfg.InstalledMem / cfg.PageSize))
+		hist                  = lrusim.NewDepthHist(int64(p.BankSize/p.PageSize), p.TotalBanks, p.MinBanks, p.Window)
 		boundary              = cfg.Period
-		log                   []logRecord
 		misses, reqRuns, refs int64
 		runStart, runLen      int64 = -1, 0
 		// Totals over closed periods.
@@ -168,14 +169,15 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 			}
 			for req.Time >= boundary {
 				allMisses, allRuns, allRefs = allMisses+misses, allRuns+reqRuns, allRefs+refs
-				log, misses, reqRuns, refs = log[:0], 0, 0, 0
+				misses, reqRuns, refs = 0, 0, 0
+				hist.Reset()
 				boundary += cfg.Period
 			}
 			for k := int64(0); k < int64(req.Pages); k++ {
 				page := req.FirstPage + k
 				refs++
 				depth := perPage.Reference(page)
-				log = append(log, logRecord{Time: float64(req.Time), Page: page, Depth: int64(depth), Bytes: int64(cfg.PageSize)})
+				hist.ObserveRuns([]lrusim.DepthRun{{Time: req.Time, Page: page, Pages: 1, Depth: int32(depth)}}, cfg.PageSize)
 				if depth != lrusim.Cold && int64(depth) <= one.curPages {
 					flush()
 					continue
@@ -199,8 +201,11 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 				t.Fatalf("after %d requests: %s misses/reqRuns/cacheAcc %d/%d/%d, model %d/%d/%d",
 					i, name, sh.misses, sh.reqRuns, sh.cacheAcc, misses, reqRuns, refs)
 			}
-			if !reflect.DeepEqual(convertLog(sh.periodLog, cfg.PageSize), append([]logRecord{}, log...)) {
-				t.Fatalf("after %d requests: %s period log differs from the model's", i, name)
+			sh.mu.Lock()
+			open := sh.mgr.Snapshot().Open
+			sh.mu.Unlock()
+			if !reflect.DeepEqual(open, hist.State(cfg.PageSize)) {
+				t.Fatalf("after %d requests: %s open period differs from the model's", i, name)
 			}
 			if sh.consumed != int64(i) {
 				t.Fatalf("%s consumed %d of %d requests", name, sh.consumed, i)
@@ -214,87 +219,6 @@ func testServeRunPass(t *testing.T, tr *trace.Trace) {
 	// comparison to cover the coalescing.
 	if !(allRefs > allMisses && allMisses > allRuns && allRuns > 0) {
 		t.Fatalf("%d refs, %d misses, %d disk requests: the stream does not exercise coalescing", allRefs, allMisses, allRuns)
-	}
-}
-
-// TestPeriodLogCapacityFollowsLength checks that the period log's
-// footprint depends on the periods' run streams alone: shards fed the
-// same periods one request at a time, in random-size blocks and in one
-// block end with the same capacity. Every request of the stream repeats
-// a two-page range whole (or is its cold first reference), so it logs
-// one run; serve makes room for a run per page before each request, so
-// the capacity is the ladder step of the longest period's runs plus one,
-// within a quarter of its length. A shard that never checkpoints keeps
-// no log at all.
-func TestPeriodLogCapacityFollowsLength(t *testing.T) {
-	const pages = 2
-	cfg := testConfig(&decisionLog{})
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "log.snap") // a shard logs its period only to checkpoint it
-	var reqs []trace.Request
-	longest := 0
-	lengths := []int{90_000, 210_000, 120_000}
-	for p, n := range lengths {
-		for i := 0; i < n; i++ {
-			reqs = append(reqs, trace.Request{
-				Time:      cfg.Period * (simtime.Seconds(p) + simtime.Seconds(i)/simtime.Seconds(n)),
-				FirstPage: int64(i*pages) % 4096,
-				Pages:     pages,
-			})
-		}
-		longest = max(longest, n)
-	}
-	want := logCap(longest + pages - 1)
-	rng := rand.New(rand.NewSource(3))
-	splits := map[string]func(i int) int{
-		"per request":  func(i int) int { return i + 1 },
-		"random block": func(i int) int { return i + 1 + rng.Intn(5000) },
-		"one block":    func(int) int { return len(reqs) },
-	}
-	for name, next := range splits {
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := srv.Shard("d0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(reqs); {
-			j := min(next(i), len(reqs))
-			if err := sh.IngestBatch(reqs[i:j]); err != nil {
-				t.Fatal(err)
-			}
-			i = j
-		}
-		if sh.periodIdx != 2 {
-			t.Fatalf("%s: %d periods closed, want 2", name, sh.periodIdx)
-		}
-		if got := len(sh.periodLog); got != lengths[2] {
-			t.Fatalf("%s: the open period logged %d runs for %d requests", name, got, lengths[2])
-		}
-		if got := cap(sh.periodLog); got != want {
-			t.Fatalf("%s: period log capacity %d, want %d for a longest period of %d runs", name, got, want, longest)
-		}
-	}
-	if longest <= logSmoothCap || 4*want > 5*longest {
-		t.Fatalf("a longest period of %d runs takes capacity %d: not above %d runs, or more than a quarter of slack", longest, want, logSmoothCap)
-	}
-
-	// Without a snapshot path nothing reads the log, and none is kept.
-	cfg.SnapshotPath = ""
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := srv.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.IngestBatch(reqs); err != nil {
-		t.Fatal(err)
-	}
-	if cap(sh.periodLog) != 0 {
-		t.Fatalf("a shard that never checkpoints holds a period log of %d runs", cap(sh.periodLog))
 	}
 }
 
@@ -424,59 +348,6 @@ func TestRefitDriftSnapshotKeepsMode(t *testing.T) {
 	run(0, offSnap)
 	if got := restart(core.DefaultRefitDriftFrac, offSnap).mgr.Params().RefitDriftFrac; got != 0 {
 		t.Fatalf("flag-enabled restart of drift-free snapshot: frac = %g, want 0", got)
-	}
-}
-
-// TestRefitDriftPreV3Sentinel: a version-2 payload has no drift field;
-// decoding it must yield the -1 sentinel, and restoring a sentinel
-// state must keep the restarted process's configured fraction.
-func TestRefitDriftPreV3Sentinel(t *testing.T) {
-	st := shardState{Name: "d0", NextBoundary: 120, RefitDrift: 0.05}
-	v2 := encodePayload([]shardState{st}, 2)
-	states, err := decodePayload(v2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 1 || states[0].RefitDrift != -1 {
-		t.Fatalf("v2 decode RefitDrift = %g, want -1 sentinel", states[0].RefitDrift)
-	}
-
-	// Capture a real shard state, mark it pre-v3, restore it into a
-	// drift-configured server: the configured value must survive.
-	tr := testTrace(t, 54)
-	cfg := testConfig(&decisionLog{})
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := srv.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.IngestBatch(tr.Requests[:200]); err != nil {
-		t.Fatal(err)
-	}
-	sh.mu.Lock()
-	old, log := sh.state()
-	sh.mu.Unlock()
-	old.Log = convertLog(log, sh.pageSize)
-	old.RefitDrift = -1
-
-	cfg2 := testConfig(&decisionLog{})
-	cfg2.RefitDriftFrac = 0.05
-	srv2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh2, err := srv2.Shard("d0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh2.restore(old); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh2.mgr.Params().RefitDriftFrac; got != 0.05 {
-		t.Fatalf("sentinel restore: frac = %g, want configured 0.05", got)
 	}
 }
 
